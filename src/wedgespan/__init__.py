@@ -8,6 +8,7 @@ from .approx import (
     build_tree_90,
     build_tree_120,
     build_tree_180,
+    check_alpha_tree,
     partition_tour,
     verify_alpha_tree,
 )
@@ -19,6 +20,7 @@ from .errors import (
     DuplicatePointError,
     GadgetSearchFailed,
     GridLayoutError,
+    GuaranteeViolation,
     HopBoundViolation,
     InstanceParseError,
     NotBipartiteError,
@@ -48,8 +50,8 @@ from .geom import (
     angular_spread,
     covering_wedge,
     direction,
+    max_spread,
     sextant_of,
-    wedge_contains,
 )
 from .graph import (
     CommGraph,

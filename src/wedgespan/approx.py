@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
+    GuaranteeViolation,
     SeparationConnectivityViolation,
     TheoremViolation,
     TooFewPointsError,
 )
-from .gadget import orient_pair, orient_quadruplet, orient_triplet
+from .gadget import aim_leftovers, orient_pair, orient_quadruplet, orient_triplet
 from .geom import (
     ANGLE_TOL_DEG,
     PointSet,
@@ -26,9 +27,11 @@ from .geom import (
     check_distinct,
     covering_wedge,
     direction,
+    max_spread,
 )
 from .graph import (
     CommGraph,
+    DisjointSets,
     SpanningTree,
     Tour,
     cross_edge,
@@ -138,30 +141,6 @@ def _local_induced(points: PointSet, wedges: Sequence[Wedge], members: Sequence[
     return induced_graph(sub_points, sub_wedges)
 
 
-def _attach_leftovers(
-    points: PointSet,
-    wedges: list[Optional[Wedge]],
-    leftovers: Sequence[int],
-    host_group: Sequence[int],
-    aperture_deg: float,
-) -> list[tuple[int, int]]:
-    """Give each leftover point a wedge aimed at the nearest host wedge covering it.
-
-    The host group's wedges cover the plane, so a covering wedge exists;
-    pointing the leftover's bisector at its apex makes the edge mutual.
-    """
-    edges = []
-    for p in leftovers:
-        candidates = [
-            x for x in host_group if wedges[x] is not None and wedges[x].contains(points[p])
-        ]
-        assert candidates, f"host group wedges do not cover leftover point {p}"
-        x = min(candidates, key=lambda i: (points[p].distance_to(points[i]), i))
-        wedges[p] = Wedge(points[p], direction(points[p], points[x]), aperture_deg)
-        edges.append((p, x))
-    return edges
-
-
 def build_tree_120(points: PointSet) -> AlphaTree:
     """Aperture-120 tree via triplet gadgets along the tour.
 
@@ -202,7 +181,7 @@ def build_tree_120(points: PointSet) -> AlphaTree:
                 f"no cross edge between triplet groups {a} and {b}"
             )
         edges.append((members[ce[0]], members[ce[1]]))
-    edges.extend(_attach_leftovers(points, wedges, leftovers, full[-1], 120.0))
+    edges.extend(aim_leftovers(points, wedges, leftovers, full[-1], 120.0))
 
     tree = tree_from_edges(points, edges)
     result = AlphaTree(
@@ -225,22 +204,13 @@ def _quad_inner_edges(
 ) -> list[tuple[int, int]]:
     """Minimum spanning tree of the quadruplet's induced graph (3 edges)."""
     sub = _local_induced(points, wedges, quad)  # type: ignore[arg-type]
-    cands = sorted((w, u, v) for u, v, w in sub.edges())
-    parent = list(range(4))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = DisjointSets(4)
     picked = []
-    for w, u, v in cands:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+    for _, u, v in sorted((w, u, v) for u, v, w in sub.edges()):
+        if sets.union(u, v):
             picked.append((quad[u], quad[v]))
-    assert len(picked) == 3, "quadruplet induced graph was not connected"
+    if len(picked) != 3:
+        raise GuaranteeViolation(f"induced graph of quadruplet {tuple(quad)} is not connected")
     return picked
 
 
@@ -288,7 +258,7 @@ def build_tree_90(points: PointSet) -> AlphaTree:
         for local in range(4):
             wedges[quad[local]] = orientation.wedges[local]
         edges.extend(_quad_inner_edges(points, wedges, quad))
-        edges.extend(_attach_leftovers(points, wedges, leftovers, quad, 90.0))
+        edges.extend(aim_leftovers(points, wedges, leftovers, quad, 90.0))
     else:
         part = partition_tour(tour, 8)
         full = [g for g in part.groups if len(g) == 8]
@@ -320,7 +290,7 @@ def build_tree_90(points: PointSet) -> AlphaTree:
                     f"no edge between consecutive sections {full[k]} and {full[k + 1]}"
                 )
             edges.append((members[ce[0]], members[ce[1]]))
-        edges.extend(_attach_leftovers(points, wedges, leftovers, full[-1], 90.0))
+        edges.extend(aim_leftovers(points, wedges, leftovers, full[-1], 90.0))
 
     tree = tree_from_edges(points, edges)
     result = AlphaTree(
@@ -385,74 +355,59 @@ class AlphaTreeReport:
         }
 
 
-def verify_alpha_tree(points: PointSet, result: AlphaTree) -> AlphaTreeReport:
-    """Recompute every AlphaTree invariant from scratch and report.
+def check_alpha_tree(
+    points: PointSet,
+    alpha_deg: float,
+    edges: Sequence[tuple[int, int]],
+    wedges: Sequence[Wedge],
+    stored_weight: float,
+    mst_weight: float,
+) -> AlphaTreeReport:
+    """Check an alpha-tree given as plain data (edges: distinct indices into points).
 
-    Checks tree structure, per-vertex angular spread against alpha, witness
-    wedge consistency of every edge, the stored weight, and the ratio against
-    a fresh Euclidean MST. The alpha-specific ratio bound (2 / 6 / 16) is
-    enforced only where the charging argument applies: always for 180, and
-    when the group size divides n for 120 and 90.
+    Checks edge count, span, acyclicity, the stored weight, per-vertex spread
+    against alpha, that every edge is mutual under the witness wedges, that
+    the reference MST weight is positive and at most the tree's, and the ratio.
+    The ratio bound (2 / 6 / 16) is enforced only where the charging argument
+    applies: always for 180, and when the group size divides n for 120 and 90.
     """
     n = len(points)
     failures: list[str] = []
-    tree = result.tree
-    edge_count_ok = len(tree.edges) == n - 1
+    edge_count_ok = len(edges) == n - 1
     if not edge_count_ok:
-        failures.append(f"expected {n - 1} edges, found {len(tree.edges)}")
+        failures.append(f"expected {n - 1} edges, found {len(edges)}")
 
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    acyclic = True
-    for u, v in tree.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            acyclic = False
-        else:
-            parent[ru] = rv
-    connected = len({find(v) for v in range(n)}) == 1
+    sets = DisjointSets(n)
+    acyclic = sum(sets.union(u, v) for u, v in edges) == len(edges)
+    connected = sets.count == 1
     if not connected:
         failures.append("tree does not span all vertices")
     if not acyclic:
         failures.append("tree contains a cycle")
 
-    adjacency: list[list[int]] = [[] for _ in range(n)]
     weight = 0.0
-    for u, v in tree.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    for u, v in edges:
         weight += points[u].distance_to(points[v])
-    if abs(weight - tree.weight) > _REL * max(1.0, weight):
-        failures.append(f"stored weight {tree.weight} != recomputed {weight}")
+    if abs(weight - stored_weight) > _REL * max(1.0, weight):
+        failures.append(f"stored weight {stored_weight} != recomputed {weight}")
 
-    max_spread = 0.0
-    worst: Optional[int] = None
-    for v in range(n):
-        if not adjacency[v]:
-            continue
-        spread = angular_spread(points[v], [points[u] for u in adjacency[v]])
-        if spread > max_spread:
-            max_spread = spread
-            worst = v
-    if max_spread > result.alpha_deg + ANGLE_TOL_DEG:
-        failures.append(f"vertex {worst} has spread {max_spread} > alpha {result.alpha_deg}")
+    spread, worst = max_spread(points, edges)
+    if spread > alpha_deg + ANGLE_TOL_DEG:
+        failures.append(f"vertex {worst} has spread {spread} > alpha {alpha_deg}")
 
     witness_ok = True
-    for u, v in tree.edges:
-        if not (result.wedges[u].contains(points[v]) and result.wedges[v].contains(points[u])):
+    for u, v in edges:
+        if not (wedges[u].contains(points[v]) and wedges[v].contains(points[u])):
             witness_ok = False
             failures.append(f"edge ({u},{v}) is not mutual under the witness wedges")
             break
 
-    mst_weight = euclidean_mst(points).weight if n >= 1 else 0.0
+    if n >= 2 and not mst_weight > 0:
+        failures.append(f"MST weight {mst_weight} is not positive")
+    elif edge_count_ok and connected and mst_weight > weight * (1.0 + _REL):
+        failures.append(f"MST weight {mst_weight} exceeds the spanning tree's {weight}")
     ratio = weight / mst_weight if mst_weight > 0 else 1.0
-    key = int(round(result.alpha_deg))
+    key = int(round(alpha_deg))
     bound = _RATIO_BOUNDS.get(key)
     group = {180: 1, 120: 3, 90: 8}.get(key, 1)
     enforced = bound is not None and n % group == 0
@@ -460,18 +415,9 @@ def verify_alpha_tree(points: PointSet, result: AlphaTree) -> AlphaTreeReport:
     if enforced and not ratio_ok:
         failures.append(f"ratio {ratio} exceeds bound {bound}")
 
-    passed = (
-        edge_count_ok
-        and connected
-        and acyclic
-        and witness_ok
-        and max_spread <= result.alpha_deg + ANGLE_TOL_DEG
-        and abs(weight - tree.weight) <= _REL * max(1.0, weight)
-        and (ratio_ok or not enforced)
-    )
     return AlphaTreeReport(
-        passed=passed,
-        alpha_deg=result.alpha_deg,
+        passed=not failures,
+        alpha_deg=alpha_deg,
         n=n,
         edge_count_ok=edge_count_ok,
         connected=connected,
@@ -482,8 +428,16 @@ def verify_alpha_tree(points: PointSet, result: AlphaTree) -> AlphaTreeReport:
         bound=bound,
         ratio_enforced=enforced,
         ratio_ok=ratio_ok,
-        max_spread_deg=max_spread,
+        max_spread_deg=spread,
         worst_vertex=worst,
         witness_edges_ok=witness_ok,
         failures=tuple(failures),
+    )
+
+
+def verify_alpha_tree(points: PointSet, result: AlphaTree) -> AlphaTreeReport:
+    """Recompute every AlphaTree invariant, the ratio against a fresh Euclidean MST."""
+    mst_weight = euclidean_mst(points).weight if points else 0.0
+    return check_alpha_tree(
+        points, result.alpha_deg, result.tree.edges, result.wedges, result.tree.weight, mst_weight
     )

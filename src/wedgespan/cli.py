@@ -10,9 +10,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import generators
-from .approx import build_tree, verify_alpha_tree
-from .errors import DisconnectedUDGError, WedgespanError
-from .geom import ANGLE_TOL_DEG, angular_spread
+from .approx import build_tree, check_alpha_tree, verify_alpha_tree
+from .errors import GuaranteeViolation, WedgespanError
+from .geom import ANGLE_TOL_DEG, max_spread
 from .graph import CommGraph, euclidean_mst, unit_disk_graph
 from .io import (
     Instance,
@@ -38,18 +38,6 @@ def _write(text: str, path: Optional[str]) -> None:
 
 def _read_instance(path: str, duplicates: str = "reject") -> Instance:
     return parse_instance(Path(path).read_text(), duplicates=duplicates)
-
-
-def _max_spread(points, edges) -> float:
-    adjacency: list[list[int]] = [[] for _ in range(len(points))]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    worst = 0.0
-    for v, nbrs in enumerate(adjacency):
-        if nbrs:
-            worst = max(worst, angular_spread(points[v], [points[u] for u in nbrs]))
-    return worst
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -126,7 +114,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
             "weight": weight,
             "mst_weight": mst_weight,
             "ratio": weight / mst_weight if mst_weight > 0 else 1.0,
-            "max_spread_deg": _max_spread(points, edges),
+            "max_spread_deg": max_spread(points, edges)[0],
             "hop_stretch": result.hop_stretch,
             "max_edge_len": result.max_edge_length,
         },
@@ -142,44 +130,59 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+def _network_failures(points, wedges, edges, alpha: float, stored_weight: float) -> list[str]:
+    failures = []
+    for u, v in edges:
+        if not (wedges[u].contains(points[v]) and wedges[v].contains(points[u])):
+            failures.append(f"edge ({u},{v}) is not mutual under the recorded wedges")
+    weight = sum(points[u].distance_to(points[v]) for u, v in edges)
+    if abs(weight - stored_weight) > 1e-8 * max(1.0, weight):
+        failures.append(f"stored weight {stored_weight} != recomputed {round_sig(weight)}")
+    spread, worst = max_spread(points, edges)
+    if spread > alpha + ANGLE_TOL_DEG:
+        failures.append(f"vertex {worst} has spread {spread} > alpha {alpha}")
+    g = CommGraph(len(points))
+    for u, v in edges:
+        g.add_edge(u, v, points[u].distance_to(points[v]))
+    failures.extend(verify_hop_spanner(g, unit_disk_graph(points), SPANNER_HOPS).failures)
+    max_len = max((points[u].distance_to(points[v]) for u, v in edges), default=0.0)
+    if max_len > SPANNER_RANGE * (1.0 + 1e-9):
+        failures.append(f"edge of length {max_len} exceeds range {SPANNER_RANGE}")
+    return failures
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     points = instance.points
+    n = len(points)
     doc = parse_result(Path(args.result).read_text())
-    failures: list[str] = []
+    network = "hop_stretch" in doc.summary
+    failures = [
+        f"edge ({u},{v}) is out of range or a self-loop"
+        for u, v in doc.edges
+        if u == v or not (0 <= u < n and 0 <= v < n)
+    ]
     try:
         wedges = doc.wedges_at(points)
     except ValueError as exc:
-        print(f"verification FAILED: {exc}", file=sys.stderr)
-        return 1
-    for u, v in doc.edges:
-        if not (0 <= u < len(points) and 0 <= v < len(points)):
-            failures.append(f"edge ({u},{v}) out of range")
-            continue
-        if not (wedges[u].contains(points[v]) and wedges[v].contains(points[u])):
-            failures.append(f"edge ({u},{v}) is not mutual under the recorded wedges")
-    weight = sum(points[u].distance_to(points[v]) for u, v in doc.edges)
-    stored = doc.summary.get("weight")
-    if stored is None or abs(weight - stored) > 1e-8 * max(1.0, weight):
-        failures.append(f"stored weight {stored} != recomputed {round_sig(weight)}")
-    spread = _max_spread(points, doc.edges)
-    alpha = doc.summary.get("alpha")
-    if alpha is not None and spread > alpha + ANGLE_TOL_DEG:
-        failures.append(f"max spread {spread} exceeds alpha {alpha}")
-    if "hop_stretch" in doc.summary:
-        g = CommGraph(len(points))
-        for u, v in doc.edges:
-            g.add_edge(u, v, points[u].distance_to(points[v]))
-        udg = unit_disk_graph(points)
-        report = verify_hop_spanner(g, udg, SPANNER_HOPS)
-        if not report.passed:
-            failures.extend(report.failures)
-        max_len = max((points[u].distance_to(points[v]) for u, v in doc.edges), default=0.0)
-        if max_len > SPANNER_RANGE * (1.0 + 1e-9):
-            failures.append(f"edge of length {max_len} exceeds range {SPANNER_RANGE}")
-    else:
-        if len(doc.edges) != len(points) - 1:
-            failures.append(f"expected {len(points) - 1} tree edges, found {len(doc.edges)}")
+        failures.append(str(exc))
+    keys = ("alpha", "weight") if network else ("alpha", "weight", "mst_weight")
+    stored = {k: doc.summary.get(k) for k in keys}
+    failures += [
+        f"summary.{k} is not a number" for k, x in stored.items() if not isinstance(x, (int, float))
+    ]
+    if not failures:
+        if network:
+            failures = _network_failures(
+                points, wedges, doc.edges, stored["alpha"], stored["weight"]
+            )
+        else:
+            # The ratio is checked against the stored MST weight: a fresh
+            # dense EMST would cost several times the rest of the check.
+            report = check_alpha_tree(
+                points, stored["alpha"], doc.edges, wedges, stored["weight"], stored["mst_weight"]
+            )
+            failures = list(report.failures)
     if failures:
         print("verification FAILED: " + "; ".join(failures), file=sys.stderr)
         return 1
@@ -303,13 +306,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DisconnectedUDGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WedgespanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except GuaranteeViolation as exc:
+        print(f"internal error: guarantee violated: {exc}", file=sys.stderr)
+        return 3
+    except (WedgespanError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,11 @@ class TooManyPointsError(WedgespanError):
     """Input exceeds an exhaustive-enumeration size cap."""
 
 
-class GadgetSearchFailed(WedgespanError):
+class GuaranteeViolation(WedgespanError):
+    """A guarantee the constructions prove failed at runtime: a bug, not bad input."""
+
+
+class GadgetSearchFailed(GuaranteeViolation):
     """No candidate wedge assignment passed the gadget postconditions.
 
     Must never occur in practice; a raise signals a bug or an input outside
@@ -29,11 +33,11 @@ class GadgetSearchFailed(WedgespanError):
     """
 
 
-class TheoremViolation(WedgespanError):
+class TheoremViolation(GuaranteeViolation):
     """A cross edge guaranteed between two independently oriented triplets is missing."""
 
 
-class SeparationConnectivityViolation(WedgespanError):
+class SeparationConnectivityViolation(GuaranteeViolation):
     """A required connecting edge between line-separated quadruplets is missing."""
 
 
@@ -41,11 +45,11 @@ class DisconnectedUDGError(WedgespanError):
     """The unit disk graph of the input is not connected."""
 
 
-class ComponentClaimViolation(WedgespanError):
+class ComponentClaimViolation(GuaranteeViolation):
     """A neighbor of a small greedy component is not in a size-3 component."""
 
 
-class HopBoundViolation(WedgespanError):
+class HopBoundViolation(GuaranteeViolation):
     """The converted antenna graph exceeds its hop-stretch bound."""
 
 

@@ -10,6 +10,9 @@ Three recipes live here:
   postconditions (connected induced graph, plane coverage).
 * ``orient_pair`` — two facing wedges, the trivial case.
 
+``aim_leftovers`` gives points outside any gadget a wedge aimed at a gadget
+wedge that covers them, which makes the edge between the two mutual.
+
 ``verify_coverage`` checks plane coverage of a wedge family: the direction
 part exactly (interval arithmetic), the near-field part with a deterministic
 low-discrepancy sample.
@@ -20,15 +23,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GadgetSearchFailed
+from .errors import GadgetSearchFailed, PartitionError
 from .geom import (
     ANGLE_TOL_DEG,
     Direction,
-    Point,
     PointSet,
     Wedge,
     check_distinct,
@@ -66,17 +68,12 @@ class TripletOrientation:
     peak: int
     rotation_deg: float
     reflected: bool
-    origin: Point
     wedges: tuple[Wedge, Wedge, Wedge]
 
     @property
     def tree_edges(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The two induced edges guaranteed by the construction."""
         return (self.peak, self.base_left), (self.base_left, self.base_right)
-
-    @property
-    def roles(self) -> tuple[int, int, int]:
-        return self.base_left, self.base_right, self.peak
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,6 @@ def orient_triplet(points: PointSet, *, check: bool = True) -> TripletOrientatio
         peak=pk,
         rotation_deg=theta,
         reflected=reflected,
-        origin=points[bl],
         wedges=wedges,  # type: ignore[arg-type]
     )
 
@@ -169,6 +165,30 @@ def orient_pair(points: PointSet, aperture_deg: float) -> tuple[Wedge, Wedge]:
     p, q = points
     d = direction(p, q)
     return Wedge(p, d, aperture_deg), Wedge(q, d.opposite(), aperture_deg)
+
+
+def aim_leftovers(
+    points: PointSet,
+    wedges: list[Optional[Wedge]],
+    leftovers: Sequence[int],
+    host: Sequence[int],
+    aperture_deg: float,
+    radius: Optional[float] = None,
+) -> list[tuple[int, int]]:
+    """Aim each leftover's wedge at the apex of the nearest host wedge covering it.
+
+    The host gadget covers the plane, so such a wedge exists and the edge is
+    mutual. Fills ``wedges`` in place and returns the new edges.
+    """
+    edges = []
+    for p in leftovers:
+        covering = [x for x in host if wedges[x] is not None and wedges[x].contains(points[p])]
+        if not covering:
+            raise PartitionError(f"gadget wedges of group {tuple(host)} do not cover point {p}")
+        x = min(covering, key=lambda i: (points[p].distance_to(points[i]), i))
+        wedges[p] = Wedge(points[p], direction(points[p], points[x]), aperture_deg, radius)
+        edges.append((p, x))
+    return edges
 
 
 def _connected_on_four(edges: Sequence[tuple[int, int]]) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DuplicatePointError
 
@@ -56,10 +56,6 @@ class Direction:
 
     def opposite(self) -> "Direction":
         return Direction(self.degrees + 180.0)
-
-    def signed_delta_to(self, other: "Direction") -> float:
-        """Smallest signed rotation (in degrees, in [-180, 180)) from self to other."""
-        return signed_angle_delta(self.degrees, other.degrees)
 
 
 def signed_angle_delta(from_deg: float, to_deg: float) -> float:
@@ -122,10 +118,6 @@ class AngleInterval:
     def contains(self, d: Direction, tol: float = ANGLE_TOL_DEG) -> bool:
         offset = (d.degrees - self.start.degrees) % 360.0
         return offset <= self.extent + tol or offset >= 360.0 - tol
-
-    @property
-    def end(self) -> Direction:
-        return self.start.rotated(self.extent)
 
 
 def intervals_cover_circle(intervals: Iterable[AngleInterval], tol: float = ANGLE_TOL_DEG) -> bool:
@@ -202,10 +194,6 @@ class Wedge:
         return abs(delta) <= self.aperture_deg / 2.0 + ANGLE_TOL_DEG
 
 
-def wedge_contains(w: Wedge, q: Point) -> bool:
-    return w.contains(q)
-
-
 def spanning_arc(direction_degs: Sequence[float]) -> tuple[float, float]:
     """Smallest CCW arc (start_deg, extent_deg) containing all given directions.
 
@@ -242,6 +230,26 @@ def angular_spread(center: Point, neighbors: PointSet) -> float:
     degs = [direction(center, q).degrees for q in neighbors]
     _, extent = spanning_arc(degs)
     return extent
+
+
+def max_spread(points: PointSet, edges: Iterable[tuple[int, int]]) -> tuple[float, Optional[int]]:
+    """Largest angular_spread over the vertices of an edge list, and where.
+
+    Returns the spread and the lowest vertex attaining it, or (0.0, None)
+    when every vertex sees a single direction.
+    """
+    adjacency: list[list[int]] = [[] for _ in points]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    worst = 0.0
+    at: Optional[int] = None
+    for v, nbrs in enumerate(adjacency):
+        if nbrs:
+            spread = angular_spread(points[v], [points[u] for u in nbrs])
+            if spread > worst:
+                worst, at = spread, v
+    return worst, at
 
 
 def covering_wedge(center: Point, neighbors: PointSet, aperture_deg: float) -> Wedge:

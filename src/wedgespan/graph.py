@@ -200,26 +200,41 @@ class SpanningTree:
         return len(self.edges) + 1
 
 
+class DisjointSets:
+    """Union-find over vertices 0..n-1 with path halving; ``count`` sets remain."""
+
+    def __init__(self, n: int):
+        self._parent = list(range(n))
+        self.count = n
+
+    def find(self, x: int) -> int:
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, u: int, v: int) -> bool:
+        """Merge the sets of u and v; False when they were already one set."""
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self._parent[ru] = rv
+        self.count -= 1
+        return True
+
+
 def tree_from_edges(points: PointSet, edges: Iterable[tuple[int, int]]) -> SpanningTree:
     """Build a SpanningTree from index pairs, validating span and acyclicity."""
     n = len(points)
     norm = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
     if len(norm) != n - 1:
         raise ValueError(f"spanning tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = DisjointSets(n)
     weight = 0.0
     for u, v in norm:
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if not sets.union(u, v):
             raise ValueError(f"edge ({u},{v}) creates a cycle")
-        parent[ru] = rv
         weight += points[u].distance_to(points[v])
     return SpanningTree(norm, weight)
 

@@ -20,8 +20,8 @@ from .errors import (
     HopBoundViolation,
     PartitionError,
 )
-from .gadget import orient_pair, orient_triplet
-from .geom import Direction, Point, PointSet, REL_TOL, Wedge, check_distinct, direction
+from .gadget import aim_leftovers, orient_pair, orient_triplet
+from .geom import Direction, Point, PointSet, REL_TOL, Wedge, check_distinct
 from .graph import CommGraph, hop_distances_from, induced_graph, unit_disk_graph
 
 SPANNER_RANGE = 7.0
@@ -231,20 +231,7 @@ def orient_components(points: PointSet, partition: ComponentPartition) -> list[W
                 wedges[comp[0]] = Wedge(points[comp[0]], Direction(0.0), 120.0, SPANNER_RANGE)
             continue
         host = partition.components[partition.component_of[anchor]]
-        for p in comp:
-            covering = [
-                x
-                for x in host
-                if wedges[x] is not None and wedges[x].contains(points[p])
-            ]
-            if not covering:
-                raise PartitionError(
-                    f"gadget wedges of component {host} do not cover point {p}"
-                )
-            x = min(covering, key=lambda i: (points[p].distance_to(points[i]), i))
-            wedges[p] = Wedge(
-                points[p], direction(points[p], points[x]), 120.0, SPANNER_RANGE
-            )
+        aim_leftovers(points, wedges, comp, host, 120.0, SPANNER_RANGE)
     assert all(w is not None for w in wedges)
     return wedges  # type: ignore[return-value]
 

@@ -9,6 +9,7 @@ from wedgespan.approx import (
     build_tree_90,
     build_tree_120,
     build_tree_180,
+    check_alpha_tree,
     partition_tour,
     verify_alpha_tree,
 )
@@ -220,6 +221,16 @@ class TestVerifier:
             at.tour_weight,
         )
         assert not verify_alpha_tree(pts, fake).passed
+
+    def test_reference_mst_weight_is_checked(self):
+        pts = uniform_square(9, seed=2)
+        at = build_tree_120(pts)
+        args = (pts, 120.0, at.tree.edges, at.wedges, at.tree.weight)
+        assert check_alpha_tree(*args, at.mst_weight).passed
+        for bad in (0.0, at.tree.weight * 1.01):
+            report = check_alpha_tree(*args, bad)
+            assert not report.passed
+            assert any("MST weight" in f for f in report.failures)
 
     def test_ratio_one_for_pair(self):
         pts = [Point(0, 0), Point(2, 1)]

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from wedgespan import cli
 from wedgespan.cli import main
-from wedgespan.io import parse_result
+from wedgespan.errors import TheoremViolation
+from wedgespan.io import parse_instance, parse_result
 
 
 def run(*argv):
@@ -101,6 +103,17 @@ class TestConvert:
         assert run("convert", "--in", str(inst), "--out", str(tmp_path / "r.json")) == 2
 
 
+def test_guarantee_violation_exits_3(tmp_path, monkeypatch, capsys):
+    def broken_builder(points, alpha):
+        raise TheoremViolation("no cross edge between triplet groups (0, 1, 2) and (3, 4, 5)")
+
+    monkeypatch.setattr(cli, "build_tree", broken_builder)
+    inst = tmp_path / "i.json"
+    run("gen", "--generator", "uniform-square", "--n", "6", "--out", str(inst))
+    assert run("solve", "--in", str(inst), "--alpha", "120") == 3
+    assert "guarantee violated" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_round_trip_passes(self, tmp_path):
         inst = tmp_path / "i.json"
@@ -120,6 +133,70 @@ class TestVerify:
         obj["summary"]["weight"] = obj["summary"]["weight"] * 0.5
         res.write_text(json.dumps(obj))
         assert run("verify", "--in", str(inst), "--result", str(res)) == 1
+
+    @staticmethod
+    def _tamper(tmp_path, gen_args, alpha, edit):
+        """Solve an instance, let ``edit`` change the result object, verify it."""
+        inst = tmp_path / "i.json"
+        res = tmp_path / "r.json"
+        assert run("gen", *gen_args, "--out", str(inst)) == 0
+        assert run("solve", "--in", str(inst), "--alpha", str(alpha), "--out", str(res)) == 0
+        points = parse_instance(inst.read_text()).points
+        obj = json.loads(res.read_text())
+        edit(obj, points)
+        res.write_text(json.dumps(obj))
+        return run("verify", "--in", str(inst), "--result", str(res))
+
+    @staticmethod
+    def _set_edges(obj, points, edges):
+        obj["edges"] = edges
+        obj["summary"]["weight"] = sum(points[u].distance_to(points[v]) for u, v in edges)
+
+    def test_duplicate_edge_leaving_a_point_isolated_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            assert [0, 1] in obj["edges"] and [0, 3] in obj["edges"]
+            self._set_edges(obj, points, [[0, 1], [0, 1], [0, 3]])
+
+        gen = ("--generator", "uniform-square", "--n", "4", "--seed", "2")
+        assert self._tamper(tmp_path, gen, 180, edit) == 1
+        err = capsys.readouterr().err
+        assert "does not span" in err and "cycle" in err
+
+    def test_cycle_plus_isolated_point_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            self._set_edges(obj, points, [[0, 1], [1, 2], [2, 3], [0, 3]])
+
+        gen = ("--generator", "collinear", "--n", "5")
+        assert self._tamper(tmp_path, gen, 180, edit) == 1
+        err = capsys.readouterr().err
+        assert "does not span" in err and "cycle" in err
+
+    def test_missing_alpha_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            del obj["summary"]["alpha"]
+
+        gen = ("--generator", "uniform-square", "--n", "12", "--seed", "5")
+        assert self._tamper(tmp_path, gen, 120, edit) == 1
+        assert "summary.alpha" in capsys.readouterr().err
+
+    def test_mst_weight_above_tree_weight_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            obj["summary"]["mst_weight"] = obj["summary"]["weight"] * 1.01
+
+        gen = ("--generator", "uniform-square", "--n", "12", "--seed", "5")
+        assert self._tamper(tmp_path, gen, 120, edit) == 1
+        assert "MST weight" in capsys.readouterr().err
+
+    def test_spread_above_alpha_fails(self, tmp_path, capsys):
+        # The 90-degree star on three collinear points hangs both others off
+        # point 0; the path through point 1 gives it a 180-degree spread.
+        def edit(obj, points):
+            assert sorted(map(sorted, obj["edges"])) == [[0, 1], [0, 2]]
+            self._set_edges(obj, points, [[0, 1], [1, 2]])
+
+        gen = ("--generator", "collinear", "--n", "3")
+        assert self._tamper(tmp_path, gen, 90, edit) == 1
+        assert "vertex 1 has spread 180" in capsys.readouterr().err
 
     def test_spanner_result_verifies(self, tmp_path):
         inst = tmp_path / "i.json"

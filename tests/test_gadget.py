@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from wedgespan.errors import DuplicatePointError
+from wedgespan.errors import DuplicatePointError, PartitionError
 from wedgespan.gadget import (
+    aim_leftovers,
     matched_ray_direction,
     orient_pair,
     orient_quadruplet,
@@ -125,6 +126,23 @@ class TestOrientPair:
         w1, w2 = orient_pair([Point(0, 0), Point(1, 1)], 120.0)
         assert w1.bisector.degrees == pytest.approx(45.0)
         assert w2.bisector.degrees == pytest.approx(225.0)
+
+
+class TestAimLeftovers:
+    def test_aims_at_nearest_covering_apex(self):
+        pts = [Point(0, 0), Point(1, 0), Point(0, 1), Point(3, 0.5)]
+        tri = orient_triplet(pts[:3])
+        wedges = list(tri.wedges) + [None]
+        edges = aim_leftovers(pts, wedges, [3], (0, 1, 2), 120.0, 7.0)
+        [(p, x)] = edges
+        assert p == 3 and tri.wedges[x].contains(pts[3])
+        assert wedges[3].radius == 7.0 and wedges[3].contains(pts[x])
+
+    def test_uncovered_point_raises_with_witness(self):
+        pts = [Point(0, 0), Point(-1, 0)]
+        wedges = [Wedge(pts[0], Direction(0.0), 90.0), None]
+        with pytest.raises(PartitionError, match=r"\(0,\) do not cover point 1"):
+            aim_leftovers(pts, wedges, [1], (0,), 90.0)
 
 
 class TestOrientQuadruplet:

@@ -16,6 +16,7 @@ from wedgespan.geom import (
     covering_wedge,
     direction,
     intervals_cover_circle,
+    max_spread,
     sextant_of,
     signed_angle_delta,
     spanning_arc,
@@ -156,6 +157,14 @@ class TestAngularSpread:
             narrow = covering_wedge(center, neighbors, spread * 0.5)
             narrow = Wedge(center, narrow.bisector, spread - 0.5)
             assert not all(narrow.contains(q) for q in neighbors)
+
+    def test_max_spread_names_lowest_worst_vertex(self):
+        pts = [pt(0, 0), pt(1, 0), pt(2, 0), pt(2, 1)]
+        spread, worst = max_spread(pts, [(0, 1), (1, 2), (2, 3)])
+        assert spread == pytest.approx(180.0) and worst == 1
+
+    def test_max_spread_of_single_edge_is_zero(self):
+        assert max_spread([pt(0, 0), pt(1, 0)], [(0, 1)]) == (0.0, None)
 
 
 class TestSpanningArc:

@@ -8,6 +8,7 @@ from wedgespan.gadget import orient_pair, orient_triplet
 from wedgespan.geom import Direction, Point, Wedge
 from wedgespan.graph import (
     CommGraph,
+    DisjointSets,
     cross_edge,
     euclidean_mst,
     hop_distance,
@@ -185,6 +186,15 @@ class TestTreeFromEdges:
         pts = [Point(0, 0), Point(1, 0), Point(0, 1)]
         with pytest.raises(ValueError):
             tree_from_edges(pts, [(0, 1)])
+
+
+class TestDisjointSets:
+    def test_union_reports_merges_and_counts_sets(self):
+        sets = DisjointSets(5)
+        assert sets.union(0, 1) and sets.union(2, 3) and sets.union(1, 3)
+        assert not sets.union(0, 2)
+        assert sets.count == 2
+        assert sets.find(0) == sets.find(3) != sets.find(4)
 
 
 class TestCrossEdge:
