@@ -79,7 +79,6 @@ from .oracle import (
 )
 from .spanner import (
     ComponentPartition,
-    NeighborGrid,
     SpannerResult,
     build_spanner,
     greedy_components,

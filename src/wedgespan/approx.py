@@ -91,13 +91,26 @@ def partition_tour(tour: Tour, group_size: int = 3) -> TourPartition:
     for i in range(n):
         weights[i % group_size] += tour.edge_weights[i]
     best = max(range(group_size), key=lambda j: (weights[j], -j))
-    assert weights[best] >= tour.weight / group_size - _REL * tour.weight
+    if weights[best] < tour.weight / group_size - _REL * tour.weight:
+        raise GuaranteeViolation(
+            f"heaviest tour-edge class {best} of {tuple(weights)} carries less than "
+            f"1/{group_size} of the tour weight {tour.weight}"
+        )
     start = (best + 1) % n
     rotated = [tour.order[(start + m) % n] for m in range(n)]
     groups = tuple(
         tuple(rotated[k : k + group_size]) for k in range(0, n, group_size)
     )
     return TourPartition(groups=groups, connecting_class=best, class_weights=tuple(weights))
+
+
+def _check_weight_bound(tree: SpanningTree, factor: float, reference: float, of: str) -> None:
+    """Raise GuaranteeViolation, naming the tree, when it outweighs factor x reference."""
+    if tree.weight > factor * reference * (1.0 + _REL):
+        raise GuaranteeViolation(
+            f"tree {tree.edges} weighs {tree.weight}, more than {factor:g}x the {of} "
+            f"weight {reference}"
+        )
 
 
 def _pair_tree(points: PointSet, aperture_deg: float) -> AlphaTree:
@@ -130,9 +143,8 @@ def build_tree_180(points: PointSet) -> AlphaTree:
         covering_wedge(points[v], [points[u] for u in adjacency[v]], 180.0) for v in range(n)
     )
     tree = tree_from_edges(points, edges)
-    result = AlphaTree(180.0, tree, wedges, mst_weight=mst.weight, tour_weight=tour.weight)
-    assert tree.weight <= 2.0 * mst.weight * (1.0 + _REL)
-    return result
+    _check_weight_bound(tree, 2.0, mst.weight, "MST")
+    return AlphaTree(180.0, tree, wedges, mst_weight=mst.weight, tour_weight=tour.weight)
 
 
 def _local_induced(points: PointSet, wedges: Sequence[Wedge], members: Sequence[int]) -> CommGraph:
@@ -184,13 +196,10 @@ def build_tree_120(points: PointSet) -> AlphaTree:
     edges.extend(aim_leftovers(points, wedges, leftovers, full[-1], 120.0))
 
     tree = tree_from_edges(points, edges)
-    result = AlphaTree(
-        120.0, tree, tuple(wedges), mst_weight=mst.weight, tour_weight=tour.weight
-    )
     if n % 3 == 0:
-        assert tree.weight <= 3.0 * tour.weight * (1.0 + _REL)
-        assert tree.weight <= 6.0 * mst.weight * (1.0 + _REL)
-    return result
+        _check_weight_bound(tree, 3.0, tour.weight, "tour")
+        _check_weight_bound(tree, 6.0, mst.weight, "MST")
+    return AlphaTree(120.0, tree, tuple(wedges), mst_weight=mst.weight, tour_weight=tour.weight)
 
 
 def _split_by_x(points: PointSet, members: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -293,13 +302,10 @@ def build_tree_90(points: PointSet) -> AlphaTree:
         edges.extend(aim_leftovers(points, wedges, leftovers, full[-1], 90.0))
 
     tree = tree_from_edges(points, edges)
-    result = AlphaTree(
-        90.0, tree, tuple(wedges), mst_weight=mst.weight, tour_weight=tour.weight
-    )
     if n % 8 == 0:
-        assert tree.weight <= 8.0 * tour.weight * (1.0 + _REL)
-        assert tree.weight <= 16.0 * mst.weight * (1.0 + _REL)
-    return result
+        _check_weight_bound(tree, 8.0, tour.weight, "tour")
+        _check_weight_bound(tree, 16.0, mst.weight, "MST")
+    return AlphaTree(90.0, tree, tuple(wedges), mst_weight=mst.weight, tour_weight=tour.weight)
 
 
 _BUILDERS = {180: build_tree_180, 120: build_tree_120, 90: build_tree_90}

@@ -27,13 +27,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GadgetSearchFailed, PartitionError
+from .errors import GadgetSearchFailed, GuaranteeViolation
 from .geom import (
     ANGLE_TOL_DEG,
     Direction,
     PointSet,
     Wedge,
-    check_distinct,
     direction,
     intervals_cover_circle,
 )
@@ -84,7 +83,7 @@ class QuadrupletOrientation:
     verified: bool
 
 
-def orient_triplet(points: PointSet, *, check: bool = True) -> TripletOrientation:
+def orient_triplet(points: PointSet) -> TripletOrientation:
     """Orient 120-degree wedges on three points.
 
     Roles are assigned by ascending triangle angle (ties by input index),
@@ -96,7 +95,6 @@ def orient_triplet(points: PointSet, *, check: bool = True) -> TripletOrientatio
     """
     if len(points) != 3:
         raise ValueError(f"orient_triplet requires exactly 3 points, got {len(points)}")
-    check_distinct(points)
     p0, p1, p2 = points
     d01 = direction(p0, p1).degrees
     d02 = direction(p0, p2).degrees
@@ -138,15 +136,19 @@ def orient_triplet(points: PointSet, *, check: bool = True) -> TripletOrientatio
     bis[pk] = _back(_CANON_PEAK).degrees
     wedges = tuple(Wedge(points[i], Direction(bis[i]), 120.0) for i in range(3))
 
-    if check:
-        ok = (
-            _dir_in_half_aperture(dirs[bl][pk], bis[bl], 60.0)
-            and _dir_in_half_aperture(dirs[pk][bl], bis[pk], 60.0)
-            and _dir_in_half_aperture(dirs[bl][br], bis[bl], 60.0)
-            and _dir_in_half_aperture(dirs[br][bl], bis[br], 60.0)
+    if not (
+        _dir_in_half_aperture(dirs[bl][pk], bis[bl], 60.0)
+        and _dir_in_half_aperture(dirs[pk][bl], bis[pk], 60.0)
+        and _dir_in_half_aperture(dirs[bl][br], bis[bl], 60.0)
+        and _dir_in_half_aperture(dirs[br][bl], bis[br], 60.0)
+    ):
+        raise GuaranteeViolation(
+            f"triplet gadget with bisectors {bis} lost a guaranteed edge on {tuple(points)}"
         )
-        assert ok, f"triplet gadget lost a guaranteed edge on {points}"
-        assert intervals_cover_circle(w.direction_interval() for w in wedges)
+    if not intervals_cover_circle(w.direction_interval() for w in wedges):
+        raise GuaranteeViolation(
+            f"triplet gadget with bisectors {bis} leaves a direction uncovered on {tuple(points)}"
+        )
 
     return TripletOrientation(
         base_left=bl,
@@ -184,7 +186,9 @@ def aim_leftovers(
     for p in leftovers:
         covering = [x for x in host if wedges[x] is not None and wedges[x].contains(points[p])]
         if not covering:
-            raise PartitionError(f"gadget wedges of group {tuple(host)} do not cover point {p}")
+            raise GuaranteeViolation(
+                f"gadget wedges of group {tuple(host)} do not cover point {p}"
+            )
         x = min(covering, key=lambda i: (points[p].distance_to(points[i]), i))
         wedges[p] = Wedge(points[p], direction(points[p], points[x]), aperture_deg, radius)
         edges.append((p, x))
@@ -219,7 +223,6 @@ def orient_quadruplet(points: PointSet) -> QuadrupletOrientation:
     """
     if len(points) != 4:
         raise ValueError(f"orient_quadruplet requires exactly 4 points, got {len(points)}")
-    check_distinct(points)
     dirs = [[0.0] * 4 for _ in range(4)]
     dists = [[0.0] * 4 for _ in range(4)]
     for i in range(4):

@@ -9,11 +9,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ApexMismatchError, TooFewPointsError
-from .geom import PointSet, REL_TOL, Wedge, check_distinct, points_coincide
-
-# Below this size the pure-Python induced-graph path beats numpy's call overhead.
-_VECTORIZE_THRESHOLD = 48
+from .errors import ApexMismatchError, GuaranteeViolation, TooFewPointsError
+from .geom import ANGLE_TOL_DEG, PointSet, REL_TOL, Wedge, check_distinct, points_coincide
 
 
 class CommGraph:
@@ -91,66 +88,69 @@ def _check_apexes(points: PointSet, wedges: Sequence[Wedge]) -> None:
             raise ApexMismatchError(f"wedge {i} apex {w.apex} is not at point {p}")
 
 
-def _induced_graph_numpy(points: PointSet, wedges: Sequence[Wedge]) -> CommGraph:
-    n = len(points)
-    xs = np.array([p.x for p in points])
-    ys = np.array([p.y for p in points])
+def induced_graph(points: PointSet, wedges: Sequence[Wedge]) -> CommGraph:
+    """Symmetric communication graph: edge (u,v) iff each point lies in the
+    other's wedge and both range limits (when present) are satisfied.
+
+    Containment is ``Wedge.contains`` evaluated for all pairs at once; each
+    kept edge is weighted by ``Point.distance_to``.
+    """
+    _check_apexes(points, wedges)
+    qx = np.array([p.x for p in points])
+    qy = np.array([p.y for p in points])
+    q_scale = np.array([max(1.0, abs(p.x), abs(p.y)) for p in points])
+    ax = np.array([w.apex.x for w in wedges])
+    ay = np.array([w.apex.y for w in wedges])
+    a_scale = np.array([max(1.0, abs(w.apex.x), abs(w.apex.y)) for w in wedges])
     bis = np.array([w.bisector.degrees for w in wedges])
     half = np.array([w.aperture_deg / 2.0 for w in wedges])
     rad = np.array([math.inf if w.radius is None else w.radius for w in wedges])
 
-    dx = xs[None, :] - xs[:, None]
-    dy = ys[None, :] - ys[:, None]
+    # Row i is wedge i looking at every point.
+    dx = qx[None, :] - ax[:, None]
+    dy = qy[None, :] - ay[:, None]
     dist = np.hypot(dx, dy)
-    ang = np.degrees(np.arctan2(dy, dx))
-    delta = (ang - bis[:, None] + 180.0) % 360.0 - 180.0
-    covers = np.abs(delta) <= half[:, None] + 1e-9
-    covers &= dist <= rad[:, None] * (1.0 + REL_TOL)
-    mutual = covers & covers.T
-    np.fill_diagonal(mutual, False)
-    iu, iv = np.nonzero(np.triu(mutual, 1))
-    g = CommGraph(n)
+    delta = (np.degrees(np.arctan2(dy, dx)) - bis[:, None] + 180.0) % 360.0 - 180.0
+    covers = (np.abs(delta) <= half[:, None] + ANGLE_TOL_DEG) & (
+        dist <= rad[:, None] * (1.0 + REL_TOL)
+    )
+    covers |= dist <= REL_TOL * np.maximum(a_scale[:, None], q_scale[None, :])
+    iu, iv = np.nonzero(covers & covers.T)
+    g = CommGraph(len(points))
     for u, v in zip(iu.tolist(), iv.tolist()):
-        g.add_edge(u, v, dist[u, v])
-    return g
-
-
-def induced_graph(points: PointSet, wedges: Sequence[Wedge]) -> CommGraph:
-    """Symmetric communication graph: edge (u,v) iff each point lies in the
-    other's wedge and both range limits (when present) are satisfied."""
-    _check_apexes(points, wedges)
-    n = len(points)
-    if n >= _VECTORIZE_THRESHOLD:
-        return _induced_graph_numpy(points, wedges)
-    g = CommGraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if wedges[u].contains(points[v]) and wedges[v].contains(points[u]):
-                g.add_edge(u, v, points[u].distance_to(points[v]))
+        if u < v:
+            g.add_edge(u, v, points[u].distance_to(points[v]))
     return g
 
 
 def unit_disk_graph(points: PointSet, r: float = 1.0) -> CommGraph:
-    """Edge between u and v iff |uv| <= r (closed boundary, relative tolerance)."""
-    n = len(points)
-    g = CommGraph(n)
-    if n < 2:
-        return g
+    """Edge between u and v iff |uv| <= r (closed boundary, relative tolerance).
+
+    Points are bucketed into square cells as wide as the tolerant radius, so
+    every pair within it lies in the same or adjacent cells. Each cell is
+    compared with itself and its four forward neighbours, which visits every
+    such pair once. Edges carry ``Point.distance_to`` weights and neighbour
+    lists come out ascending.
+    """
     limit = r * (1.0 + REL_TOL)
-    if n >= _VECTORIZE_THRESHOLD:
-        xs = np.array([p.x for p in points])
-        ys = np.array([p.y for p in points])
-        dist = np.hypot(xs[None, :] - xs[:, None], ys[None, :] - ys[:, None])
-        iu, iv = np.nonzero(np.triu(dist <= limit, 1))
-        for u, v in zip(iu.tolist(), iv.tolist()):
-            g.add_edge(u, v, dist[u, v])
-        return g
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = points[u].distance_to(points[v])
-            if d <= limit:
-                g.add_edge(u, v, d)
-    return g
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        cells.setdefault((math.floor(x / limit), math.floor(y / limit)), []).append(i)
+    edges = []
+    for (cx, cy), members in cells.items():
+        others = []
+        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+            others += cells.get(key, ())
+        for k, u in enumerate(members):
+            x, y = xs[u], ys[u]
+            for v in members[k + 1 :] + others:
+                d = math.hypot(xs[v] - x, ys[v] - y)  # == Point.distance_to, either way round
+                if d <= limit:
+                    edges.append((u, v, d) if u < v else (v, u, d))
+    edges.sort()
+    return CommGraph(len(points), edges)
 
 
 def hop_distance(g: CommGraph, u: int, v: int, cap: Optional[int] = None) -> Optional[int]:
@@ -173,19 +173,26 @@ def hop_distance(g: CommGraph, u: int, v: int, cap: Optional[int] = None) -> Opt
     return None
 
 
-def hop_distances_from(g: CommGraph, source: int) -> list[Optional[int]]:
-    """All-targets BFS hop counts from source (None where unreachable)."""
-    dist: list[Optional[int]] = [None] * g.n
-    dist[source] = 0
+def hop_distances_from(
+    g: CommGraph, source: int, targets: Sequence[int]
+) -> list[Optional[int]]:
+    """BFS hop counts from source to each of targets (None where unreachable).
+
+    The search stops as soon as every target has been reached.
+    """
+    dist = {source: 0}
+    pending = set(targets)
+    pending.discard(source)
     frontier = deque([source])
-    while frontier:
+    while pending and frontier:
         u = frontier.popleft()
-        du = dist[u]
+        du = dist[u] + 1
         for v in g.neighbors(u):
-            if dist[v] is None:
-                dist[v] = du + 1
+            if v not in dist:
+                dist[v] = du
+                pending.discard(v)
                 frontier.append(v)
-    return dist
+    return [dist.get(t) for t in targets]
 
 
 @dataclass(frozen=True)
@@ -294,7 +301,8 @@ def tsp_tour(points: PointSet, mst: Optional[SpanningTree] = None) -> Tour:
     """2-approximate TSP tour: preorder walk of the Euclidean MST with shortcuts.
 
     Root is vertex 0 and children are visited in ascending index order, so
-    the result is deterministic. Asserts weight <= 2 * MST weight.
+    the result is deterministic. Raises GuaranteeViolation unless
+    weight <= 2 * MST weight.
     """
     n = len(points)
     if n < 2:
@@ -323,7 +331,10 @@ def tsp_tour(points: PointSet, mst: Optional[SpanningTree] = None) -> Tour:
         points[order[i]].distance_to(points[order[(i + 1) % n]]) for i in range(n)
     )
     weight = sum(edge_weights)
-    assert weight <= 2.0 * mst.weight * (1.0 + 1e-9), "shortcut tour exceeded twice the MST weight"
+    if weight > 2.0 * mst.weight * (1.0 + REL_TOL):
+        raise GuaranteeViolation(
+            f"shortcut tour {order} weighs {weight}, more than twice the MST weight {mst.weight}"
+        )
     return Tour(tuple(order), weight, edge_weights)
 
 

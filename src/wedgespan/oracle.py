@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .errors import (
     DegreeTooHighError,
     GridLayoutError,
+    GuaranteeViolation,
     NotBipartiteError,
     TooManyPointsError,
 )
@@ -248,77 +249,52 @@ def brute_force_alpha_mst(points: PointSet, alpha_deg: float) -> Optional[Spanni
 # Hamiltonicity (subset DP)
 # ---------------------------------------------------------------------------
 
-def _as_graph(g: Union[CommGraph, GridGraph]) -> CommGraph:
-    return g.graph if isinstance(g, GridGraph) else g
-
-
-def _adjacency_masks(g: CommGraph) -> list[int]:
-    masks = [0] * g.n
-    for u in range(g.n):
-        for v in g.neighbors(u):
+def _hamilton_adjacency(g: Union[CommGraph, GridGraph]) -> list[int]:
+    """Neighbour bitmask of every vertex, after the vertex-count cap check."""
+    graph = g.graph if isinstance(g, GridGraph) else g
+    n = graph.n
+    if n > _HAMILTON_CAP:
+        raise TooManyPointsError(f"Hamiltonicity capped at {_HAMILTON_CAP} vertices, got {n}")
+    masks = [0] * n
+    for u in range(n):
+        for v in graph.neighbors(u):
             masks[u] |= 1 << v
     return masks
 
 
-def hamiltonian_path_exists(g: Union[CommGraph, GridGraph]) -> bool:
-    """Exact Hamiltonian-path decision via bitmask reachability."""
-    graph = _as_graph(g)
-    n = graph.n
-    if n > _HAMILTON_CAP:
-        raise TooManyPointsError(f"Hamiltonicity capped at {_HAMILTON_CAP} vertices, got {n}")
-    if n <= 1:
-        return True
-    adj = _adjacency_masks(graph)
-    full = (1 << n) - 1
+def _hamiltonian_ends(adj: list[int], seeds: Iterable[int]) -> int:
+    """Bitmask of the vertices where a Hamiltonian path starting at a seed can end.
+
+    Subset DP: ``ends[mask]`` holds every vertex at which some path from a
+    seed through exactly the vertices of ``mask`` ends.
+    """
+    full = (1 << len(adj)) - 1
     ends = [0] * (full + 1)
-    for v in range(n):
+    for v in seeds:
         ends[1 << v] = 1 << v
     for mask in range(1, full + 1):
-        endbits = ends[mask]
-        if not endbits:
-            continue
-        rest = endbits
+        rest = ends[mask]
         while rest:
             vbit = rest & -rest
             rest ^= vbit
-            v = vbit.bit_length() - 1
-            nxt = adj[v] & ~mask
+            nxt = adj[vbit.bit_length() - 1] & ~mask
             while nxt:
                 ubit = nxt & -nxt
                 nxt ^= ubit
                 ends[mask | ubit] |= ubit
-    return ends[full] != 0
+    return ends[full]
+
+
+def hamiltonian_path_exists(g: Union[CommGraph, GridGraph]) -> bool:
+    """Exact Hamiltonian-path decision via bitmask reachability from every vertex."""
+    adj = _hamilton_adjacency(g)
+    return len(adj) <= 1 or _hamiltonian_ends(adj, range(len(adj))) != 0
 
 
 def hamiltonian_cycle_exists(g: Union[CommGraph, GridGraph]) -> bool:
     """Exact Hamiltonian-cycle decision (paths from vertex 0, closing edge back)."""
-    graph = _as_graph(g)
-    n = graph.n
-    if n > _HAMILTON_CAP:
-        raise TooManyPointsError(f"Hamiltonicity capped at {_HAMILTON_CAP} vertices, got {n}")
-    if n < 3:
-        return False
-    adj = _adjacency_masks(graph)
-    full = (1 << n) - 1
-    ends = [0] * (full + 1)
-    ends[1] = 1
-    for mask in range(1, full + 1):
-        if not (mask & 1):
-            continue
-        endbits = ends[mask]
-        if not endbits:
-            continue
-        rest = endbits
-        while rest:
-            vbit = rest & -rest
-            rest ^= vbit
-            v = vbit.bit_length() - 1
-            nxt = adj[v] & ~mask
-            while nxt:
-                ubit = nxt & -nxt
-                nxt ^= ubit
-                ends[mask | ubit] |= ubit
-    return bool(ends[full] & adj[0] & ~1)
+    adj = _hamilton_adjacency(g)
+    return len(adj) >= 3 and bool(_hamiltonian_ends(adj, [0]) & adj[0] & ~1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +321,7 @@ def square_grid_reduction(g: GridGraph) -> ReductionInstance:
     (first missing among E, N, W, S), at distance 1/4 when v is black and
     1/5 when white under the parity 2-coloring seeded black at vertex 0.
     The target weight is L = (n-1) + n_black/4 + n_white/5. Every q_v is
-    farther than 1 from everything but v (asserted), so any MST of the
+    farther than 1 from everything but v (checked), so any MST of the
     output must use exactly the n satellite edges plus n-1 grid edges.
     """
     if g.kind != "square":
@@ -382,9 +358,10 @@ def square_grid_reduction(g: GridGraph) -> ReductionInstance:
         for i, p in enumerate(points):
             if i == v or i == n + v:
                 continue
-            assert q.distance_to(p) > 1.0, (
-                f"satellite of vertex {v} is within unit distance of point {i}"
-            )
+            if q.distance_to(p) <= 1.0:
+                raise GuaranteeViolation(
+                    f"satellite {q} of vertex {v} is within unit distance of point {i} {p}"
+                )
     n_black = sum(black)
     n_white = n - n_black
     target = (n - 1) + n_black / 4.0 + n_white / 5.0

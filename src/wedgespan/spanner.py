@@ -9,19 +9,21 @@ graph. The result is a 6-hop spanner of the unit disk graph.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
     ComponentClaimViolation,
     DisconnectedUDGError,
+    GuaranteeViolation,
     HopBoundViolation,
     PartitionError,
 )
 from .gadget import aim_leftovers, orient_pair, orient_triplet
-from .geom import Direction, Point, PointSet, REL_TOL, Wedge, check_distinct
+from .geom import Direction, PointSet, REL_TOL, Wedge, check_distinct
 from .graph import CommGraph, hop_distances_from, induced_graph, unit_disk_graph
 
 SPANNER_RANGE = 7.0
@@ -34,58 +36,6 @@ CASE_BOUNDS = {
     "two_size3": 5,
     "mixed": 6,
 }
-
-
-class NeighborGrid:
-    """Uniform grid over the plane answering "some remaining point within r".
-
-    Cell size equals the query radius, so a query inspects at most the 3x3
-    block of cells around the query point. Points can be deleted; the total
-    work over all queries and deletions is near-linear for bounded-density
-    inputs.
-    """
-
-    def __init__(self, points: PointSet, r: float = 1.0):
-        self.points = points
-        self.r = r
-        self._limit = r * (1.0 + REL_TOL)
-        self._alive = [True] * len(points)
-        self._cells: dict[tuple[int, int], list[int]] = {}
-        for i, p in enumerate(points):
-            self._cells.setdefault(self._cell(p), []).append(i)
-
-    def _cell(self, p: Point) -> tuple[int, int]:
-        return math.floor(p.x / self.r), math.floor(p.y / self.r)
-
-    def alive(self, i: int) -> bool:
-        return self._alive[i]
-
-    def remove(self, i: int) -> None:
-        if self._alive[i]:
-            self._alive[i] = False
-            self._cells[self._cell(self.points[i])].remove(i)
-
-    def neighbors_within(self, q: Point, exclude: int = -1) -> list[int]:
-        """Indices of remaining points within r of q, ascending."""
-        cx, cy = self._cell(q)
-        found = []
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for i in self._cells.get((gx, gy), ()):
-                    if i != exclude and q.distance_to(self.points[i]) <= self._limit:
-                        found.append(i)
-        found.sort()
-        return found
-
-    def query_one(self, q: Point, *, delete: bool = False) -> Optional[int]:
-        """Lowest-index remaining point within r of q, optionally deleting it."""
-        found = self.neighbors_within(q)
-        if not found:
-            return None
-        best = found[0]
-        if delete:
-            self.remove(best)
-        return best
 
 
 @dataclass(frozen=True)
@@ -106,54 +56,44 @@ class ComponentPartition:
         return len(self.components[self.component_of[vertex]])
 
 
-def greedy_components(points: PointSet) -> ComponentPartition:
+def greedy_components(points: PointSet, udg: CommGraph) -> ComponentPartition:
     """Partition the points into unit-disk-connected components of size <= 3.
 
-    Repeatedly seeds a component with the lowest-index remaining point and
-    grows it by up to two more points within distance 1 of the component
-    (lowest index among eligible). Afterwards asserts the structural claim
-    that every unit-disk neighbor of a small component lies in a size-3
-    component (whole-graph special case excepted).
+    ``udg`` is the unit disk graph of the points. Repeatedly seeds a
+    component with the lowest-index remaining point and grows it by up to
+    two more remaining unit-disk neighbours of the component (lowest index
+    first). Afterwards checks the structural claim that every unit-disk
+    neighbour of a small component lies in a size-3 component (whole-graph
+    special case excepted).
     """
     n = len(points)
     if n == 0:
         raise DisconnectedUDGError("empty point set has no connected unit disk graph")
+    if udg.n != n:
+        raise ValueError("unit disk graph does not match the point set")
     check_distinct(points)
-    full_grid = NeighborGrid(points)
-    # Connectivity check on the full unit disk graph.
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in full_grid.neighbors_within(points[u], exclude=u):
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    if count != n:
-        raise DisconnectedUDGError(f"unit disk graph has {n - count} unreachable points")
+    if not udg.is_connected():
+        raise DisconnectedUDGError("input unit disk graph is not connected")
 
-    grid = NeighborGrid(points)
+    alive = [True] * n
+
+    def take_lowest_alive(*centers: int) -> Optional[int]:
+        found = min((v for c in centers for v in udg.neighbors(c) if alive[v]), default=None)
+        if found is not None:
+            alive[found] = False
+        return found
+
     components: list[tuple[int, ...]] = []
-    cursor = 0
-    while True:
-        while cursor < n and not grid.alive(cursor):
-            cursor += 1
-        if cursor >= n:
-            break
-        a = cursor
-        grid.remove(a)
+    for a in range(n):
+        if not alive[a]:
+            continue
+        alive[a] = False
         comp = [a]
-        b = grid.query_one(points[a], delete=True)
+        b = take_lowest_alive(a)
         if b is not None:
             comp.append(b)
-            eligible = set(grid.neighbors_within(points[a]))
-            eligible.update(grid.neighbors_within(points[b]))
-            if eligible:
-                c = min(eligible)
-                grid.remove(c)
+            c = take_lowest_alive(a, b)
+            if c is not None:
                 comp.append(c)
         components.append(tuple(comp))
 
@@ -175,7 +115,7 @@ def greedy_components(points: PointSet) -> ComponentPartition:
             continue
         best: Optional[tuple[float, int]] = None
         for p in comp:
-            for q in full_grid.neighbors_within(points[p], exclude=p):
+            for q in udg.neighbors(p):
                 if component_of[q] == k:
                     continue
                 if len(components[component_of[q]]) != 3:
@@ -232,7 +172,9 @@ def orient_components(points: PointSet, partition: ComponentPartition) -> list[W
             continue
         host = partition.components[partition.component_of[anchor]]
         aim_leftovers(points, wedges, comp, host, 120.0, SPANNER_RANGE)
-    assert all(w is not None for w in wedges)
+    missing = [i for i, w in enumerate(wedges) if w is None]
+    if missing:
+        raise GuaranteeViolation(f"points {missing} received no wedge from {partition.components}")
     return wedges  # type: ignore[return-value]
 
 
@@ -301,27 +243,24 @@ def verify_hop_spanner(
     max_hops = 0
     worst: Optional[tuple[int, int]] = None
     case_max: dict[str, int] = {}
-    sources = sorted({u for u, _, _ in udg.edges()})
-    dists = {}
-    for u in sources:
-        dists[u] = hop_distances_from(g, u)
-    for u, v, _ in udg.edges():
-        d = dists[u][v]
-        if d is None:
-            failures.append(f"unit-disk edge ({u},{v}) is disconnected in the spanner")
-            continue
-        if d > max_hops:
-            max_hops = d
-            worst = (u, v)
-        if d > cap:
-            failures.append(f"unit-disk edge ({u},{v}) needs {d} hops > cap {cap}")
-        if partition is not None:
-            case = _edge_case(partition, u, v)
-            case_max[case] = max(case_max.get(case, 0), d)
-            if d > CASE_BOUNDS[case]:
-                failures.append(
-                    f"edge ({u},{v}) of case {case} needs {d} hops > {CASE_BOUNDS[case]}"
-                )
+    for u, group in groupby(udg.edges(), key=itemgetter(0)):
+        targets = [v for _, v, _ in group]
+        for v, d in zip(targets, hop_distances_from(g, u, targets)):
+            if d is None:
+                failures.append(f"unit-disk edge ({u},{v}) is disconnected in the spanner")
+                continue
+            if d > max_hops:
+                max_hops = d
+                worst = (u, v)
+            if d > cap:
+                failures.append(f"unit-disk edge ({u},{v}) needs {d} hops > cap {cap}")
+            if partition is not None:
+                case = _edge_case(partition, u, v)
+                case_max[case] = max(case_max.get(case, 0), d)
+                if d > CASE_BOUNDS[case]:
+                    failures.append(
+                        f"edge ({u},{v}) of case {case} needs {d} hops > {CASE_BOUNDS[case]}"
+                    )
     return HopSpannerReport(
         passed=not failures,
         cap=cap,
@@ -342,10 +281,8 @@ def build_spanner(points: PointSet) -> SpannerResult:
     stats: dict = {}
     t0 = time.perf_counter()
     udg = unit_disk_graph(points)
-    if not udg.is_connected():
-        raise DisconnectedUDGError("input unit disk graph is not connected")
     t1 = time.perf_counter()
-    partition = greedy_components(points)
+    partition = greedy_components(points, udg)
     t2 = time.perf_counter()
     wedges = orient_components(points, partition)
     t3 = time.perf_counter()

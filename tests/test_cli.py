@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,18 @@ def test_guarantee_violation_exits_3(tmp_path, monkeypatch, capsys):
     run("gen", "--generator", "uniform-square", "--n", "6", "--out", str(inst))
     assert run("solve", "--in", str(inst), "--alpha", "120") == 3
     assert "guarantee violated" in capsys.readouterr().err
+
+
+def test_package_has_no_bare_asserts():
+    # Guarantees must hold under ``python -O``, which strips assert statements.
+    package = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 class TestVerify:

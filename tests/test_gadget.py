@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wedgespan.errors import DuplicatePointError, PartitionError
+from wedgespan.errors import DuplicatePointError, GuaranteeViolation
 from wedgespan.gadget import (
     aim_leftovers,
     matched_ray_direction,
@@ -141,7 +141,7 @@ class TestAimLeftovers:
     def test_uncovered_point_raises_with_witness(self):
         pts = [Point(0, 0), Point(-1, 0)]
         wedges = [Wedge(pts[0], Direction(0.0), 90.0), None]
-        with pytest.raises(PartitionError, match=r"\(0,\) do not cover point 1"):
+        with pytest.raises(GuaranteeViolation, match=r"\(0,\) do not cover point 1"):
             aim_leftovers(pts, wedges, [1], (0,), 90.0)
 
 

@@ -60,13 +60,38 @@ class TestInducedGraph:
         wedges = [
             Wedge(p, Direction(rng.uniform(0, 360)), 120.0, radius=2.0) for p in pts
         ]
-        big = induced_graph(pts, wedges)  # n=60 uses the vectorized path
+        big = induced_graph(pts, wedges)
         small = CommGraph(len(pts))
         for u in range(len(pts)):
             for v in range(u + 1, len(pts)):
                 if wedges[u].contains(pts[v]) and wedges[v].contains(pts[u]):
                     small.add_edge(u, v, pts[u].distance_to(pts[v]))
         assert big.edge_set() == small.edge_set()
+
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    def test_matches_wedge_contains_at_small_n(self, n):
+        rng = random.Random(n)
+        pts = rand_points(rng, n, side=3.0)
+        wedges = [
+            Wedge(p, Direction(rng.uniform(0, 360)), rng.choice([90.0, 120.0, 180.0]),
+                  radius=rng.choice([None, 2.0]))
+            for p in pts
+        ]
+        g = induced_graph(pts, wedges)
+        expect = {
+            (u, v): pts[u].distance_to(pts[v])
+            for u in range(n)
+            for v in range(u + 1, n)
+            if wedges[u].contains(pts[v]) and wedges[v].contains(pts[u])
+        }
+        assert {(u, v): w for u, v, w in g.edges()} == expect
+
+    def test_coincident_apex_rule(self):
+        # Back-to-back wedges still join points that coincide within tolerance.
+        pts = [Point(0, 0), Point(1e-12, 0)]
+        wedges = [Wedge(pts[0], Direction(180), 90.0), Wedge(pts[1], Direction(0), 90.0)]
+        assert wedges[0].contains(pts[1]) and wedges[1].contains(pts[0])
+        assert induced_graph(pts, wedges).has_edge(0, 1)
 
 
 class TestUnitDiskGraph:
@@ -81,6 +106,24 @@ class TestUnitDiskGraph:
     def test_empty(self):
         g = unit_disk_graph([])
         assert g.n == 0 and g.edge_count == 0
+
+    def test_matches_brute_force_neighborhoods(self):
+        rng = random.Random(41)
+        pts = [Point(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(80)]
+        g = unit_disk_graph(pts)
+        for i in range(80):
+            expect = [
+                j for j in range(80) if j != i and pts[i].distance_to(pts[j]) <= 1.0 + 1e-9
+            ]
+            assert g.neighbors(i) == expect
+            assert all(g.weight(i, j) == pts[i].distance_to(pts[j]) for j in expect)
+
+    def test_tolerant_boundary_across_two_cells(self):
+        # Farther than 1 but within the closed tolerance, with the points two
+        # unit-wide columns apart.
+        pts = [Point(0.9999999999, 0), Point(2.0000000005, 0)]
+        assert unit_disk_graph(pts).has_edge(0, 1)
+        assert not unit_disk_graph([Point(0, 0), Point(1.000001, 0)]).has_edge(0, 1)
 
 
 class TestHopDistance:

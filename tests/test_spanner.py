@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from wedgespan.errors import DisconnectedUDGError
@@ -8,9 +6,9 @@ from wedgespan.geom import Point
 from wedgespan.graph import CommGraph, hop_distance, unit_disk_graph
 from wedgespan.spanner import (
     CASE_BOUNDS,
-    NeighborGrid,
     SPANNER_HOPS,
     SPANNER_RANGE,
+    _edge_case,
     build_spanner,
     greedy_components,
     orient_components,
@@ -27,62 +25,40 @@ def connected_instance(n, side, start_seed):
         seed += 1
 
 
-class TestNeighborGrid:
-    def test_query_hit(self):
-        grid = NeighborGrid([Point(0.5, 0)])
-        assert grid.query_one(Point(0, 0)) == 0
-
-    def test_query_miss_beyond_radius(self):
-        grid = NeighborGrid([Point(1.5, 0)])
-        assert grid.query_one(Point(0, 0)) is None
-
-    def test_delete_on_return(self):
-        grid = NeighborGrid([Point(0.5, 0)])
-        assert grid.query_one(Point(0, 0), delete=True) == 0
-        assert grid.query_one(Point(0, 0)) is None
-
-    def test_lowest_index_rule(self):
-        grid = NeighborGrid([Point(0.9, 0), Point(0.1, 0), Point(0.5, 0)])
-        assert grid.query_one(Point(0, 0)) == 0
-
-    def test_matches_brute_force_neighborhoods(self):
-        rng = random.Random(41)
-        pts = [Point(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(80)]
-        grid = NeighborGrid(pts)
-        for i in range(0, 80, 7):
-            expect = sorted(
-                j
-                for j in range(80)
-                if j != i and pts[i].distance_to(pts[j]) <= 1.0 + 1e-9
-            )
-            assert grid.neighbors_within(pts[i], exclude=i) == expect
-
-
 class TestGreedyComponents:
     def test_three_mutual(self):
         pts = [Point(0, 0), Point(0.5, 0), Point(0.25, 0.4)]
-        part = greedy_components(pts)
+        part = greedy_components(pts, unit_disk_graph(pts))
         assert part.components == ((0, 1, 2),)
 
     def test_four_collinear(self):
         pts = [Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)]
-        part = greedy_components(pts)
+        part = greedy_components(pts, unit_disk_graph(pts))
         assert part.components == ((0, 1, 2), (3,))
         assert part.anchor[1] == 2  # nearest unit-disk neighbor inside the triple
 
     def test_lone_pair_whole_graph_case(self):
         pts = [Point(0, 0), Point(0.8, 0)]
-        part = greedy_components(pts)
+        part = greedy_components(pts, unit_disk_graph(pts))
         assert part.components == ((0, 1),)
         assert part.anchor == (None,)
 
     def test_disconnected_rejected(self):
+        pts = [Point(0, 0), Point(3, 0)]
         with pytest.raises(DisconnectedUDGError):
-            greedy_components([Point(0, 0), Point(3, 0)])
+            greedy_components(pts, unit_disk_graph(pts))
+
+    def test_lowest_index_rule(self):
+        # 1 is farther from 0 than 2 and 3 are, but the lowest index wins.
+        pts = [Point(0, 0), Point(0.9, 0), Point(0.1, 0), Point(0.6, 0)]
+        part = greedy_components(pts, unit_disk_graph(pts))
+        assert part.components == ((0, 1, 2), (3,))
+        assert part.anchor[1] == 1  # nearest member of the triple
 
     def test_greedy_is_deterministic(self):
         pts, _ = connected_instance(60, 5.0, start_seed=0)
-        assert greedy_components(pts).components == greedy_components(pts).components
+        udg = unit_disk_graph(pts)
+        assert greedy_components(pts, udg).components == greedy_components(pts, udg).components
 
     def test_pipeline_deterministic(self):
         pts, _ = connected_instance(60, 5.0, start_seed=10)
@@ -96,7 +72,7 @@ class TestGreedyComponents:
 class TestOrientComponents:
     def test_four_collinear_attachment(self):
         pts = [Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)]
-        part = greedy_components(pts)
+        part = greedy_components(pts, unit_disk_graph(pts))
         wedges = orient_components(pts, part)
         assert all(w.radius == SPANNER_RANGE for w in wedges)
         targets = [x for x in (0, 1, 2) if wedges[x].contains(pts[3])]
@@ -107,12 +83,13 @@ class TestOrientComponents:
         assert pts[3].distance_to(pts[best]) <= 4.0 + 1e-9
 
     def test_single_point(self):
-        wedges = orient_components([Point(2, 2)], greedy_components([Point(2, 2)]))
+        pts = [Point(2, 2)]
+        wedges = orient_components(pts, greedy_components(pts, unit_disk_graph(pts)))
         assert wedges[0].bisector.degrees == 0.0
 
     def test_lone_pair_faces(self):
         pts = [Point(0, 0), Point(0.8, 0)]
-        wedges = orient_components(pts, greedy_components(pts))
+        wedges = orient_components(pts, greedy_components(pts, unit_disk_graph(pts)))
         assert wedges[0].contains(pts[1]) and wedges[1].contains(pts[0])
 
 
@@ -191,3 +168,78 @@ class TestVerifyHopSpanner:
     def test_vertex_set_must_match(self):
         with pytest.raises(ValueError):
             verify_hop_spanner(CommGraph(2), CommGraph(3), 6)
+
+
+def full_bfs_report(g, udg, cap, partition):
+    """Reference report from one unrestricted BFS per vertex."""
+    failures, max_hops, worst, case_max = [], 0, None, {}
+    for u, v, _ in udg.edges():
+        dist = {u: 0}
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in g.neighbors(x):
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        d = dist.get(v)
+        if d is None:
+            failures.append(f"unit-disk edge ({u},{v}) is disconnected in the spanner")
+            continue
+        if d > max_hops:
+            max_hops, worst = d, (u, v)
+        if d > cap:
+            failures.append(f"unit-disk edge ({u},{v}) needs {d} hops > cap {cap}")
+        case = _edge_case(partition, u, v)
+        case_max[case] = max(case_max.get(case, 0), d)
+        if d > CASE_BOUNDS[case]:
+            failures.append(f"edge ({u},{v}) of case {case} needs {d} hops > {CASE_BOUNDS[case]}")
+    return max_hops, worst, case_max, failures
+
+
+class TestHopReportMatchesFullBFS:
+    def check(self, g, udg, cap, partition):
+        report = verify_hop_spanner(g, udg, cap, partition)
+        max_hops, worst, case_max, failures = full_bfs_report(g, udg, cap, partition)
+        assert report.max_hops == max_hops
+        assert report.worst_edge == worst
+        assert report.case_max == case_max
+        assert list(report.failures) == failures
+        assert report.passed == (not failures)
+        return report
+
+    def test_passing_spanner(self):
+        pts, _ = connected_instance(60, 4.0, start_seed=3)
+        res = build_spanner(pts)
+        report = self.check(res.graph, unit_disk_graph(pts), SPANNER_HOPS, res.partition)
+        assert report.passed and report.max_hops == res.hop_stretch
+
+    def test_cap_below_stretch_fails(self):
+        pts, _ = connected_instance(60, 4.0, start_seed=3)
+        res = build_spanner(pts)
+        report = self.check(res.graph, unit_disk_graph(pts), 2, res.partition)
+        assert any("hops > cap 2" in f for f in report.failures)
+
+    def test_deleted_edges_fail_with_reference_hop_counts(self):
+        pts, _ = connected_instance(60, 4.0, start_seed=3)
+        res = build_spanner(pts)
+        udg = unit_disk_graph(pts)
+        edges = res.graph.edges()
+        failures = [
+            f
+            for k in range(0, len(edges), 3)
+            for f in self.check(
+                CommGraph(len(pts), edges[:k] + edges[k + 1 :]), udg, SPANNER_HOPS, res.partition
+            ).failures
+        ]
+        assert any("hops >" in f for f in failures)
+        assert any("disconnected" in f for f in failures)
+
+    def test_unreachable_edge_reported(self):
+        pts = [Point(0, 0), Point(0.5, 0), Point(1, 0), Point(1.9, 0), Point(2.7, 0)]
+        res = build_spanner(pts)
+        g = CommGraph(5, [e for e in res.graph.edges() if 4 not in e[:2]])
+        report = self.check(g, unit_disk_graph(pts), SPANNER_HOPS, res.partition)
+        assert any("disconnected" in f for f in report.failures)
