@@ -9,13 +9,19 @@ degrees, and distance comparisons use a relative tolerance of ``REL_TOL``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import DuplicatePointError
 
 ANGLE_TOL_DEG = 1e-9
 REL_TOL = 1e-9
+_EPS = sys.float_info.epsilon
+# Candidate pairs grid_pairs builds at a time.
+_PAIR_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,25 +82,90 @@ def points_coincide(p: Point, q: Point) -> bool:
     return abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol and p.distance_to(q) <= tol
 
 
+def coordinates(points: PointSet) -> np.ndarray:
+    """The points as an (n, 2) float array of (x, y) rows."""
+    return np.array(([p.x for p in points], [p.y for p in points])).T
+
+
+def grid_pairs(
+    xy: np.ndarray, radius: float, max_pairs: Optional[int] = None
+) -> Optional[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Candidate index pairs holding every two points within ``radius`` on both axes.
+
+    ``xy`` is an (n, 2) array of coordinates, n >= 1. The points are
+    bucketed into square cells a hair wider than ``radius``, so two such
+    points lie in the same or adjacent cells, and each cell is paired with
+    itself and its four forward neighbours: every such pair appears once, as
+    (i, j) or (j, i).
+    The pairs come as int32 arrays (i, j) in blocks of about
+    ``_PAIR_BLOCK``, so memory stays O(n + block); callers apply their own
+    distance rule to each block. Returns None, before building any pair,
+    when there would be more than ``max_pairs``. ``radius`` must be positive.
+    """
+    n = len(xy)
+    low = xy.min(axis=0)
+    (x0, y0), (x1, y1) = low.tolist(), xy.max(axis=0).tolist()
+    span = max(x1 - x0, y1 - y0)
+    if not math.isfinite(span):  # coordinates near the float limit
+        return grid_pairs(xy * 0.5, radius * 0.5, max_pairs)
+    # Rounding moves (x - x0) / width by a few ulps of span / width at most,
+    # which the 4 eps span margin absorbs; at most 2^30 cells a side keep the
+    # keys in int64.
+    width = max(radius * (1.0 + REL_TOL) + 4.0 * _EPS * span, span / 2**30)
+    stride = int((y1 - y0) / width) + 2
+    key = ((xy - low) / width).astype(np.int64) @ (stride, 1)
+    order = key.argsort(kind="stable").astype(np.int32)
+    key = key[order]
+    # Two runs of cells per point: the rest of its own cell with the cell
+    # above, and the three cells of the next column (keys are integers, so
+    # the first key >= k is the first key > k - 1).
+    bounds = key.searchsorted(key[:, None] + (0, 1, stride - 2, stride + 1), side="right")
+    bounds[:, 0] = np.arange(1, n + 1)
+    lo = bounds[:, ::2].ravel()
+    counts = bounds[:, 1::2].ravel() - lo
+    ends = counts.cumsum()
+    if max_pairs is not None and ends[-1] > max_pairs:
+        return None
+    return _pair_blocks(order, lo, counts, ends) if ends[-1] else iter(())
+
+
+def _pair_blocks(
+    order: np.ndarray, lo: np.ndarray, counts: np.ndarray, ends: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Expand runs of sorted positions (run e: point ``order[e // 2]`` with
+    positions ``lo[e]`` onward, ``counts[e]`` of them) into index pairs."""
+    owners = order.repeat(2)
+    start = 0
+    while start < len(counts):
+        base = int(ends[start] - counts[start])
+        stop = max(start + 1, int(ends.searchsorted(base + _PAIR_BLOCK, side="right")))
+        runs = counts[start:stop]
+        second = (lo[start:stop] - ends[start:stop] + runs + base).astype(np.int32).repeat(runs)
+        second += np.arange(len(second), dtype=np.int32)
+        yield owners[start:stop].repeat(runs), order[second]
+        start = stop
+
+
 def check_distinct(points: PointSet) -> None:
     """Raise DuplicatePointError if any two points coincide.
 
-    Sorts by x and compares within a sliding window, so near-duplicates are
-    caught without an O(n^2) scan.
+    Each point is compared, by ``points_coincide``, only with the points in
+    its tolerance cell and the neighbouring ones (``grid_pairs``); the lowest
+    coinciding pair is reported.
     """
     n = len(points)
     if n < 2:
         return
-    order = sorted(range(n), key=lambda i: (points[i].x, points[i].y, i))
-    for a in range(n - 1):
-        i = order[a]
-        tol = REL_TOL * _coord_scale(points[i])
-        for b in range(a + 1, n):
-            j = order[b]
-            if points[j].x - points[i].x > 2 * tol:
-                break
-            if points_coincide(points[i], points[j]):
-                raise DuplicatePointError(f"points {i} and {j} coincide: {points[i]}")
+    xy = coordinates(points)
+    clashes = [
+        (i, j) if i < j else (j, i)
+        for first, second in grid_pairs(xy, REL_TOL * max(1.0, float(np.abs(xy).max())))
+        for i, j in zip(first.tolist(), second.tolist())
+        if points_coincide(points[i], points[j])
+    ]
+    if clashes:
+        i, j = min(clashes)
+        raise DuplicatePointError(f"points {i} and {j} coincide: {points[i]}")
 
 
 def direction(p: Point, q: Point) -> Direction:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -10,7 +11,16 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ApexMismatchError, GuaranteeViolation, TooFewPointsError
-from .geom import ANGLE_TOL_DEG, PointSet, REL_TOL, Wedge, check_distinct, points_coincide
+from .geom import (
+    ANGLE_TOL_DEG,
+    PointSet,
+    REL_TOL,
+    Wedge,
+    check_distinct,
+    coordinates,
+    grid_pairs,
+    points_coincide,
+)
 
 
 class CommGraph:
@@ -126,31 +136,24 @@ def induced_graph(points: PointSet, wedges: Sequence[Wedge]) -> CommGraph:
 def unit_disk_graph(points: PointSet, r: float = 1.0) -> CommGraph:
     """Edge between u and v iff |uv| <= r (closed boundary, relative tolerance).
 
-    Points are bucketed into square cells as wide as the tolerant radius, so
-    every pair within it lies in the same or adjacent cells. Each cell is
-    compared with itself and its four forward neighbours, which visits every
-    such pair once. Edges carry ``Point.distance_to`` weights and neighbour
+    The candidate pairs come from ``grid_pairs`` at the tolerant radius, so
+    memory is O(n+m). Edges carry ``Point.distance_to`` weights and neighbour
     lists come out ascending.
     """
     limit = r * (1.0 + REL_TOL)
+    n = len(points)
+    if n < 2:
+        return CommGraph(n)
     xs = [p.x for p in points]
     ys = [p.y for p in points]
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        cells.setdefault((math.floor(x / limit), math.floor(y / limit)), []).append(i)
     edges = []
-    for (cx, cy), members in cells.items():
-        others = []
-        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
-            others += cells.get(key, ())
-        for k, u in enumerate(members):
-            x, y = xs[u], ys[u]
-            for v in members[k + 1 :] + others:
-                d = math.hypot(xs[v] - x, ys[v] - y)  # == Point.distance_to, either way round
-                if d <= limit:
-                    edges.append((u, v, d) if u < v else (v, u, d))
+    for first, second in grid_pairs(np.array((xs, ys)).T, limit):
+        for u, v in zip(first.tolist(), second.tolist()):
+            d = math.hypot(xs[v] - xs[u], ys[v] - ys[u])  # == Point.distance_to, either way round
+            if d <= limit:
+                edges.append((u, v, d) if u < v else (v, u, d))
     edges.sort()
-    return CommGraph(len(points), edges)
+    return CommGraph(n, edges)
 
 
 def hop_distance(g: CommGraph, u: int, v: int, cap: Optional[int] = None) -> Optional[int]:
@@ -246,39 +249,146 @@ def tree_from_edges(points: PointSet, edges: Iterable[tuple[int, int]]) -> Spann
     return SpanningTree(norm, weight)
 
 
+# Most candidate pairs per point that euclidean_mst gathers before it
+# halves its radius.
+_PAIRS_PER_POINT = 32
+# Distances a dense step computes per block of tree rows.
+_DENSE_BLOCK = 1 << 13
+
+
 def euclidean_mst(points: PointSet) -> SpanningTree:
-    """Minimum spanning tree of the complete Euclidean graph (dense Prim)."""
+    """Minimum spanning tree of the complete Euclidean graph.
+
+    Prim's algorithm over the pairs within a radius ``r`` (``grid_pairs``),
+    finishing a step densely when no such pair leaves the tree. The result
+    is the tree dense Prim (``oracle.dense_prim_mst``) returns, edge for edge
+    and with the same weight bits, because each of its rules is kept:
+
+    * distances are ``np.hypot(x_j - x_k, y_j - y_k)``, the floats dense Prim
+      compares (``hypot`` is exact under negation);
+    * it joins the lowest-index vertex at the minimum distance from the tree,
+      attached to the earliest-joined tree vertex at that distance: a heap
+      keyed ``(d, j)`` over the pairs within ``r``, relaxed with strict ``<``
+      in join order. While the heap holds a live entry, every pair at the
+      minimum distance is within ``r`` and so on the heap;
+    * when it holds none, every tree-to-outside pair is longer than ``r``.
+      The rows of the tree vertices joined since the last such step are
+      folded, in join order, into a running (minimum, first parent) over the
+      outside vertices, and the lowest-index minimum joins;
+    * the weight is summed in join order.
+
+    ``r`` comes from the bounding box: the radius at which a uniform sample
+    has ``ln n + 4`` neighbours, or two mean gaps for flat inputs, halved
+    while the grid holds more than ``_PAIRS_PER_POINT`` candidates per
+    point (dense clusters). ``r`` trades pairs against dense steps and
+    never changes the tree.
+    """
     n = len(points)
     if n < 1:
         raise TooFewPointsError("euclidean_mst requires at least one point")
     check_distinct(points)
     if n == 1:
         return SpanningTree((), 0.0)
-    xs = np.array([p.x for p in points])
-    ys = np.array([p.y for p in points])
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    parent = np.zeros(n, dtype=np.int64)
-    in_tree[0] = True
-    best[0] = np.inf
-    d0 = np.hypot(xs - xs[0], ys - ys[0])
-    mask = d0 < best
-    best[mask] = d0[mask]
-    parent[mask] = 0
-    best[0] = np.inf
+    xy = coordinates(points)
+    xs, ys = xy[:, 0], xy[:, 1]
+    w, h = (xy.max(axis=0) - xy.min(axis=0)).tolist()
+    r = max(math.sqrt(w * h * (math.log(n) + 4.0) / (math.pi * n)), 2.0 * max(w, h) / n)
+    ptr, nbr, nbr_d = _near_pairs(xy, r)
+
+    in_tree = [False] * n
+    best = [math.inf] * n
+    parent = [0] * n
+    heap: list[tuple[float, int]] = []
+    live = 0  # outside vertices with a finite best, each with one live heap entry
+    joined: list[int] = []
+    folded = 0
+    inside = np.zeros(n, dtype=bool)
+    far_d = np.full(n, np.inf)
+    far_parent = np.zeros(n, dtype=np.int64)
     edges = []
-    for _ in range(n - 1):
-        k = int(np.argmin(best))
-        u = int(parent[k])
-        edges.append((u, k) if u < k else (k, u))
+    k = 0
+    while True:
         in_tree[k] = True
-        best[k] = np.inf
-        dk = np.hypot(xs - xs[k], ys - ys[k])
-        upd = (dk < best) & ~in_tree
-        best[upd] = dk[upd]
-        parent[upd] = k
+        joined.append(k)
+        if len(joined) == n:
+            break
+        for j, dj in zip(nbr[ptr[k] : ptr[k + 1]].tolist(), nbr_d[ptr[k] : ptr[k + 1]].tolist()):
+            if dj < best[j] and not in_tree[j]:
+                live += best[j] == math.inf
+                best[j] = dj
+                parent[j] = k
+                heapq.heappush(heap, (dj, j))
+        if len(heap) > 2 * live + 64:  # mostly superseded entries
+            heap = [e for e in heap if not in_tree[e[1]] and e[0] == best[e[1]]]
+            heapq.heapify(heap)
+        while heap and in_tree[heap[0][1]]:
+            heapq.heappop(heap)
+        if heap:
+            k = heapq.heappop(heap)[1]
+            u = parent[k]
+            live -= 1
+        else:
+            rows = np.array(joined[folded:])
+            folded = len(joined)
+            inside[rows] = True
+            cols = (~inside).nonzero()[0]
+            col_d, col_parent = _fold_rows(xs, ys, rows, cols, far_d[cols], far_parent[cols])
+            far_d[cols] = col_d
+            far_parent[cols] = col_parent
+            pick = int(col_d.argmin())
+            k = int(cols[pick])
+            u = int(col_parent[pick])
+        edges.append((u, k) if u < k else (k, u))
     weight = sum(points[u].distance_to(points[v]) for u, v in edges)
     return SpanningTree(tuple(sorted(edges)), weight)
+
+
+def _near_pairs(xy: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency of the pairs at ``np.hypot`` distance <= r, both directions:
+    vertex k's neighbours are ``nbr[ptr[k]:ptr[k + 1]]`` at distances
+    ``nbr_d[ptr[k]:ptr[k + 1]]``. ``r`` is halved until ``grid_pairs`` holds
+    at most ``_PAIRS_PER_POINT`` candidates per point."""
+    n = len(xy)
+    while (blocks := grid_pairs(xy, r, _PAIRS_PER_POINT * n)) is None:
+        r /= 2.0
+    xs, ys = xy[:, 0], xy[:, 1]
+    kept = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]  # the grid may hold none
+    for a, b in blocks:
+        d = np.hypot(xs[b] - xs[a], ys[b] - ys[a])
+        near = d <= r
+        kept.append((a[near], b[near], d[near]))
+    a, b, d = (np.concatenate(part) for part in zip(*kept))
+    del kept
+    src = np.concatenate((a, b))
+    by_vertex = src.argsort(kind="stable")
+    ptr = src[by_vertex].searchsorted(np.arange(n + 1, dtype=src.dtype))
+    del src
+    nbr = np.concatenate((b, a))[by_vertex]
+    del a, b
+    return ptr, nbr, d.take(by_vertex, mode="wrap")
+
+
+def _fold_rows(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    col_d: np.ndarray,
+    col_parent: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the distances from the tree vertices ``rows``, in join order, into
+    the running minimum ``col_d`` of the vertices ``cols`` and the first tree
+    vertex ``col_parent`` attaining it (strict ``<``, as dense Prim)."""
+    cx, cy = xs[cols], ys[cols]
+    step = max(1, _DENSE_BLOCK // len(cols))
+    for s in range(0, len(rows), step):
+        block = rows[s : s + step]
+        dist = np.hypot(cx - xs[block, None], cy - ys[block, None])
+        low = dist.min(axis=0)
+        better = low < col_d
+        col_d[better] = low[better]
+        col_parent[better] = block[dist.argmin(axis=0)[better]]
+    return col_d, col_parent
 
 
 @dataclass(frozen=True)

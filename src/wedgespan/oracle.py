@@ -1,5 +1,6 @@
-"""Desk-scale ground truth: exhaustive angle-bounded MSTs, Hamiltonicity, and
-the grid-graph instances used by the hardness reductions.
+"""Desk-scale ground truth: exhaustive angle-bounded MSTs, Hamiltonicity, the
+dense-Prim Euclidean MST, and the grid-graph instances used by the hardness
+reductions.
 
 Spanning trees are enumerated through Prufer sequences (n^(n-2) labeled
 trees, capped at n=8) and Hamiltonicity through subset dynamic programming
@@ -13,11 +14,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     DegreeTooHighError,
     GridLayoutError,
     GuaranteeViolation,
     NotBipartiteError,
+    TooFewPointsError,
     TooManyPointsError,
 )
 from .geom import ANGLE_TOL_DEG, Point, PointSet, check_distinct, spanning_arc
@@ -243,6 +247,45 @@ def brute_force_alpha_mst(points: PointSet, alpha_deg: float) -> Optional[Spanni
     """Minimum-weight spanning tree with every vertex spread at most alpha,
     or None when no spanning tree satisfies the bound."""
     return brute_force_alpha_mst_multi(points, [alpha_deg])[alpha_deg]
+
+
+def dense_prim_mst(points: PointSet) -> SpanningTree:
+    """Minimum spanning tree of the complete Euclidean graph (dense Prim, O(n^2)).
+
+    The reference ``graph.euclidean_mst`` must reproduce edge for edge and
+    bit for bit.
+    """
+    n = len(points)
+    if n < 1:
+        raise TooFewPointsError("euclidean_mst requires at least one point")
+    check_distinct(points)
+    if n == 1:
+        return SpanningTree((), 0.0)
+    xs = np.array([p.x for p in points])
+    ys = np.array([p.y for p in points])
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    parent = np.zeros(n, dtype=np.int64)
+    in_tree[0] = True
+    best[0] = np.inf
+    d0 = np.hypot(xs - xs[0], ys - ys[0])
+    mask = d0 < best
+    best[mask] = d0[mask]
+    parent[mask] = 0
+    best[0] = np.inf
+    edges = []
+    for _ in range(n - 1):
+        k = int(np.argmin(best))
+        u = int(parent[k])
+        edges.append((u, k) if u < k else (k, u))
+        in_tree[k] = True
+        best[k] = np.inf
+        dk = np.hypot(xs - xs[k], ys - ys[k])
+        upd = (dk < best) & ~in_tree
+        best[upd] = dk[upd]
+        parent[upd] = k
+    weight = sum(points[u].distance_to(points[v]) for u, v in edges)
+    return SpanningTree(tuple(sorted(edges)), weight)
 
 
 # ---------------------------------------------------------------------------

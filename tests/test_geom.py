@@ -1,22 +1,31 @@
 import math
+import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wedgespan import geom
 from wedgespan.errors import DuplicatePointError
+from wedgespan.generators import hex_grid_points
 from wedgespan.geom import (
     ANGLE_TOL_DEG,
+    REL_TOL,
     AngleInterval,
     Direction,
     Point,
     Wedge,
     angular_spread,
     check_distinct,
+    coordinates,
     covering_wedge,
     direction,
+    grid_pairs,
     intervals_cover_circle,
     max_spread,
+    points_coincide,
     sextant_of,
     signed_angle_delta,
     spanning_arc,
@@ -222,3 +231,93 @@ class TestDistinct:
 
     def test_distinct_ok(self):
         check_distinct([pt(0, 0), pt(1e-6, 0), pt(0, 1e-6)])
+
+    @staticmethod
+    def _planted(rng, offset):
+        """Random points, two same-x columns, and near-duplicates planted at
+        about the tolerance, some inside it and some outside."""
+        pts = [pt(offset + rng.uniform(0, 5), offset + rng.uniform(0, 5)) for _ in range(60)]
+        for x in (offset + 1.0, offset + 2.5):
+            pts += [pt(x, offset + 0.25 * k) for k in range(20)]
+        for _ in range(rng.randint(0, 3)):
+            p = rng.choice(pts)
+            tol = REL_TOL * max(1.0, abs(p.x), abs(p.y))
+            f = rng.choice((0.3, 0.7, 0.99, 1.01, 1.5))
+            pts.insert(rng.randrange(len(pts) + 1), pt(p.x + f * tol, p.y - rng.choice((0.0, f)) * tol))
+        return pts
+
+    @pytest.mark.parametrize("offset", [0.0, -3.0, 1e6, -1e6])
+    def test_matches_all_pairs_scan(self, offset):
+        rng = random.Random(int(offset) + 31)
+        for _ in range(40):
+            pts = self._planted(rng, offset)
+            clashes = [
+                (i, j)
+                for i in range(len(pts))
+                for j in range(i + 1, len(pts))
+                if points_coincide(pts[i], pts[j])
+            ]
+            if not clashes:
+                check_distinct(pts)
+                continue
+            i, j = clashes[0]
+            with pytest.raises(DuplicatePointError) as exc:
+                check_distinct(pts)
+            assert str(exc.value) == f"points {i} and {j} coincide: {pts[i]}"
+
+    def test_coordinates_near_float_limit(self):
+        big = 1.5e308
+        pts = [pt(-big, 0.0), pt(big, 1.0), pt(big, -big), pt(0.0, big)]
+        check_distinct(pts)
+        with pytest.raises(DuplicatePointError, match=r"points 1 and 4 coincide"):
+            check_distinct(pts + [pt(big * (1 + 1e-12), 1.0)])
+
+    def test_near_duplicate_in_hex_grid_column(self):
+        pts = hex_grid_points(1200)
+        start = time.perf_counter()
+        check_distinct(pts)
+        assert time.perf_counter() - start < 0.5
+        p = pts[2401]
+        with pytest.raises(DuplicatePointError, match=r"points 2401 and 4802 coincide"):
+            check_distinct(pts + [pt(p.x, p.y + 1e-12)])
+
+
+class TestGridPairs:
+    @staticmethod
+    def _pairs(xy, radius):
+        out = []
+        for first, second in grid_pairs(xy, radius):
+            assert first.dtype == second.dtype == np.int32
+            out += zip(first.tolist(), second.tolist())
+        return out
+
+    @pytest.mark.parametrize("offset,radius", [(0.0, 0.3), (1e6, 0.3), (-50.0, 2.0), (1e6, 1e-3)])
+    def test_every_pair_within_radius_once(self, offset, radius, monkeypatch):
+        monkeypatch.setattr(geom, "_PAIR_BLOCK", 7)  # many blocks
+        rng = np.random.default_rng(5)
+        xy = offset + rng.uniform(0, 20 * radius, size=(300, 2))
+        xy[:40, 0] = xy[0, 0]  # a same-x column
+        xy[40:60] = np.round(xy[40:60] / radius) * radius  # points on cell borders
+        pairs = self._pairs(xy, radius)
+        unordered = [(min(p), max(p)) for p in pairs]
+        assert len(set(unordered)) == len(unordered)
+        assert all(i != j for i, j in pairs)
+        near = {
+            (i, j)
+            for i in range(len(xy))
+            for j in range(i + 1, len(xy))
+            if abs(xy[i, 0] - xy[j, 0]) <= radius and abs(xy[i, 1] - xy[j, 1]) <= radius
+        }
+        assert near <= set(unordered)
+
+    def test_radius_beyond_extent_gives_every_pair(self):
+        xy = coordinates([pt(0, 0), pt(1, 0), pt(0.5, 0.8), pt(0.2, 0.1)])
+        assert sorted((min(p), max(p)) for p in self._pairs(xy, 2.0)) == [
+            (i, j) for i in range(4) for j in range(i + 1, 4)
+        ]
+
+    def test_budget(self):
+        xy = coordinates([pt(0, 0), pt(1, 0), pt(0.5, 0.8), pt(0.2, 0.1)])
+        assert grid_pairs(xy, 2.0, max_pairs=5) is None
+        assert len(self._pairs(xy, 2.0)) == 6
+        assert grid_pairs(xy, 2.0, max_pairs=6) is not None

@@ -52,3 +52,27 @@ def test_solve_and_convert_outputs_match_golden_digest(tmp_path):
         del doc["verification"]["runtime_stats"]
         digest.update(json.dumps(doc, indent=2, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# Tie-heavy point sets: equal edge lengths everywhere, so the MST, its tour
+# and every gadget choice hinge on tie-breaking rules.
+TIE_CORPUS = [
+    ("hex-grid-62", ["--generator", "hex-grid", "--rows", "15"]),
+    ("square-grid-5x5", ["--generator", "square-grid-reduction", "--width", "5",
+                         "--height", "5"]),
+    ("collinear-64", ["--generator", "collinear", "--n", "64"]),
+]
+
+TIE_GOLDEN_SHA256 = "b6e214c6f8514188a50aedeec1fd5c89dd472093e7a9ce99e95dd78b644e9da6"
+
+
+def test_tie_heavy_solve_outputs_match_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for name, gen_args in TIE_CORPUS:
+        inst = tmp_path / f"{name}.json"
+        assert _run("gen", *gen_args, "--out", inst) == 0
+        for alpha in ALPHAS:
+            out = tmp_path / f"{name}.solve{alpha}.json"
+            assert _run("solve", "--in", inst, "--alpha", alpha, "--out", out) == 0, (name, alpha)
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == TIE_GOLDEN_SHA256

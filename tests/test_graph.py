@@ -1,7 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgespan.errors import ApexMismatchError, DuplicatePointError, TooFewPointsError
 from wedgespan.gadget import orient_pair, orient_triplet
@@ -17,7 +20,14 @@ from wedgespan.graph import (
     tsp_tour,
     unit_disk_graph,
 )
-from wedgespan.oracle import brute_force_alpha_mst
+from wedgespan.generators import (
+    clustered,
+    collinear,
+    hex_grid_points,
+    square_grid_reduction_points,
+    uniform_square,
+)
+from wedgespan.oracle import brute_force_alpha_mst, dense_prim_mst
 
 
 def rand_points(rng, k, side=1.0):
@@ -189,6 +199,80 @@ class TestEuclideanMST:
             pts = rand_points(rng, rng.randint(2, 7))
             exact = brute_force_alpha_mst(pts, 360.0)
             assert euclidean_mst(pts).weight == pytest.approx(exact.weight, rel=1e-9)
+
+
+def assert_same_as_dense_prim(pts):
+    got, ref = euclidean_mst(pts), dense_prim_mst(pts)
+    assert got.edges == ref.edges
+    assert got.weight == ref.weight
+
+
+class TestEuclideanMSTMatchesDensePrim:
+    """The grid-pruned Prim returns dense Prim's tree: same edges, same weight bits."""
+
+    @pytest.mark.parametrize("pts", [
+        [Point(0.3, -2.0)],
+        [Point(0, 0), Point(3, 4)],
+        [Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2)],
+    ])
+    def test_tiny(self, pts):
+        assert_same_as_dense_prim(pts)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [4, 9, 40, 300, 2000])
+    def test_uniform_and_clustered(self, seed, n):
+        assert_same_as_dense_prim(uniform_square(n, seed=seed))
+        assert_same_as_dense_prim(clustered(n, seed=seed))
+
+    @pytest.mark.parametrize("pts", [
+        collinear(2), collinear(17), collinear(400), collinear(50, gap=1e-4),
+        hex_grid_points(1), hex_grid_points(6), hex_grid_points(60),
+        square_grid_reduction_points(2, 3), square_grid_reduction_points(5, 5),
+        square_grid_reduction_points(9, 4),
+    ], ids=lambda pts: str(len(pts)))
+    def test_tie_heavy(self, pts):
+        assert_same_as_dense_prim(pts)
+
+    def test_two_far_clusters(self):
+        # No pair within the radius joins the clusters, so a dense step does.
+        rng = random.Random(3)
+        pts = rand_points(rng, 60) + [Point(p.x + 1000, p.y) for p in rand_points(rng, 60)]
+        assert_same_as_dense_prim(pts)
+
+    def test_lone_far_outlier(self):
+        rng = random.Random(4)
+        for where in (0, 30, 80):
+            pts = rand_points(rng, 80)
+            pts.insert(where, Point(-500.0, 7000.0))
+            assert_same_as_dense_prim(pts)
+
+    def test_clusters_at_large_coordinates(self):
+        rng = random.Random(5)
+        pts = [Point(1e6 + p.x, -1e6 + p.y) for p in rand_points(rng, 200, side=20.0)]
+        assert_same_as_dense_prim(pts + [Point(1e6 + 300.0, -1e6)])
+
+    def test_dense_cluster_with_sparse_surroundings(self):
+        # Most points in a tiny blob: the radius is halved until the grid is sparse.
+        rng = random.Random(6)
+        pts = rand_points(rng, 300, side=1e-3) + rand_points(rng, 30, side=10.0)
+        assert_same_as_dense_prim(pts)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40, unique=True))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_lattice_ties(self, cells):
+        assert_same_as_dense_prim([Point(float(x), float(y)) for x, y in cells])
+
+    def test_memory_bound(self):
+        # Dense Prim peaks near 0.9 MB here, a layout with per-pair Python
+        # objects near 3.8 MB; the bench's peak RSS follows the difference.
+        pts = uniform_square(4800, seed=0)
+        tracemalloc.start()
+        try:
+            euclidean_mst(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 class TestTspTour:
