@@ -22,6 +22,13 @@ REL_TOL = 1e-9
 _EPS = sys.float_info.epsilon
 # Candidate pairs grid_pairs builds at a time.
 _PAIR_BLOCK = 1 << 12
+# Up to this many points, the callers of grid_pairs take every pair as a
+# candidate instead: at that size the grid's fixed numpy calls cost more
+# than the pairs do.
+ALL_PAIRS_N = 64
+# Most cells a side of grid_pairs' grid; it keeps the int64 cell keys exact
+# and sets the narrowest cell, span / GRID_SIDE_CELLS.
+GRID_SIDE_CELLS = 2**30
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,11 +116,11 @@ def grid_pairs(
     if not math.isfinite(span):  # coordinates near the float limit
         return grid_pairs(xy * 0.5, radius * 0.5, max_pairs)
     # Rounding moves (x - x0) / width by a few ulps of span / width at most,
-    # which the 4 eps span margin absorbs; at most 2^30 cells a side keep the
-    # keys in int64.
-    width = max(radius * (1.0 + REL_TOL) + 4.0 * _EPS * span, span / 2**30)
+    # which the 4 eps span margin absorbs.
+    width = max(radius * (1.0 + REL_TOL) + 4.0 * _EPS * span, span / GRID_SIDE_CELLS)
     stride = int((y1 - y0) / width) + 2
-    key = ((xy - low) / width).astype(np.int64) @ (stride, 1)
+    cell = ((xy - low) / width).astype(np.int64)
+    key = cell[:, 0] * stride + cell[:, 1]
     order = key.argsort(kind="stable").astype(np.int32)
     key = key[order]
     # Two runs of cells per point: the rest of its own cell with the cell
@@ -150,22 +157,66 @@ def check_distinct(points: PointSet) -> None:
     """Raise DuplicatePointError if any two points coincide.
 
     Each point is compared, by ``points_coincide``, only with the points in
-    its tolerance cell and the neighbouring ones (``grid_pairs``); the lowest
+    its tolerance cell and the neighbouring ones (``_close_pairs``), or with
+    every point when there are at most ``ALL_PAIRS_N``; the lowest
     coinciding pair is reported.
     """
     n = len(points)
     if n < 2:
         return
     xy = coordinates(points)
+    scale = np.maximum(np.abs(xy).max(axis=1), 1.0)
+    blocks = _all_close_pairs(xy, scale) if n <= ALL_PAIRS_N else _close_pairs(xy, scale, np.arange(n))
     clashes = [
         (i, j) if i < j else (j, i)
-        for first, second in grid_pairs(xy, REL_TOL * max(1.0, float(np.abs(xy).max())))
+        for first, second in blocks
         for i, j in zip(first.tolist(), second.tolist())
         if points_coincide(points[i], points[j])
     ]
     if clashes:
         i, j = min(clashes)
         raise DuplicatePointError(f"points {i} and {j} coincide: {points[i]}")
+
+
+def _all_close_pairs(xy: np.ndarray, scale: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_close_pairs`` of every point, tested all at once."""
+    tol = REL_TOL * np.maximum(scale[:, None], scale)
+    with np.errstate(over="ignore"):  # a gap that overflows is no near one
+        near = (np.abs(xy[:, None, 0] - xy[:, 0]) <= tol) & (np.abs(xy[:, None, 1] - xy[:, 1]) <= tol)
+    if near.sum() == len(xy):  # the diagonal alone
+        return []
+    first, second = near.nonzero()
+    upper = first < second
+    return [(first[upper], second[upper])]
+
+
+def _close_pairs(
+    xy: np.ndarray, scale: np.ndarray, ids: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pairs of the points ``ids`` whose x and y gaps are both within
+    ``REL_TOL`` times the larger of their scales ``max(1, |x|, |y|)``, the
+    first two tests of ``points_coincide``.
+
+    The grid's cells are as wide as the largest tolerance among ``ids``. When
+    the scales differ widely and that grid holds many candidates (points
+    packed far below the largest tolerance), the points are split at the
+    geometric mean scale and each side is searched on its own: the scales of
+    two points within tolerance differ by a factor of at most about
+    ``1 + REL_TOL``, so the points just above the split go to both sides.
+    """
+    sub, s = xy[ids], scale[ids]
+    top = float(s.max())
+    wide = 4.0 * float(s.min()) < top
+    blocks = grid_pairs(sub, REL_TOL * top, 8 * len(ids) if wide else None)
+    if blocks is None:
+        mid = math.sqrt(float(s.min())) * math.sqrt(top)
+        yield from _close_pairs(xy, scale, ids[s <= mid * (1.0 + 4.0 * REL_TOL)])
+        yield from _close_pairs(xy, scale, ids[s > mid])
+        return
+    for a, b in blocks:
+        tol = REL_TOL * np.maximum(s[a], s[b])
+        near = (np.abs(sub[a, 0] - sub[b, 0]) <= tol) & (np.abs(sub[a, 1] - sub[b, 1]) <= tol)
+        yield ids[a[near]], ids[b[near]]
 
 
 def direction(p: Point, q: Point) -> Direction:

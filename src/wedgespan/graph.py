@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -12,7 +13,9 @@ import numpy as np
 
 from .errors import ApexMismatchError, GuaranteeViolation, TooFewPointsError
 from .geom import (
+    ALL_PAIRS_N,
     ANGLE_TOL_DEG,
+    GRID_SIDE_CELLS,
     PointSet,
     REL_TOL,
     Wedge,
@@ -137,21 +140,24 @@ def unit_disk_graph(points: PointSet, r: float = 1.0) -> CommGraph:
     """Edge between u and v iff |uv| <= r (closed boundary, relative tolerance).
 
     The candidate pairs come from ``grid_pairs`` at the tolerant radius, so
-    memory is O(n+m). Edges carry ``Point.distance_to`` weights and neighbour
-    lists come out ascending.
+    memory is O(n+m); up to ``ALL_PAIRS_N`` points every pair is one. Edges
+    carry ``Point.distance_to`` weights and neighbour lists come out
+    ascending.
     """
     limit = r * (1.0 + REL_TOL)
     n = len(points)
-    if n < 2:
-        return CommGraph(n)
     xs = [p.x for p in points]
     ys = [p.y for p in points]
+    if n <= ALL_PAIRS_N:
+        pairs = itertools.combinations(range(n), 2)
+    else:
+        blocks = grid_pairs(coordinates(points), limit)
+        pairs = (uv for first, second in blocks for uv in zip(first.tolist(), second.tolist()))
     edges = []
-    for first, second in grid_pairs(np.array((xs, ys)).T, limit):
-        for u, v in zip(first.tolist(), second.tolist()):
-            d = math.hypot(xs[v] - xs[u], ys[v] - ys[u])  # == Point.distance_to, either way round
-            if d <= limit:
-                edges.append((u, v, d) if u < v else (v, u, d))
+    for u, v in pairs:
+        d = math.hypot(xs[v] - xs[u], ys[v] - ys[u])  # == Point.distance_to, either way round
+        if d <= limit:
+            edges.append((u, v, d) if u < v else (v, u, d))
     edges.sort()
     return CommGraph(n, edges)
 
@@ -259,8 +265,9 @@ _DENSE_BLOCK = 1 << 13
 def euclidean_mst(points: PointSet) -> SpanningTree:
     """Minimum spanning tree of the complete Euclidean graph.
 
-    Prim's algorithm over the pairs within a radius ``r`` (``grid_pairs``),
-    finishing a step densely when no such pair leaves the tree. The result
+    Above ``ALL_PAIRS_N`` points, Prim's algorithm over the pairs within a
+    radius ``r`` (``grid_pairs``), finishing a step densely when no such pair
+    leaves the tree; up to it, Prim over the full distance matrix. The result
     is the tree dense Prim (``oracle.dense_prim_mst``) returns, edge for edge
     and with the same weight bits, because each of its rules is kept:
 
@@ -280,8 +287,9 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
     ``r`` comes from the bounding box: the radius at which a uniform sample
     has ``ln n + 4`` neighbours, or two mean gaps for flat inputs, halved
     while the grid holds more than ``_PAIRS_PER_POINT`` candidates per
-    point (dense clusters). ``r`` trades pairs against dense steps and
-    never changes the tree.
+    point (dense clusters), and 0, every step dense, when the points are
+    packed too tightly for any cell to help. ``r`` trades pairs against
+    dense steps and never changes the tree.
     """
     n = len(points)
     if n < 1:
@@ -290,6 +298,35 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
     if n == 1:
         return SpanningTree((), 0.0)
     xy = coordinates(points)
+    edges = _matrix_prim(xy) if n <= ALL_PAIRS_N else _grid_prim(xy)
+    weight = sum(points[u].distance_to(points[v]) for u, v in edges)
+    return SpanningTree(tuple(sorted(edges)), weight)
+
+
+def _matrix_prim(xy: np.ndarray) -> list[tuple[int, int]]:
+    """Dense Prim's edges, in join order, over the full distance matrix."""
+    n = len(xy)
+    dist = np.hypot(xy[:, None, 0] - xy[:, 0], xy[:, None, 1] - xy[:, 1]).tolist()
+    best = dist[0]
+    parent = [0] * n
+    outside = list(range(1, n))
+    edges = []
+    while outside:
+        k = min(outside, key=best.__getitem__)  # the lowest index at the minimum
+        outside.remove(k)
+        u = parent[k]
+        edges.append((u, k) if u < k else (k, u))
+        row = dist[k]
+        for j in outside:
+            if row[j] < best[j]:
+                best[j] = row[j]
+                parent[j] = k
+    return edges
+
+
+def _grid_prim(xy: np.ndarray) -> list[tuple[int, int]]:
+    """Dense Prim's edges, in join order, from the pairs within ``r``."""
+    n = len(xy)
     xs, ys = xy[:, 0], xy[:, 1]
     w, h = (xy.max(axis=0) - xy.min(axis=0)).tolist()
     r = max(math.sqrt(w * h * (math.log(n) + 4.0) / (math.pi * n)), 2.0 * max(w, h) / n)
@@ -311,7 +348,7 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
         in_tree[k] = True
         joined.append(k)
         if len(joined) == n:
-            break
+            return edges
         for j, dj in zip(nbr[ptr[k] : ptr[k + 1]].tolist(), nbr_d[ptr[k] : ptr[k + 1]].tolist()):
             if dj < best[j] and not in_tree[j]:
                 live += best[j] == math.inf
@@ -339,18 +376,23 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
             k = int(cols[pick])
             u = int(col_parent[pick])
         edges.append((u, k) if u < k else (k, u))
-    weight = sum(points[u].distance_to(points[v]) for u, v in edges)
-    return SpanningTree(tuple(sorted(edges)), weight)
 
 
 def _near_pairs(xy: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adjacency of the pairs at ``np.hypot`` distance <= r, both directions:
     vertex k's neighbours are ``nbr[ptr[k]:ptr[k + 1]]`` at distances
     ``nbr_d[ptr[k]:ptr[k + 1]]``. ``r`` is halved until ``grid_pairs`` holds
-    at most ``_PAIRS_PER_POINT`` candidates per point."""
+    at most ``_PAIRS_PER_POINT`` candidates per point. Once its cells reach
+    their narrowest (more points packed in one cell than the budget allows),
+    halving cannot help and the adjacency is empty: ``r = 0``, dense Prim."""
     n = len(xy)
-    while (blocks := grid_pairs(xy, r, _PAIRS_PER_POINT * n)) is None:
+    narrowest = float(np.ptp(xy, axis=0).max()) / GRID_SIDE_CELLS
+    while narrowest < r * (1.0 + REL_TOL) < math.inf:  # False for nan, too
+        if (blocks := grid_pairs(xy, r, _PAIRS_PER_POINT * n)) is not None:
+            break
         r /= 2.0
+    else:
+        blocks, r = (), 0.0
     xs, ys = xy[:, 0], xy[:, 1]
     kept = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]  # the grid may hold none
     for a, b in blocks:

@@ -224,6 +224,12 @@ class TestAngleInterval:
         assert intervals_cover_circle(ivs)
 
 
+@pytest.fixture(params=["grid", "all-pairs"])
+def pair_source(request, monkeypatch):
+    """Run check_distinct on the grid's candidates, or on every pair."""
+    monkeypatch.setattr(geom, "ALL_PAIRS_N", 0 if request.param == "grid" else 1000)
+
+
 class TestDistinct:
     def test_near_duplicates_caught(self):
         with pytest.raises(DuplicatePointError):
@@ -239,6 +245,10 @@ class TestDistinct:
         pts = [pt(offset + rng.uniform(0, 5), offset + rng.uniform(0, 5)) for _ in range(60)]
         for x in (offset + 1.0, offset + 2.5):
             pts += [pt(x, offset + 0.25 * k) for k in range(20)]
+        return TestDistinct._plant_near_duplicates(rng, pts)
+
+    @staticmethod
+    def _plant_near_duplicates(rng, pts):
         for _ in range(rng.randint(0, 3)):
             p = rng.choice(pts)
             tol = REL_TOL * max(1.0, abs(p.x), abs(p.y))
@@ -246,26 +256,67 @@ class TestDistinct:
             pts.insert(rng.randrange(len(pts) + 1), pt(p.x + f * tol, p.y - rng.choice((0.0, f)) * tol))
         return pts
 
+    @staticmethod
+    def _assert_matches_all_pairs_scan(pts):
+        clashes = [
+            (i, j)
+            for i in range(len(pts))
+            for j in range(i + 1, len(pts))
+            if points_coincide(pts[i], pts[j])
+        ]
+        if not clashes:
+            check_distinct(pts)
+            return
+        i, j = clashes[0]
+        with pytest.raises(DuplicatePointError) as exc:
+            check_distinct(pts)
+        assert str(exc.value) == f"points {i} and {j} coincide: {pts[i]}"
+
     @pytest.mark.parametrize("offset", [0.0, -3.0, 1e6, -1e6])
-    def test_matches_all_pairs_scan(self, offset):
+    def test_matches_all_pairs_scan(self, offset, pair_source):
         rng = random.Random(int(offset) + 31)
         for _ in range(40):
-            pts = self._planted(rng, offset)
-            clashes = [
-                (i, j)
-                for i in range(len(pts))
-                for j in range(i + 1, len(pts))
-                if points_coincide(pts[i], pts[j])
-            ]
-            if not clashes:
-                check_distinct(pts)
-                continue
-            i, j = clashes[0]
-            with pytest.raises(DuplicatePointError) as exc:
-                check_distinct(pts)
-            assert str(exc.value) == f"points {i} and {j} coincide: {pts[i]}"
+            self._assert_matches_all_pairs_scan(self._planted(rng, offset))
 
-    def test_coordinates_near_float_limit(self):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_scales_match_all_pairs_scan(self, seed, pair_source):
+        # A blob far below the largest tolerance overfills the grid, so the
+        # points are searched in scale groups; duplicates planted at every
+        # scale, next to scale 1 (the tolerance floor) and at powers of two.
+        rng = random.Random(seed)
+        for _ in range(25):
+            pts = [pt(i * 1e-8, j * 1e-8) for i in range(6) for j in range(6)]
+            for _ in range(25):
+                scale = rng.choice((1.0, 2.0 ** rng.randint(1, 30), 10 ** rng.uniform(0, 7)))
+                pts.append(pt(rng.choice((-1, 1)) * scale, rng.uniform(-1, 1) * scale))
+            rng.shuffle(pts)
+            self._assert_matches_all_pairs_scan(self._plant_near_duplicates(rng, pts))
+
+    @pytest.mark.parametrize("pair", [(1024.0, 1024.0 + 5e-7), (1024.0 + 3.5e-6, 1024.0 + 4.5e-6)])
+    def test_duplicates_straddling_a_scale_split(self, pair, monkeypatch):
+        # Scales run from 1 (the blob) to 2^20, so the grid's first split is
+        # at 2^10 exactly; each planted pair coincides across it.
+        monkeypatch.setattr(geom, "ALL_PAIRS_N", 0)
+        pts = [pt(i * 1e-8, j * 1e-8) for i in range(6) for j in range(6)] + [pt(2.0**20, 0.0)]
+        check_distinct(pts + [pt(pair[0], 0.0)])
+        with pytest.raises(DuplicatePointError, match=r"points 37 and 38 coincide"):
+            check_distinct(pts + [pt(x, 0.0) for x in pair])
+
+    def test_gap_of_exactly_the_tolerance_coincides(self, pair_source):
+        with pytest.raises(DuplicatePointError):
+            check_distinct([pt(0.0, 0.0), pt(3.0, 3.0), pt(REL_TOL, 0.0)])
+
+    def test_mixed_scales_stay_fast(self):
+        # One global cell radius (1e-3 here) would put the 4800 small points in
+        # one cell: 11.5M candidate pairs.
+        pts = [pt(i * 1e-8, j * 1e-8) for i in range(60) for j in range(80)] + [pt(1e6, 0.0)]
+        start = time.perf_counter()
+        check_distinct(pts)
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(DuplicatePointError, match=r"points 81 and 4801 coincide"):
+            check_distinct(pts + [pt(pts[81].x + 1e-10, pts[81].y)])
+
+    def test_coordinates_near_float_limit(self, pair_source):
         big = 1.5e308
         pts = [pt(-big, 0.0), pt(big, 1.0), pt(big, -big), pt(0.0, big)]
         check_distinct(pts)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from wedgespan.errors import ApexMismatchError, DuplicatePointError, TooFewPointsError
 from wedgespan.gadget import orient_pair, orient_triplet
-from wedgespan.geom import Direction, Point, Wedge
+from wedgespan import graph
+from wedgespan.geom import Direction, Point, Wedge, coordinates
 from wedgespan.graph import (
     CommGraph,
     DisjointSets,
@@ -135,6 +136,22 @@ class TestUnitDiskGraph:
         assert unit_disk_graph(pts).has_edge(0, 1)
         assert not unit_disk_graph([Point(0, 0), Point(1.000001, 0)]).has_edge(0, 1)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grid_and_all_pairs_agree(self, seed, monkeypatch):
+        # Up to ALL_PAIRS_N points every pair is a candidate; both sources
+        # give the same graph, tolerant boundaries two cells apart included.
+        rng = random.Random(seed)
+        pts = [Point(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(50)]
+        pts += [Point(0.9999999999, 7.0), Point(2.0000000005, 7.0), Point(9.0, 9.0), Point(10.000001, 9.0)]
+        graphs = []
+        for all_pairs_n in (0, 1000):
+            monkeypatch.setattr(graph, "ALL_PAIRS_N", all_pairs_n)
+            graphs.append(unit_disk_graph(pts))
+        grid, every = graphs
+        assert grid.edges() == every.edges()
+        assert all(grid.neighbors(i) == every.neighbors(i) for i in range(len(pts)))
+        assert grid.has_edge(50, 51) and not grid.has_edge(52, 53)
+
 
 class TestHopDistance:
     def test_path(self):
@@ -205,6 +222,13 @@ def assert_same_as_dense_prim(pts):
     got, ref = euclidean_mst(pts), dense_prim_mst(pts)
     assert got.edges == ref.edges
     assert got.weight == ref.weight
+    # euclidean_mst picks one of two paths by n; each must give dense Prim's
+    # edges in its join order, which the weight's summation order shows.
+    paths = [graph._grid_prim] + ([graph._matrix_prim] if len(pts) <= 400 else [])
+    for path in paths if len(pts) > 1 else ():
+        edges = path(coordinates(pts))
+        assert tuple(sorted(edges)) == ref.edges
+        assert sum(pts[u].distance_to(pts[v]) for u, v in edges) == ref.weight
 
 
 class TestEuclideanMSTMatchesDensePrim:
@@ -256,6 +280,14 @@ class TestEuclideanMSTMatchesDensePrim:
         rng = random.Random(6)
         pts = rand_points(rng, 300, side=1e-3) + rand_points(rng, 30, side=10.0)
         assert_same_as_dense_prim(pts)
+
+    def test_blob_packed_below_the_narrowest_cell(self):
+        # 100 points 1e-8 apart share one of the grid's narrowest cells
+        # (span / 2^30), more than the pair budget at any radius: the
+        # radius halving must stop and fall back to dense steps.
+        blob = [Point(i * 1e-8, j * 1e-8) for i in range(10) for j in range(10)]
+        for where in (0, 50, 100):
+            assert_same_as_dense_prim(blob[:where] + [Point(1000.0, 0.0)] + blob[where:])
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40, unique=True))
     @settings(max_examples=150, deadline=None)
