@@ -22,6 +22,9 @@ REL_TOL = 1e-9
 _EPS = sys.float_info.epsilon
 # Candidate pairs grid_pairs builds at a time.
 _PAIR_BLOCK = 1 << 12
+# Most candidate pairs per point the duplicate check takes from one grid
+# before it splits points of widely different scales.
+_CLOSE_PAIRS_PER_POINT = 8
 # Up to this many points, the callers of grid_pairs take every pair as a
 # candidate instead: at that size the grid's fixed numpy calls cost more
 # than the pairs do.
@@ -207,7 +210,7 @@ def _close_pairs(
     sub, s = xy[ids], scale[ids]
     top = float(s.max())
     wide = 4.0 * float(s.min()) < top
-    blocks = grid_pairs(sub, REL_TOL * top, 8 * len(ids) if wide else None)
+    blocks = grid_pairs(sub, REL_TOL * top, _CLOSE_PAIRS_PER_POINT * len(ids) if wide else None)
     if blocks is None:
         mid = math.sqrt(float(s.min())) * math.sqrt(top)
         yield from _close_pairs(xy, scale, ids[s <= mid * (1.0 + 4.0 * REL_TOL)])
