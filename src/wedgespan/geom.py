@@ -218,7 +218,8 @@ def _close_pairs(
         return
     for a, b in blocks:
         tol = REL_TOL * np.maximum(s[a], s[b])
-        near = (np.abs(sub[a, 0] - sub[b, 0]) <= tol) & (np.abs(sub[a, 1] - sub[b, 1]) <= tol)
+        with np.errstate(over="ignore"):
+            near = (np.abs(sub[a, 0] - sub[b, 0]) <= tol) & (np.abs(sub[a, 1] - sub[b, 1]) <= tol)
         yield ids[a[near]], ids[b[near]]
 
 
