@@ -51,7 +51,6 @@ from .geom import (
     covering_wedge,
     direction,
     max_spread,
-    sextant_of,
 )
 from .graph import (
     CommGraph,
@@ -59,7 +58,6 @@ from .graph import (
     Tour,
     cross_edge,
     euclidean_mst,
-    hop_distance,
     induced_graph,
     tsp_tour,
     unit_disk_graph,

@@ -9,6 +9,7 @@ the weight bounds down to 2x / 6x / 16x the Euclidean MST.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -147,10 +148,12 @@ def build_tree_180(points: PointSet) -> AlphaTree:
     return AlphaTree(180.0, tree, wedges, mst_weight=mst.weight, tour_weight=tour.weight)
 
 
-def _local_induced(points: PointSet, wedges: Sequence[Wedge], members: Sequence[int]) -> CommGraph:
-    sub_points = [points[i] for i in members]
-    sub_wedges = [wedges[i] for i in members]
-    return induced_graph(sub_points, sub_wedges)
+def _cross_pairs(sides: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[list[int], list[int]]:
+    """Candidate pairs (a, b) for ``induced_graph``: for each two sides,
+    every u of the first with every v of the second."""
+    a = [u for side_a, side_b in sides for u in side_a for _ in side_b]
+    b = [v for side_a, side_b in sides for _ in side_a for v in side_b]
+    return a, b
 
 
 def build_tree_120(points: PointSet) -> AlphaTree:
@@ -183,16 +186,15 @@ def build_tree_120(points: PointSet) -> AlphaTree:
             wedges[g[local]] = tri.wedges[local]
         for a, b in tri.tree_edges:
             edges.append((g[a], g[b]))
-    for k in range(len(full) - 1):
-        a, b = full[k], full[k + 1]
-        members = list(a) + list(b)
-        sub = _local_induced(points, wedges, members)  # type: ignore[arg-type]
-        ce = cross_edge(sub, range(3), range(3, 6))
+    consecutive = list(zip(full, full[1:]))
+    induced = induced_graph(points, wedges, _cross_pairs(consecutive))
+    for a, b in consecutive:
+        ce = cross_edge(induced, a, b)
         if ce is None:
             raise TheoremViolation(
                 f"no cross edge between triplet groups {a} and {b}"
             )
-        edges.append((members[ce[0]], members[ce[1]]))
+        edges.append(ce)
     edges.extend(aim_leftovers(points, wedges, leftovers, full[-1], 120.0))
 
     tree = tree_from_edges(points, edges)
@@ -208,16 +210,25 @@ def _split_by_x(points: PointSet, members: Sequence[int]) -> tuple[list[int], li
     return ordered[:half], ordered[half:]
 
 
-def _quad_inner_edges(
-    points: PointSet, wedges: Sequence[Optional[Wedge]], quad: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Minimum spanning tree of the quadruplet's induced graph (3 edges)."""
-    sub = _local_induced(points, wedges, quad)  # type: ignore[arg-type]
+_QUAD_PAIRS = tuple(itertools.combinations(range(4), 2))
+
+
+def _quad_pairs(quads: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Candidate pairs (a, b) for ``induced_graph``: the six inner pairs of each quadruplet."""
+    a = [q[i] for q in quads for i, _ in _QUAD_PAIRS]
+    b = [q[j] for q in quads for _, j in _QUAD_PAIRS]
+    return a, b
+
+
+def _quad_inner_edges(g: CommGraph, quad: Sequence[int]) -> list[tuple[int, int]]:
+    """Minimum spanning tree of the quadruplet's edges in g (3 edges); weight
+    ties go to the earlier pair of positions in ``quad``."""
     sets = DisjointSets(4)
     picked = []
-    for _, u, v in sorted((w, u, v) for u, v, w in sub.edges()):
-        if sets.union(u, v):
-            picked.append((quad[u], quad[v]))
+    inner = [(g.weight(quad[i], quad[j]), i, j) for i, j in _QUAD_PAIRS if g.has_edge(quad[i], quad[j])]
+    for _, i, j in sorted(inner):
+        if sets.union(i, j):
+            picked.append((quad[i], quad[j]))
     if len(picked) != 3:
         raise GuaranteeViolation(f"induced graph of quadruplet {tuple(quad)} is not connected")
     return picked
@@ -266,39 +277,38 @@ def build_tree_90(points: PointSet) -> AlphaTree:
         orientation = orient_quadruplet([points[i] for i in quad])
         for local in range(4):
             wedges[quad[local]] = orientation.wedges[local]
-        edges.extend(_quad_inner_edges(points, wedges, quad))
+        edges.extend(_quad_inner_edges(induced_graph(points, wedges, _quad_pairs([quad])), quad))
         edges.extend(aim_leftovers(points, wedges, leftovers, quad, 90.0))
     else:
         part = partition_tour(tour, 8)
         full = [g for g in part.groups if len(g) == 8]
         leftovers = [p for g in part.groups if len(g) < 8 for p in g]
-        halves: list[tuple[list[int], list[int]]] = []
-        for g in full:
-            left, right = _split_by_x(points, g)
-            for quad in (left, right):
-                orientation = orient_quadruplet([points[i] for i in quad])
-                for local in range(4):
-                    wedges[quad[local]] = orientation.wedges[local]
-                edges.extend(_quad_inner_edges(points, wedges, quad))
-            halves.append((left, right))
-        for (left, right), g in zip(halves, full):
-            members = left + right
-            sub = _local_induced(points, wedges, members)
-            ce = cross_edge(sub, range(4), range(4, 8))
+        halves = [_split_by_x(points, g) for g in full]
+        quads = [quad for half in halves for quad in half]
+        for quad in quads:
+            orientation = orient_quadruplet([points[i] for i in quad])
+            for local in range(4):
+                wedges[quad[local]] = orientation.wedges[local]
+        consecutive = list(zip(full, full[1:]))
+        quad_a, quad_b = _quad_pairs(quads)
+        cross_a, cross_b = _cross_pairs(halves + consecutive)
+        induced = induced_graph(points, wedges, (quad_a + cross_a, quad_b + cross_b))
+        for quad in quads:
+            edges.extend(_quad_inner_edges(induced, quad))
+        for (left, right), section in zip(halves, full):
+            ce = cross_edge(induced, left, right)
             if ce is None:
                 raise SeparationConnectivityViolation(
-                    f"no edge between x-separated quadruplets of section {g}"
+                    f"no edge between x-separated quadruplets of section {section}"
                 )
-            edges.append((members[ce[0]], members[ce[1]]))
-        for k in range(len(full) - 1):
-            members = list(full[k]) + list(full[k + 1])
-            sub = _local_induced(points, wedges, members)
-            ce = cross_edge(sub, range(8), range(8, 16))
+            edges.append(ce)
+        for a, b in consecutive:
+            ce = cross_edge(induced, a, b)
             if ce is None:
                 raise SeparationConnectivityViolation(
-                    f"no edge between consecutive sections {full[k]} and {full[k + 1]}"
+                    f"no edge between consecutive sections {a} and {b}"
                 )
-            edges.append((members[ce[0]], members[ce[1]]))
+            edges.append(ce)
         edges.extend(aim_leftovers(points, wedges, leftovers, full[-1], 90.0))
 
     tree = tree_from_edges(points, edges)

@@ -1,11 +1,10 @@
-"""Command-line surface: gen | solve | convert | verify | oracle | render | bench."""
+"""Command-line surface: gen | solve | convert | verify | oracle | render."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -221,24 +220,6 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    rows = ["seed,n,alpha,ratio,runtime_s"]
-    all_ok = True
-    for k in range(args.seeds):
-        seed = args.seed + k
-        points = generators.uniform_square(args.n, side=args.side, seed=seed)
-        t0 = time.perf_counter()
-        result = build_tree(points, float(args.alpha))
-        elapsed = time.perf_counter() - t0
-        report = verify_alpha_tree(points, result)
-        all_ok = all_ok and report.passed
-        rows.append(
-            f"{seed},{args.n},{args.alpha},{round_sig(report.ratio)!r},{elapsed:.6f}"
-        )
-    _write("\n".join(rows) + "\n", args.out)
-    return 0 if all_ok else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wedgespan",
@@ -291,14 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--out", default=None)
     render.set_defaults(func=cmd_render)
 
-    bench = sub.add_parser("bench", help="ratio/timing table over seeds")
-    bench.add_argument("--alpha", type=int, required=True, choices=(90, 120, 180))
-    bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--seeds", type=int, default=20)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--side", type=float, default=1.0)
-    bench.add_argument("--out", default=None)
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -300,10 +300,6 @@ class Wedge:
     def right_ray(self) -> Direction:
         return self.bisector.rotated(-self.aperture_deg / 2.0)
 
-    @property
-    def reverse_ray(self) -> Direction:
-        return self.bisector.opposite()
-
     def direction_interval(self) -> AngleInterval:
         return AngleInterval(self.right_ray, self.aperture_deg)
 
@@ -387,12 +383,3 @@ def covering_wedge(center: Point, neighbors: PointSet, aperture_deg: float) -> W
     degs = [direction(center, q).degrees for q in neighbors]
     start, extent = spanning_arc(degs)
     return Wedge(center, Direction(start + extent / 2.0), aperture_deg)
-
-
-def sextant_of(d: Direction) -> int:
-    """Index i in 1..6 of the 60-degree range [(i-1)*60, i*60) containing d.
-
-    Multiples of 60 land in the upper range (half-open convention).
-    """
-    i = int(d.degrees // 60.0) + 1
-    return min(i, 6)

@@ -91,45 +91,70 @@ class CommGraph:
         return count == self.n
 
 
-def _check_apexes(points: PointSet, wedges: Sequence[Wedge]) -> None:
-    if len(points) != len(wedges):
-        raise ApexMismatchError(
-            f"{len(points)} points but {len(wedges)} wedges"
-        )
-    for i, (p, w) in enumerate(zip(points, wedges)):
+def _vertex_arrays(
+    points: PointSet, wedges: Sequence[Wedge], ids: Sequence[int]
+) -> tuple[np.ndarray, ...]:
+    """Per-vertex columns for ``_covers``, after checking that each wedge's
+    apex is at its point; ``ids`` names the vertices in the error."""
+    for i, p, w in zip(ids, points, wedges):
         if not points_coincide(p, w.apex):
             raise ApexMismatchError(f"wedge {i} apex {w.apex} is not at point {p}")
+    return (
+        np.array([p.x for p in points]),
+        np.array([p.y for p in points]),
+        np.array([max(1.0, abs(p.x), abs(p.y)) for p in points]),
+        np.array([w.apex.x for w in wedges]),
+        np.array([w.apex.y for w in wedges]),
+        np.array([max(1.0, abs(w.apex.x), abs(w.apex.y)) for w in wedges]),
+        np.array([w.bisector.degrees for w in wedges]),
+        np.array([w.aperture_deg / 2.0 for w in wedges]),
+        np.array([math.inf if w.radius is None else w.radius for w in wedges]),
+    )
 
 
-def induced_graph(points: PointSet, wedges: Sequence[Wedge]) -> CommGraph:
+def _covers(cols: tuple[np.ndarray, ...], w, q) -> np.ndarray:
+    """``Wedge.contains`` elementwise: wedge ``w`` looking at point ``q``,
+    both indices (or broadcasting slices) into the ``_vertex_arrays`` columns."""
+    qx, qy, q_scale, ax, ay, a_scale, bis, half, rad = cols
+    dx = qx[q] - ax[w]
+    dy = qy[q] - ay[w]
+    dist = np.hypot(dx, dy)
+    delta = (np.degrees(np.arctan2(dy, dx)) - bis[w] + 180.0) % 360.0 - 180.0
+    covers = (np.abs(delta) <= half[w] + ANGLE_TOL_DEG) & (dist <= rad[w] * (1.0 + REL_TOL))
+    covers |= dist <= REL_TOL * np.maximum(a_scale[w], q_scale[q])
+    return covers
+
+
+def induced_graph(
+    points: PointSet,
+    wedges: Sequence[Optional[Wedge]],
+    pairs: Optional[tuple[Sequence[int], Sequence[int]]] = None,
+) -> CommGraph:
     """Symmetric communication graph: edge (u,v) iff each point lies in the
     other's wedge and both range limits (when present) are satisfied.
 
-    Containment is ``Wedge.contains`` evaluated for all pairs at once; each
-    kept edge is weighted by ``Point.distance_to``.
+    Containment is ``Wedge.contains`` evaluated at once for every pair or,
+    given ``pairs=(a, b)``, only for the candidate pairs ``(a[k], b[k])``;
+    then only the wedges of vertices in some pair are read (and their apexes
+    checked), so the others may be None. Each kept edge is weighted by
+    ``Point.distance_to`` from its lower to its higher index.
     """
-    _check_apexes(points, wedges)
-    qx = np.array([p.x for p in points])
-    qy = np.array([p.y for p in points])
-    q_scale = np.array([max(1.0, abs(p.x), abs(p.y)) for p in points])
-    ax = np.array([w.apex.x for w in wedges])
-    ay = np.array([w.apex.y for w in wedges])
-    a_scale = np.array([max(1.0, abs(w.apex.x), abs(w.apex.y)) for w in wedges])
-    bis = np.array([w.bisector.degrees for w in wedges])
-    half = np.array([w.aperture_deg / 2.0 for w in wedges])
-    rad = np.array([math.inf if w.radius is None else w.radius for w in wedges])
-
-    # Row i is wedge i looking at every point.
-    dx = qx[None, :] - ax[:, None]
-    dy = qy[None, :] - ay[:, None]
-    dist = np.hypot(dx, dy)
-    delta = (np.degrees(np.arctan2(dy, dx)) - bis[:, None] + 180.0) % 360.0 - 180.0
-    covers = (np.abs(delta) <= half[:, None] + ANGLE_TOL_DEG) & (
-        dist <= rad[:, None] * (1.0 + REL_TOL)
-    )
-    covers |= dist <= REL_TOL * np.maximum(a_scale[:, None], q_scale[None, :])
-    iu, iv = np.nonzero(covers & covers.T)
     g = CommGraph(len(points))
+    if pairs is None:
+        if len(points) != len(wedges):
+            raise ApexMismatchError(f"{len(points)} points but {len(wedges)} wedges")
+        cols = _vertex_arrays(points, wedges, range(len(points)))  # type: ignore[arg-type]
+        covers = _covers(cols, np.s_[:, None], np.s_[None, :])  # row i: wedge i, every point
+        iu, iv = np.nonzero(covers & covers.T)
+    else:
+        a, b = (np.asarray(side, dtype=np.intp) for side in pairs)
+        in_pair = np.zeros(len(points), dtype=bool)
+        in_pair[a] = in_pair[b] = True
+        ids = in_pair.nonzero()[0].tolist()
+        at = in_pair.cumsum() - 1  # each vertex's row in cols; np.unique would import numpy.ma
+        cols = _vertex_arrays([points[i] for i in ids], [wedges[i] for i in ids], ids)  # type: ignore[misc]
+        mutual = _covers(cols, at[a], at[b]) & _covers(cols, at[b], at[a])
+        iu, iv = np.minimum(a, b)[mutual], np.maximum(a, b)[mutual]
     for u, v in zip(iu.tolist(), iv.tolist()):
         if u < v:
             g.add_edge(u, v, points[u].distance_to(points[v]))
@@ -160,26 +185,6 @@ def unit_disk_graph(points: PointSet, r: float = 1.0) -> CommGraph:
             edges.append((u, v, d) if u < v else (v, u, d))
     edges.sort()
     return CommGraph(n, edges)
-
-
-def hop_distance(g: CommGraph, u: int, v: int, cap: Optional[int] = None) -> Optional[int]:
-    """BFS hop count from u to v; None when unreachable (or beyond cap)."""
-    if u == v:
-        return 0
-    seen = [False] * g.n
-    seen[u] = True
-    frontier = deque([(u, 0)])
-    while frontier:
-        node, d = frontier.popleft()
-        if cap is not None and d >= cap:
-            return None
-        for nxt in g.neighbors(node):
-            if nxt == v:
-                return d + 1
-            if not seen[nxt]:
-                seen[nxt] = True
-                frontier.append((nxt, d + 1))
-    return None
 
 
 def hop_distances_from(
@@ -491,25 +496,25 @@ def tsp_tour(points: PointSet, mst: Optional[SpanningTree] = None) -> Tour:
 
 
 def cross_edge(
-    g: CommGraph, side_a: Iterable[int], side_b: Iterable[int]
+    g: CommGraph, side_a: Sequence[int], side_b: Sequence[int]
 ) -> Optional[tuple[int, int]]:
-    """Minimum-length edge of g with one endpoint in each side, or None.
+    """Minimum-length edge (u, v) of g with u in side_a and v in side_b, or None.
 
-    Ties broken lexicographically on (min endpoint, max endpoint). The two
-    sides must be disjoint.
+    Ties go to the earliest u in side_a, then the earliest v in side_b, so
+    the result does not depend on the vertex ids. The two sides must be
+    disjoint.
     """
-    a = set(side_a)
-    b = set(side_b)
-    if a & b:
+    at_b = {v: j for j, v in enumerate(side_b)}
+    if not at_b.keys().isdisjoint(side_a):
         raise ValueError("cross_edge sides must be disjoint")
     best: Optional[tuple[float, int, int]] = None
-    for u in sorted(a):
+    for i, u in enumerate(side_a):
         for v in g.neighbors(u):
-            if v in b:
-                lo, hi = (u, v) if u < v else (v, u)
-                cand = (g.weight(u, v), lo, hi)
+            j = at_b.get(v)
+            if j is not None:
+                cand = (g.weight(u, v), i, j)
                 if best is None or cand < best:
                     best = cand
     if best is None:
         return None
-    return best[1], best[2]
+    return side_a[best[1]], side_b[best[2]]

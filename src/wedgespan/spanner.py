@@ -52,9 +52,6 @@ class ComponentPartition:
     anchor: tuple[Optional[int], ...]
     component_of: tuple[int, ...]
 
-    def size_of(self, vertex: int) -> int:
-        return len(self.components[self.component_of[vertex]])
-
 
 def greedy_components(points: PointSet, udg: CommGraph) -> ComponentPartition:
     """Partition the points into unit-disk-connected components of size <= 3.

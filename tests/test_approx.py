@@ -14,9 +14,23 @@ from wedgespan.approx import (
     verify_alpha_tree,
 )
 from wedgespan.errors import TooFewPointsError
-from wedgespan.generators import collinear, uniform_square
+from wedgespan.gadget import aim_leftovers, orient_quadruplet, orient_triplet
+from wedgespan.generators import (
+    clustered,
+    collinear,
+    hex_grid_points,
+    square_grid_reduction_points,
+    uniform_square,
+)
 from wedgespan.geom import Point, Wedge, Direction, angular_spread
-from wedgespan.graph import Tour, tree_from_edges, tsp_tour
+from wedgespan.graph import (
+    DisjointSets,
+    Tour,
+    euclidean_mst,
+    induced_graph,
+    tree_from_edges,
+    tsp_tour,
+)
 
 
 class TestPartitionTour:
@@ -260,3 +274,109 @@ class TestWitnessConsistency:
                             angular_spread(pts[v], [pts[u] for u in nbrs])
                             <= at.alpha_deg + 1e-9
                         )
+
+
+def _lex_cross_edge(g, side_a, side_b):
+    """The per-group search's cross edge: minimum weight, ties on (min, max) id."""
+    best = None
+    for u in side_a:
+        for v in g.neighbors(u):
+            if v in side_b:
+                cand = (g.weight(u, v), min(u, v), max(u, v))
+                best = cand if best is None or cand < best else best
+    return None if best is None else best[1:]
+
+
+def _group_cross_edge(points, wedges, side_a, side_b):
+    """Cross edge from a fresh induced graph of just the two groups' points."""
+    members = list(side_a) + list(side_b)
+    sub = induced_graph([points[i] for i in members], [wedges[i] for i in members])
+    u, v = _lex_cross_edge(sub, range(len(side_a)), range(len(side_a), len(members)))
+    return members[u], members[v]
+
+
+def _group_quad_edges(points, wedges, quad):
+    sub = induced_graph([points[i] for i in quad], [wedges[i] for i in quad])
+    sets = DisjointSets(4)
+    return [(quad[u], quad[v]) for _, u, v in sorted((w, u, v) for u, v, w in sub.edges())
+            if sets.union(u, v)]
+
+
+def _per_group_tree(points, alpha):
+    """The alpha 120 / 90 builders with one induced graph per searched group
+    (n >= 4): the edges and wedges the one-pass builders must reproduce."""
+    n = len(points)
+    tour = tsp_tour(points, mst=euclidean_mst(points))
+    wedges, edges = [None] * n, []
+    size = 3 if alpha == 120 else 8
+    if alpha == 90 and n < 8:
+        quad = sorted(range(n), key=lambda i: (points[i].x, points[i].y, i))[:4]
+        host, leftovers = quad, [p for p in tour.order if p not in quad]
+        wedges_of = orient_quadruplet([points[i] for i in quad]).wedges
+        for local in range(4):
+            wedges[quad[local]] = wedges_of[local]
+        edges += _group_quad_edges(points, wedges, quad)
+    else:
+        part = partition_tour(tour, size)
+        full = [g for g in part.groups if len(g) == size]
+        leftovers = [p for g in part.groups if len(g) < size for p in g]
+        host = full[-1]
+        if alpha == 120:
+            for g in full:
+                tri = orient_triplet([points[i] for i in g])
+                for local in range(3):
+                    wedges[g[local]] = tri.wedges[local]
+                edges += [(g[a], g[b]) for a, b in tri.tree_edges]
+        else:
+            for g in full:
+                ordered = sorted(g, key=lambda i: (points[i].x, points[i].y, i))
+                for quad in (ordered[:4], ordered[4:]):
+                    wedges_of = orient_quadruplet([points[i] for i in quad]).wedges
+                    for local in range(4):
+                        wedges[quad[local]] = wedges_of[local]
+                    edges += _group_quad_edges(points, wedges, quad)
+                edges.append(_group_cross_edge(points, wedges, ordered[:4], ordered[4:]))
+        for a, b in zip(full, full[1:]):
+            edges.append(_group_cross_edge(points, wedges, a, b))
+    edges += aim_leftovers(points, wedges, leftovers, host, float(alpha))
+    return tree_from_edges(points, edges).edges, tuple(wedges)
+
+
+_SHAPES = [
+    ("hex-grid", hex_grid_points(1)),
+    ("hex-grid", hex_grid_points(15)),
+    ("square-grid-reduction", square_grid_reduction_points(5, 5)),
+    ("collinear", collinear(5)),
+    ("collinear", collinear(64)),
+]
+
+
+class TestOneInducedPass:
+    """One induced graph over the candidate pairs builds the same trees as
+    one induced graph per searched group."""
+
+    @pytest.mark.parametrize("alpha", [90, 120])
+    @pytest.mark.parametrize("n", [8, 48, 600])
+    @pytest.mark.parametrize("gen", [uniform_square, clustered])
+    def test_random_seeds(self, gen, n, alpha):
+        for seed in range(20):
+            pts = gen(n, seed=seed)
+            at = build_tree(pts, alpha)
+            assert (at.tree.edges, at.wedges) == _per_group_tree(pts, alpha), seed
+
+    def test_grid_quadruplets_in_shuffled_order(self):
+        # Unit grids: the quadruplets' inner edges tie in weight, and the ids
+        # run in another order than the positions the searches break ties by.
+        rng = random.Random(5)
+        for w, h in ((2, 2), (2, 4), (4, 4)):
+            grid = [Point(float(x), float(y)) for x in range(w) for y in range(h)]
+            for _ in range(30):
+                pts = rng.sample(grid, len(grid))
+                at = build_tree(pts, 90)
+                assert (at.tree.edges, at.wedges) == _per_group_tree(pts, 90), pts
+
+    @pytest.mark.parametrize("alpha", [90, 120])
+    @pytest.mark.parametrize("name,pts", _SHAPES, ids=[f"{s}-{len(p)}" for s, p in _SHAPES])
+    def test_tie_heavy_shapes(self, name, pts, alpha):
+        at = build_tree(pts, alpha)
+        assert (at.tree.edges, at.wedges) == _per_group_tree(pts, alpha)

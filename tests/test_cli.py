@@ -246,17 +246,3 @@ class TestRender:
         run("gen", "--generator", "collinear", "--n", "4", "--out", str(inst))
         assert run("render", "--in", str(inst), "--out", str(out)) == 0
         assert "<svg" in out.read_text()
-
-
-class TestBench:
-    def test_rows_and_ratios(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert run("bench", "--alpha", "120", "--n", "60", "--seeds", "5",
-                   "--out", str(out)) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "seed,n,alpha,ratio,runtime_s"
-        assert len(lines) == 6
-        for row in lines[1:]:
-            seed, n, alpha, ratio, runtime = row.split(",")
-            assert float(ratio) <= 6.0 + 1e-9
-            assert int(n) == 60

@@ -26,7 +26,6 @@ from wedgespan.geom import (
     intervals_cover_circle,
     max_spread,
     points_coincide,
-    sextant_of,
     signed_angle_delta,
     spanning_arc,
 )
@@ -103,7 +102,6 @@ class TestWedgeContains:
         w = Wedge(pt(0, 0), Direction(90), 120.0)
         assert w.left_ray.degrees == pytest.approx(150.0)
         assert w.right_ray.degrees == pytest.approx(30.0)
-        assert w.reverse_ray.degrees == pytest.approx(270.0)
 
     def test_bad_aperture(self):
         with pytest.raises(ValueError):
@@ -187,21 +185,6 @@ class TestSpanningArc:
         assert extent == 0.0
 
 
-class TestSextant:
-    def test_thirty(self):
-        assert sextant_of(Direction(30)) == 1
-
-    def test_ninety(self):
-        assert sextant_of(Direction(90)) == 2
-
-    def test_boundary_goes_up(self):
-        assert sextant_of(Direction(60)) == 2
-        assert sextant_of(Direction(0)) == 1
-        assert sextant_of(Direction(300)) == 6
-
-    def test_all_ranges(self):
-        for i in range(1, 7):
-            assert sextant_of(Direction((i - 1) * 60 + 30)) == i
 
 
 class TestAngleInterval:

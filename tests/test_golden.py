@@ -76,3 +76,28 @@ def test_tie_heavy_solve_outputs_match_golden_digest(tmp_path):
             assert _run("solve", "--in", inst, "--alpha", alpha, "--out", out) == 0, (name, alpha)
             digest.update(out.read_bytes())
     assert digest.hexdigest() == TIE_GOLDEN_SHA256
+
+
+# Mid-size inputs: hundreds of triplet and quadruplet gadgets per solve, so
+# every cross-edge and gadget-edge search of the builders shows in the bytes.
+MID_CORPUS = [
+    ("uniform-600", ["--generator", "uniform-square", "--n", "600", "--seed", "5",
+                     "--side", "11.0"]),
+    ("clustered-600", ["--generator", "clustered", "--n", "600", "--seed", "2",
+                       "--clusters", "6", "--spread", "0.4", "--side", "8.0"]),
+    ("hex-grid-598", ["--generator", "hex-grid", "--rows", "149"]),
+]
+
+MID_GOLDEN_SHA256 = "2fc997c47c80396faf14b3d49536133f5ac0e93e86e9ae046a771b9b382907e2"
+
+
+def test_mid_size_solve_outputs_match_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for name, gen_args in MID_CORPUS:
+        inst = tmp_path / f"{name}.json"
+        assert _run("gen", *gen_args, "--out", inst) == 0
+        for alpha in ("90", "120"):
+            out = tmp_path / f"{name}.solve{alpha}.json"
+            assert _run("solve", "--in", inst, "--alpha", alpha, "--out", out) == 0, (name, alpha)
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == MID_GOLDEN_SHA256

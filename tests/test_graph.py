@@ -15,7 +15,7 @@ from wedgespan.graph import (
     DisjointSets,
     cross_edge,
     euclidean_mst,
-    hop_distance,
+    hop_distances_from,
     induced_graph,
     tree_from_edges,
     tsp_tour,
@@ -105,6 +105,45 @@ class TestInducedGraph:
         assert induced_graph(pts, wedges).has_edge(0, 1)
 
 
+    def test_pairs_match_dense_restricted(self):
+        # Bounded and unbounded wedges, two apexes that coincide within the
+        # tolerance, a point exactly on a bounding ray; pairs in both orders
+        # and repeated.
+        rng = random.Random(7)
+        for _ in range(40):
+            pts = rand_points(rng, 12, side=3.0)
+            pts.append(Point(pts[0].x + 1e-12, pts[0].y))
+            pts.append(Point(pts[1].x + 1.0, pts[1].y))
+            wedges = [
+                Wedge(p, Direction(rng.uniform(0, 360)), rng.choice([60.0, 90.0, 120.0, 180.0]),
+                      radius=rng.choice([None, 1.5, 4.0]))
+                for p in pts
+            ]
+            wedges[1] = Wedge(pts[1], Direction(45), 90.0)  # right ray through the last point
+            everything = [(u, v) for u in range(len(pts)) for v in range(u + 1, len(pts))]
+            picked = rng.sample(everything, 40) + [(0, 12), (13, 1)]
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in picked]
+            pairs += pairs[:5]
+            sparse = induced_graph(pts, wedges, ([u for u, _ in pairs], [v for _, v in pairs]))
+            wanted = {(min(u, v), max(u, v)) for u, v in pairs}
+            dense = {(u, v): w for u, v, w in induced_graph(pts, wedges).edges() if (u, v) in wanted}
+            assert {(u, v): w for u, v, w in sparse.edges()} == dense
+            for u, v in wanted:
+                mutual = wedges[u].contains(pts[v]) and wedges[v].contains(pts[u])
+                assert sparse.has_edge(u, v) == mutual, (u, v)
+            assert wedges[1].contains(pts[13]) and sparse.has_edge(0, 12)
+            assert sparse.has_edge(1, 13) == wedges[13].contains(pts[1])
+
+    def test_pairs_read_only_their_wedges(self):
+        pts = [Point(0, 0), Point(1, 0), Point(5, 5)]
+        wedges = [Wedge(pts[0], Direction(0), 90.0), Wedge(pts[1], Direction(180), 90.0), None]
+        assert induced_graph(pts, wedges, ([1], [0])).edges() == [(0, 1, 1.0)]
+        assert induced_graph(pts, wedges, ([], [])).edge_count == 0
+        wedges[1] = Wedge(pts[2], Direction(180), 90.0)
+        with pytest.raises(ApexMismatchError, match="wedge 1 "):
+            induced_graph(pts, wedges, ([0], [1]))
+
+
 class TestUnitDiskGraph:
     def test_basic(self):
         g = unit_disk_graph([Point(0, 0), Point(0.5, 0), Point(2, 0)])
@@ -156,20 +195,15 @@ class TestUnitDiskGraph:
 class TestHopDistance:
     def test_path(self):
         g = CommGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert hop_distance(g, 0, 2) == 2
+        assert hop_distances_from(g, 0, [2, 1]) == [2, 1]
 
     def test_same_vertex(self):
         g = CommGraph(3, [(0, 1, 1.0)])
-        assert hop_distance(g, 1, 1) == 0
+        assert hop_distances_from(g, 1, [1]) == [0]
 
     def test_unreachable(self):
         g = CommGraph(3, [(0, 1, 1.0)])
-        assert hop_distance(g, 0, 2) is None
-
-    def test_cap(self):
-        g = CommGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        assert hop_distance(g, 0, 3, cap=2) is None
-        assert hop_distance(g, 0, 3, cap=3) == 3
+        assert hop_distances_from(g, 0, [2, 1]) == [None, 1]
 
 
 class TestEuclideanMST:
@@ -383,6 +417,13 @@ class TestCrossEdge:
     def test_tie_breaks_lexicographically(self):
         g = CommGraph(4, [(1, 2, 1.0), (0, 3, 1.0)])
         assert cross_edge(g, [0, 1], [2, 3]) == (0, 3)
+
+    def test_tie_breaks_by_position_not_id(self):
+        # Three edges of equal weight; sides listed in descending id order.
+        g = CommGraph(6, [(5, 0, 1.0), (5, 1, 1.0), (4, 1, 1.0), (4, 0, 2.0)])
+        assert cross_edge(g, [5, 4], [1, 0]) == (5, 1)
+        assert cross_edge(g, [4, 5], [0, 1]) == (4, 1)
+        assert cross_edge(g, [0, 1], [4, 5]) == (0, 5)
 
     def test_disjointness_required(self):
         g = CommGraph(3, [(0, 1, 1.0)])

@@ -3,7 +3,7 @@ import pytest
 from wedgespan.errors import DisconnectedUDGError
 from wedgespan.generators import uniform_square
 from wedgespan.geom import Point
-from wedgespan.graph import CommGraph, hop_distance, unit_disk_graph
+from wedgespan.graph import CommGraph, hop_distances_from, unit_disk_graph
 from wedgespan.spanner import (
     CASE_BOUNDS,
     SPANNER_HOPS,
@@ -106,7 +106,7 @@ class TestBuildSpanner:
         res = build_spanner(pts)
         sizes = sorted(len(c) for c in res.partition.components)
         assert sizes == [2, 3]
-        d = hop_distance(res.graph, 3, 4)
+        [d] = hop_distances_from(res.graph, 3, [4])
         assert d is not None and d <= 4
 
     def test_disconnected_udg(self):
