@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wedgespan import approx
 from wedgespan.approx import (
     AlphaTree,
     build_tree,
@@ -14,7 +15,7 @@ from wedgespan.approx import (
     verify_alpha_tree,
 )
 from wedgespan.errors import TooFewPointsError
-from wedgespan.gadget import aim_leftovers, orient_quadruplet, orient_triplet
+from wedgespan.gadget import aim_leftovers, orient_triplet
 from wedgespan.generators import (
     clustered,
     collinear,
@@ -312,7 +313,7 @@ def _per_group_tree(points, alpha):
     if alpha == 90 and n < 8:
         quad = sorted(range(n), key=lambda i: (points[i].x, points[i].y, i))[:4]
         host, leftovers = quad, [p for p in tour.order if p not in quad]
-        wedges_of = orient_quadruplet([points[i] for i in quad]).wedges
+        wedges_of = approx.orient_quadruplet([points[i] for i in quad]).wedges
         for local in range(4):
             wedges[quad[local]] = wedges_of[local]
         edges += _group_quad_edges(points, wedges, quad)
@@ -331,7 +332,7 @@ def _per_group_tree(points, alpha):
             for g in full:
                 ordered = sorted(g, key=lambda i: (points[i].x, points[i].y, i))
                 for quad in (ordered[:4], ordered[4:]):
-                    wedges_of = orient_quadruplet([points[i] for i in quad]).wedges
+                    wedges_of = approx.orient_quadruplet([points[i] for i in quad]).wedges
                     for local in range(4):
                         wedges[quad[local]] = wedges_of[local]
                     edges += _group_quad_edges(points, wedges, quad)
@@ -340,6 +341,23 @@ def _per_group_tree(points, alpha):
             edges.append(_group_cross_edge(points, wedges, a, b))
     edges += aim_leftovers(points, wedges, leftovers, host, float(alpha))
     return tree_from_edges(points, edges).edges, tuple(wedges)
+
+
+@pytest.fixture
+def orient_once(monkeypatch):
+    """Let the builder and ``_per_group_tree`` share each quadruplet's
+    orientation: ``orient_quadruplet`` is a pure function of its points and
+    almost all of an alpha 90 build's time."""
+    found = {}
+    search = approx.orient_quadruplet
+
+    def orient(pts):
+        key = tuple(pts)
+        if key not in found:
+            found[key] = search(pts)
+        return found[key]
+
+    monkeypatch.setattr(approx, "orient_quadruplet", orient)
 
 
 _SHAPES = [
@@ -351,6 +369,7 @@ _SHAPES = [
 ]
 
 
+@pytest.mark.usefixtures("orient_once")
 class TestOneInducedPass:
     """One induced graph over the candidate pairs builds the same trees as
     one induced graph per searched group."""

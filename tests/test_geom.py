@@ -185,8 +185,6 @@ class TestSpanningArc:
         assert extent == 0.0
 
 
-
-
 class TestAngleInterval:
     def test_contains_wraps(self):
         iv = AngleInterval(Direction(350), 20.0)

@@ -104,7 +104,6 @@ class TestInducedGraph:
         assert wedges[0].contains(pts[1]) and wedges[1].contains(pts[0])
         assert induced_graph(pts, wedges).has_edge(0, 1)
 
-
     def test_pairs_match_dense_restricted(self):
         # Bounded and unbounded wedges, two apexes that coincide within the
         # tolerance, a point exactly on a bounding ray; pairs in both orders
