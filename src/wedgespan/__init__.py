@@ -38,7 +38,6 @@ from .gadget import (
     orient_pair,
     orient_quadruplet,
     orient_triplet,
-    pair_halfplane_covered,
     verify_coverage,
 )
 from .geom import (

@@ -6,16 +6,16 @@ Three recipes live here:
   two induced edges (a 2-edge spanning path centered on the smallest-angle
   vertex) and full plane coverage by the wedge union.
 * ``orient_quadruplet`` — 90-degree wedges for any four points, found by a
-  deterministic candidate search and verified against the same two
-  postconditions (connected induced graph, plane coverage).
+  deterministic candidate search: the best-ranked candidate with a connected
+  induced graph whose wedges cover the plane (``verify_coverage``).
 * ``orient_pair`` — two facing wedges, the trivial case.
 
 ``aim_leftovers`` gives points outside any gadget a wedge aimed at a gadget
 wedge that covers them, which makes the edge between the two mutual.
 
-``verify_coverage`` checks plane coverage of a wedge family: the direction
-part exactly (interval arithmetic), the near-field part with a deterministic
-low-discrepancy sample.
+``verify_coverage`` decides plane coverage of a wedge family exactly, from
+the wedges' bounding rays: the union covers the plane iff each ray lies in
+the union of the other wedges.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import GadgetSearchFailed, GuaranteeViolation
 from .geom import (
@@ -36,9 +34,6 @@ from .geom import (
     direction,
     intervals_cover_circle,
 )
-
-_COVERAGE_SAMPLES = 10_000
-_COVERAGE_BOUND = 10.0
 
 # Canonical triplet bisectors by role: smallest triangle angle faces along the
 # base, the other two complete an exact 3-way partition of directions.
@@ -80,7 +75,6 @@ class QuadrupletOrientation:
     """Four 90-degree wedges with connected induced graph and plane coverage."""
 
     wedges: tuple[Wedge, Wedge, Wedge, Wedge]
-    verified: bool
 
 
 def orient_triplet(points: PointSet) -> TripletOrientation:
@@ -219,7 +213,8 @@ def orient_quadruplet(points: PointSet) -> QuadrupletOrientation:
     six point pairs (mod 90) plus 0, assigned to the points in every
     permutation. Candidates with a connected induced graph are ranked by
     (most induced edges, smallest total edge length, enumeration order) and
-    the first one passing the plane-coverage check wins.
+    the first one whose wedges cover the plane, by the exact
+    ``verify_coverage``, wins.
     """
     if len(points) != 4:
         raise ValueError(f"orient_quadruplet requires exactly 4 points, got {len(points)}")
@@ -266,128 +261,75 @@ def orient_quadruplet(points: PointSet) -> QuadrupletOrientation:
     scored.sort()
     for _, _, _, bis in scored:
         wedges = tuple(Wedge(points[i], Direction(bis[i]), 90.0) for i in range(4))
-        if verify_coverage(wedges, _COVERAGE_BOUND):
-            return QuadrupletOrientation(wedges=wedges, verified=True)  # type: ignore[arg-type]
+        if verify_coverage(wedges):
+            return QuadrupletOrientation(wedges=wedges)  # type: ignore[arg-type]
     raise GadgetSearchFailed(f"no covering wedge assignment found for {points}")
 
 
-_unit_disk_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_halton_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _unit_disk_samples(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic low-discrepancy points in the unit disk (sunflower spiral)."""
-    cached = _unit_disk_cache.get(count)
-    if cached is None:
-        i = np.arange(count)
-        r = np.sqrt((i + 0.5) / count)
-        th = i * (math.pi * (3.0 - math.sqrt(5.0)))
-        cached = (r * np.cos(th), r * np.sin(th))
-        _unit_disk_cache[count] = cached
-    return cached
+def _cone(w: Wedge) -> tuple[float, float, float, float, float, float]:
+    """Apex and unit bounding rays (right, left) of a wedge widened by
+    ``ANGLE_TOL_DEG`` on each side, as ``Wedge.contains`` widens it."""
+    half = w.aperture_deg / 2.0 + ANGLE_TOL_DEG
+    right = math.radians(w.bisector.degrees - half)
+    left = math.radians(w.bisector.degrees + half)
+    return w.apex.x, w.apex.y, math.cos(right), math.sin(right), math.cos(left), math.sin(left)
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    result = np.zeros(len(indices), dtype=float)
-    frac = 1.0 / base
-    idx = indices.copy()
-    while idx.max() > 0:
-        result += (idx % base) * frac
-        idx //= base
-        frac /= base
-    return result
+def verify_coverage(wedges: Sequence[Wedge]) -> bool:
+    """Decide exactly whether the union of unbounded wedges covers the plane.
 
-
-def _halton_samples(count: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _halton_cache.get(count)
-    if cached is None:
-        idx = np.arange(1, count + 1)
-        cached = (_radical_inverse(idx, 2), _radical_inverse(idx, 3))
-        _halton_cache[count] = cached
-    return cached
-
-
-def _points_covered(wedges: Sequence[Wedge], xs: np.ndarray, ys: np.ndarray) -> bool:
-    inside = np.zeros(len(xs), dtype=bool)
-    for w in wedges:
-        todo = ~inside
-        if not todo.any():
-            return True
-        dx = xs[todo] - w.apex.x
-        dy = ys[todo] - w.apex.y
-        ang = np.degrees(np.arctan2(dy, dx))
-        delta = (ang - w.bisector.degrees + 180.0) % 360.0 - 180.0
-        hit = np.abs(delta) <= w.aperture_deg / 2.0 + ANGLE_TOL_DEG
-        hit |= (dx * dx + dy * dy) == 0.0
-        inside[todo] = hit
-    return bool(inside.all())
-
-
-def verify_coverage(
-    wedges: Sequence[Wedge], bound: float = _COVERAGE_BOUND, samples: int = _COVERAGE_SAMPLES
-) -> bool:
-    """Check that the union of unbounded wedges covers the plane.
-
-    Two parts: (a) the wedge direction intervals must cover [0, 360)
-    exactly, which settles coverage at infinity; (b) ``samples``
-    deterministic low-discrepancy points in the disk of radius
-    ``bound`` times the apex diameter, centered at the apex centroid,
-    must each fall inside some wedge. Wedges must have no range limit.
+    Each wedge is widened by ``ANGLE_TOL_DEG`` on each side, as
+    ``Wedge.contains`` does, and taken as a closed cone; apertures must stay
+    below 180 degrees, so each cone is the intersection of two closed
+    half-planes. The union covers the plane iff every bounding ray lies in
+    the union of the other wedges, each taken from the ray's outer side: a
+    ray point outside them has uncovered points right beside it, and an
+    uncovered region's edge runs along some ray outside every other wedge.
+    Another wedge meets a ray a + t u (t >= 0) in one closed t-interval,
+    from two linear inequalities in apex differences; a sweep over each
+    ray's sorted intervals finds any gap on [0, inf).
     """
     wedges = list(wedges)
     if not wedges:
         return False
     if any(w.radius is not None for w in wedges):
         raise ValueError("coverage verification applies to unbounded wedges only")
-    if not intervals_cover_circle(w.direction_interval() for w in wedges):
-        return False
-    apexes = [w.apex for w in wedges]
-    cx = sum(p.x for p in apexes) / len(apexes)
-    cy = sum(p.y for p in apexes) / len(apexes)
-    diameter = max(
-        (a.distance_to(b) for a, b in itertools.combinations(apexes, 2)),
-        default=0.0,
-    )
-    radius = bound * diameter if diameter > 0.0 else bound
-    ux, uy = _unit_disk_samples(samples)
-    return _points_covered(wedges, cx + radius * ux, cy + radius * uy)
-
-
-def matched_ray_direction(w1: Wedge, w2: Wedge) -> Direction | None:
-    """The shared bounding-ray direction of two gadget wedges, if any.
-
-    In a triplet gadget exactly one direction occurs as a left ray of one
-    wedge and a right ray of the other.
-    """
-    for cand, other in ((w1.left_ray, w2.right_ray), (w1.right_ray, w2.left_ray)):
-        if abs((cand.degrees - other.degrees + 180.0) % 360.0 - 180.0) <= ANGLE_TOL_DEG:
-            return cand
-    return None
-
-
-def pair_halfplane_covered(
-    w1: Wedge,
-    w2: Wedge,
-    *,
-    reach_factor: float = 1000.0,
-    samples: int = _COVERAGE_SAMPLES,
-) -> bool:
-    """Sampled check that two wedges with a shared ray direction cover the
-    halfplane beyond any line perpendicular to that direction crossing both
-    rays (on the side away from the apexes)."""
-    shared = matched_ray_direction(w1, w2)
-    if shared is None:
-        return False
-    rad = math.radians(shared.degrees)
-    ex, ey = math.cos(rad), math.sin(rad)
-    t1 = w1.apex.x * ex + w1.apex.y * ey
-    t2 = w2.apex.x * ex + w2.apex.y * ey
-    t_line = max(t1, t2)
-    diameter = max(w1.apex.distance_to(w2.apex), 1.0)
-    reach = reach_factor * diameter
-    h1, h2 = _halton_samples(samples)
-    t = t_line + h1 * reach
-    s = (h2 * 2.0 - 1.0) * reach
-    xs = t * ex - s * ey
-    ys = t * ey + s * ex
-    return _points_covered((w1, w2), xs, ys)
+    if any(w.aperture_deg + 2.0 * ANGLE_TOL_DEG >= 180.0 for w in wedges):
+        raise ValueError("coverage verification needs apertures below 180 degrees")
+    cones = [_cone(w) for w in wedges]
+    for i, (ax, ay, rx, ry, lx, ly) in enumerate(cones):
+        # Ray direction (ux, uy) and outer normal (nx, ny): a cone lies
+        # counterclockwise of its right ray and clockwise of its left ray.
+        for ux, uy, nx, ny in ((rx, ry, ry, -rx), (lx, ly, -ly, lx)):
+            spans = []
+            for j, (bx, by, sx, sy, ex, ey) in enumerate(cones):
+                if j == i:
+                    continue
+                dx, dy = ax - bx, ay - by
+                lo, hi = 0.0, math.inf
+                # cross(s, d + t u) >= 0 and cross(d + t u, e) >= 0, each as
+                # c + t g >= 0; on a ray parallel to the boundary line the
+                # outer normal's side decides the case c == 0.
+                for c, g, side in (
+                    (sx * dy - sy * dx, sx * uy - sy * ux, sx * ny - sy * nx),
+                    (dx * ey - dy * ex, ux * ey - uy * ex, nx * ey - ny * ex),
+                ):
+                    if g > 0.0:
+                        lo = max(lo, -c / g)
+                    elif g < 0.0:
+                        hi = min(hi, -c / g)
+                    elif c < 0.0 or (c == 0.0 and side < 0.0):
+                        hi = -1.0
+                if lo <= hi:
+                    spans.append((lo, hi))
+            spans.sort()
+            reach = 0.0
+            for lo, hi in spans:
+                if lo > reach:
+                    return False
+                reach = max(reach, hi)
+            if reach < math.inf:
+                return False
+    return True

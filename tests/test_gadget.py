@@ -6,14 +6,12 @@ import pytest
 from wedgespan.errors import DuplicatePointError, GuaranteeViolation
 from wedgespan.gadget import (
     aim_leftovers,
-    matched_ray_direction,
     orient_pair,
     orient_quadruplet,
     orient_triplet,
-    pair_halfplane_covered,
     verify_coverage,
 )
-from wedgespan.geom import Direction, Point, Wedge, signed_angle_delta
+from wedgespan.geom import ANGLE_TOL_DEG, Direction, Point, Wedge, signed_angle_delta
 from wedgespan.graph import induced_graph
 
 
@@ -23,6 +21,36 @@ def rand_points(rng, k, lo=0.0, hi=1.0):
 
 def circ_eq(a, b, tol=1e-9):
     return abs(signed_angle_delta(a, b)) <= tol
+
+
+def matched_ray_direction(w1, w2):
+    """The bounding-ray direction that is a left ray of one wedge and a right
+    ray of the other, if any; in a triplet gadget every pair has one."""
+    for cand, other in ((w1.left_ray, w2.right_ray), (w1.right_ray, w2.left_ray)):
+        if circ_eq(cand.degrees, other.degrees, ANGLE_TOL_DEG):
+            return cand
+    return None
+
+
+def halfplane_covered(w1, w2, shared, rng):
+    """Sampled check that two wedges cover the half-plane beyond the line
+    perpendicular to ``shared`` through the farther apex, on the side the
+    direction points to, up to 1000 apex distances away."""
+    ex, ey = math.cos(math.radians(shared.degrees)), math.sin(math.radians(shared.degrees))
+    t_line = max(w1.apex.x * ex + w1.apex.y * ey, w2.apex.x * ex + w2.apex.y * ey)
+    reach = 1000.0 * max(w1.apex.distance_to(w2.apex), 1.0)
+    for _ in range(10_000):
+        t = t_line + rng.random() * reach
+        s = rng.uniform(-reach, reach)
+        q = Point(t * ex - s * ey, t * ey + s * ex)
+        if not (w1.contains(q) or w2.contains(q)):
+            return False
+    return True
+
+
+def rotated(x, y, deg):
+    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+    return Point(c * x - s * y, s * x + c * y)
 
 
 class TestOrientTriplet:
@@ -89,14 +117,15 @@ class TestOrientTriplet:
                 assert sum(circ_eq(d, target) for d in rights) == 1
 
     def test_property3_halfplane_coverage(self):
-        rng = random.Random(3)
+        rng, sampler = random.Random(3), random.Random(33)
         for _ in range(5):
             tri = orient_triplet(rand_points(rng, 3))
             pairs = [(0, 1), (0, 2), (1, 2)]
             for i, j in pairs:
                 w1, w2 = tri.wedges[i], tri.wedges[j]
-                assert matched_ray_direction(w1, w2) is not None
-                assert pair_halfplane_covered(w1, w2, samples=10_000)
+                shared = matched_ray_direction(w1, w2)
+                assert shared is not None
+                assert halfplane_covered(w1, w2, shared, sampler)
 
     def test_cross_edge_smoke(self):
         rng = random.Random(4)
@@ -145,11 +174,50 @@ class TestAimLeftovers:
             aim_leftovers(pts, wedges, [1], (0,), 90.0)
 
 
+# Quadruplets of the bench small-mixed pools (bench seed, job index) where a
+# sampled coverage check (10,000 points in a disk) accepted wedges leaving
+# the witness, a point 1e-5 to 1e-3 beside one of their rays, uncovered.
+_SAMPLED_GAPS = [
+    (1, 31, [(1.01377984245, 0.103859084829), (1.04660430043, 0.10273177535),
+             (1.08413160341, 0.22824974248), (1.12954592321, 0.069478349946)],
+     (0.9019999721113752, -0.38452810310826413)),
+    (5, 44, [(0.0108828330954, 0.378858199889), (0.0315043504751, 0.0823136228923),
+             (0.041473653554, 0.208066185352), (0.190023068441, 0.363810099487)],
+     (0.09784943093936568, 0.8733138241601545)),
+    (6, 44, [(0.746635309305, 0.0361817189749), (0.769816519695, 0.21247233608),
+             (0.769913304207, 0.182631652304), (0.865768742765, 0.037000342361)],
+     (0.7743624088473845, -0.4636395589091626)),
+    (8, 33, [(0.462976480214, 0.329341674423), (0.591685494356, 0.597603079605),
+             (0.593942289722, 0.486306348438), (0.657458681924, 0.543348047891)],
+     (0.9657109160412027, 0.9372333785564416)),
+    (9, 30, [(0.378070617512, 0.438831351827), (0.379763213072, 0.795663199844),
+             (0.401722816541, 0.669348339047), (0.479327979202, 0.784929681861)],
+     (0.46871360315440963, 1.2889710113255395)),
+    (11, 33, [(0.314238222037, 0.645762280233), (0.318079735572, 0.74162493604),
+              (0.350795773719, 0.687581224212), (0.372845083801, 0.681003786486)],
+     (0.35945793148460436, 0.6729430726694658)),
+    (16, 24, [(0.164408592399, 0.715586172193), (0.231275002823, 0.596098231671),
+              (0.256639905046, 0.507440054014), (0.293916259177, 0.751694841908)],
+     (0.06135062352526773, 1.2059228193694358)),
+    (16, 27, [(0.385210334874, 0.87229592911), (0.38983232619, 0.866247057616),
+              (0.394656709364, 0.850744344571), (0.473002278233, 0.902048186911)],
+     (-0.06972219341115657, 0.6647084108252438)),
+    (17, 0, [(0.153058240681, 0.699869940483), (0.261757670402, 0.478066905785),
+             (0.313995444459, 0.130761351471), (0.356489198254, 0.730423497406)],
+     (0.15252893824254415, 1.2053983507732584)),
+    (22, 21, [(0.00408276682485, 0.536533892637), (0.0559124832903, 0.585297024615),
+              (0.0819773369341, 0.469737229558), (0.141361156875, 0.68406545174)],
+     (-0.3155503487248336, 0.15196401748112148)),
+    (22, 43, [(0.0418794726683, 0.566555353448), (0.050333211322, 0.579457728722),
+              (0.0628062964552, 0.556549314094), (0.0671701810111, 0.553888800212)],
+     (0.042787170714618336, 0.5697653730735631)),
+]
+
+
 class TestOrientQuadruplet:
     def test_unit_square(self):
         pts = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
         quad = orient_quadruplet(pts)
-        assert quad.verified
         assert [w.bisector.degrees for w in quad.wedges] == pytest.approx(
             [45.0, 135.0, 225.0, 315.0]
         )
@@ -159,7 +227,6 @@ class TestOrientQuadruplet:
     def test_collinear(self):
         pts = [Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)]
         quad = orient_quadruplet(pts)
-        assert quad.verified
         g = induced_graph(pts, list(quad.wedges))
         assert g.is_connected()
         assert verify_coverage(quad.wedges)
@@ -185,8 +252,15 @@ class TestOrientQuadruplet:
         for _ in range(25):
             pts = rand_points(rng, 4)
             quad = orient_quadruplet(pts)
-            assert quad.verified
             assert induced_graph(pts, list(quad.wedges)).is_connected()
+
+    @pytest.mark.parametrize(
+        "seed,job,pts,witness", _SAMPLED_GAPS, ids=[f"seed{s}-job{j}" for s, j, _, _ in _SAMPLED_GAPS]
+    )
+    def test_covers_gaps_the_sampled_check_missed(self, seed, job, pts, witness):
+        quad = orient_quadruplet([Point(x, y) for x, y in pts])
+        assert verify_coverage(quad.wedges)
+        assert any(w.contains(Point(*witness)) for w in quad.wedges)
 
 
 class TestVerifyCoverage:
@@ -207,10 +281,94 @@ class TestVerifyCoverage:
 
     def test_displaced_partition_gap(self):
         # exact direction partition, but the far-apart apexes leave the strip
-        # below the axis between them uncovered
+        # below the axis between them uncovered, at any spacing
+        for spacing in (100.0, 1e-7):
+            wedges = [
+                Wedge(Point(0, 0), Direction(90), 120.0),
+                Wedge(Point(-spacing, 0), Direction(210), 120.0),
+                Wedge(Point(spacing, 0), Direction(330), 120.0),
+            ]
+            assert not verify_coverage(wedges), spacing
+
+    @pytest.mark.parametrize("side", [1.0, 1e-7])
+    def test_pinwheel_triangle_hole(self, side):
+        # Each wedge sits on a corner of an equilateral triangle and covers
+        # the outside of one edge: a bounded hole, whose edges are the only
+        # gaps on the rays.
+        h = side * math.sqrt(3.0) / 2.0
         wedges = [
+            Wedge(Point(0.0, 0.0), Direction(300), 120.0),
+            Wedge(Point(side, 0.0), Direction(60), 120.0),
+            Wedge(Point(side / 2.0, h), Direction(180), 120.0),
+        ]
+        assert not any(w.contains(Point(side / 2.0, h / 3.0)) for w in wedges)
+        assert not verify_coverage(wedges)
+        # a 60-degree wedge at the first corner fills the hole
+        assert verify_coverage(wedges + [Wedge(Point(0.0, 0.0), Direction(30), 60.0)])
+
+    @pytest.mark.parametrize("eps", [0.1, 0.001])
+    def test_thin_strip_gap(self, eps):
+        # Quadrant wedges at (0,0), (20,0), (0,0) and (0,-eps), rotated 33
+        # degrees: directions partition the circle, but the strip
+        # 0 < x < 20, -eps < y < 0 of the unrotated frame is uncovered.
+        apexes = [(0.0, 0.0), (20.0, 0.0), (0.0, 0.0), (0.0, -eps)]
+        wedges = [
+            Wedge(rotated(x, y, 33.0), Direction(b + 33.0), 90.0)
+            for (x, y), b in zip(apexes, (45.0, 135.0, 225.0, 315.0))
+        ]
+        witness = rotated(5.0, -eps / 2.0, 33.0)
+        assert not any(w.contains(witness) for w in wedges)
+        assert not verify_coverage(wedges)
+
+    def test_rejects_apertures_of_180_or_more(self):
+        wedges = [Wedge(Point(0, 0), Direction(d), 180.0) for d in (0, 180)]
+        with pytest.raises(ValueError):
+            verify_coverage(wedges)
+
+    def test_duplicated_wedges_keep_their_gap(self):
+        # Every ray of a doubled family lies in its twin, on the twin's side;
+        # only the other side of the ray counts.
+        wedges = [Wedge(Point(0, 0), Direction(45), 90.0)] * 2
+        assert not verify_coverage(wedges)
+        holed = [
             Wedge(Point(0, 0), Direction(90), 120.0),
             Wedge(Point(-100, 0), Direction(210), 120.0),
             Wedge(Point(100, 0), Direction(330), 120.0),
         ]
-        assert not verify_coverage(wedges, bound=1.0)
+        assert not verify_coverage(holed + holed)
+
+    def test_huge_coordinates(self):
+        pts = [Point(0, 0), Point(2, 1), Point(0.3, 1.7)]
+        tri = orient_triplet(pts)
+        shifted = [Wedge(Point(p.x + 1e6, p.y - 1e6), w.bisector, 120.0) for p, w in zip(pts, tri.wedges)]
+        assert verify_coverage(shifted)
+
+    def test_uncovered_sample_means_not_covered(self):
+        # Independent cross-check by Wedge.contains alone: a sampled point in
+        # no wedge refutes coverage. Families have bisectors spread around
+        # the circle with jitter, so both outcomes occur.
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(300):
+            k = rng.randint(3, 5)
+            aperture = rng.choice((90.0, 120.0))
+            turn = rng.uniform(0.0, 360.0)
+            wedges = [
+                Wedge(
+                    Point(rng.random(), rng.random()),
+                    Direction(turn + 360.0 * m / k + rng.gauss(0.0, 10.0)),
+                    aperture,
+                )
+                for m in range(k)
+            ]
+            covered = verify_coverage(wedges)
+            for _ in range(500):
+                q = rotated(4.0 * math.sqrt(rng.random()), 0.0, rng.uniform(0.0, 360.0))
+                q = Point(q.x + 0.5, q.y + 0.5)
+                if not any(w.contains(q) for w in wedges):
+                    assert not covered, (wedges, q)
+                    outcomes.add("gap")
+                    break
+            else:
+                outcomes.add(covered)
+        assert outcomes >= {"gap", True}
