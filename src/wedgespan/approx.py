@@ -37,6 +37,7 @@ from .graph import (
     Tour,
     cross_edge,
     euclidean_mst,
+    euclidean_mst_unchecked,
     induced_graph,
     tree_from_edges,
     tsp_tour,
@@ -132,7 +133,7 @@ def build_tree_180(points: PointSet) -> AlphaTree:
     if n < 2:
         raise TooFewPointsError("build_tree_180 requires at least two points")
     check_distinct(points)
-    mst = euclidean_mst(points)
+    mst = euclidean_mst_unchecked(points)
     tour = tsp_tour(points, mst=mst)
     drop = max(range(n), key=lambda i: (tour.edge_weights[i], -i))
     edges = {tuple(sorted(tour.edge(i))) for i in range(n) if i != drop}
@@ -172,7 +173,7 @@ def build_tree_120(points: PointSet) -> AlphaTree:
     check_distinct(points)
     if n == 2:
         return _pair_tree(points, 120.0)
-    mst = euclidean_mst(points)
+    mst = euclidean_mst_unchecked(points)
     tour = tsp_tour(points, mst=mst)
     part = partition_tour(tour, 3)
     full = [g for g in part.groups if len(g) == 3]
@@ -250,7 +251,7 @@ def build_tree_90(points: PointSet) -> AlphaTree:
     check_distinct(points)
     if n == 2:
         return _pair_tree(points, 90.0)
-    mst = euclidean_mst(points)
+    mst = euclidean_mst_unchecked(points)
     tour = tsp_tour(points, mst=mst)
 
     wedges: list[Optional[Wedge]] = [None] * n

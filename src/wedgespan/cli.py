@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -129,14 +130,18 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _network_failures(points, wedges, edges, alpha: float, stored_weight: float) -> list[str]:
+# Output floats carry 12 significant digits (``round_sig``), within 5e-12 of
+# themselves. A tree's ratio is recomputed from the rounded ``mst_weight``,
+# so a stored value and its fresh one may lie two such roundings apart.
+_SUMMARY_REL_TOL = 2e-11
+
+
+def _network_failures(points, wedges, edges, alpha: float) -> tuple[list[str], dict]:
+    """Failures of a network result, and its summary values recomputed."""
     failures = []
     for u, v in edges:
         if not (wedges[u].contains(points[v]) and wedges[v].contains(points[u])):
             failures.append(f"edge ({u},{v}) is not mutual under the recorded wedges")
-    weight = sum(points[u].distance_to(points[v]) for u, v in edges)
-    if abs(weight - stored_weight) > 1e-8 * max(1.0, weight):
-        failures.append(f"stored weight {stored_weight} != recomputed {round_sig(weight)}")
     spread, worst = max_spread(points, edges)
     if spread > alpha + ANGLE_TOL_DEG:
         failures.append(f"vertex {worst} has spread {spread} > alpha {alpha}")
@@ -147,7 +152,15 @@ def _network_failures(points, wedges, edges, alpha: float, stored_weight: float)
     max_len = max((points[u].distance_to(points[v]) for u, v in edges), default=0.0)
     if max_len > SPANNER_RANGE * (1.0 + 1e-9):
         failures.append(f"edge of length {max_len} exceeds range {SPANNER_RANGE}")
-    return failures
+    weight = sum(points[u].distance_to(points[v]) for u, v in edges)
+    mst_weight = euclidean_mst(points).weight
+    fresh = {
+        "weight": weight,
+        "mst_weight": mst_weight,
+        "ratio": weight / mst_weight if mst_weight > 0 else 1.0,
+        "max_spread_deg": spread,
+    }
+    return failures, fresh
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -165,23 +178,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
         wedges = doc.wedges_at(points)
     except ValueError as exc:
         failures.append(str(exc))
-    keys = ("alpha", "weight") if network else ("alpha", "weight", "mst_weight")
+    keys = ("alpha", "weight", "mst_weight", "ratio", "max_spread_deg")
     stored = {k: doc.summary.get(k) for k in keys}
     failures += [
-        f"summary.{k} is not a number" for k, x in stored.items() if not isinstance(x, (int, float))
+        f"summary.{k} is not a finite number"
+        for k, x in stored.items()
+        if not (isinstance(x, (int, float)) and math.isfinite(x))
     ]
     if not failures:
         if network:
-            failures = _network_failures(
-                points, wedges, doc.edges, stored["alpha"], stored["weight"]
-            )
+            failures, fresh = _network_failures(points, wedges, doc.edges, stored["alpha"])
         else:
             # The ratio is checked against the stored MST weight: a fresh
-            # dense EMST would cost several times the rest of the check.
+            # EMST would add about a third to the check's time.
             report = check_alpha_tree(
                 points, stored["alpha"], doc.edges, wedges, stored["weight"], stored["mst_weight"]
             )
             failures = list(report.failures)
+            fresh = {"ratio": report.ratio, "max_spread_deg": report.max_spread_deg}
+        failures += [
+            f"stored {k} {stored[k]} != recomputed {round_sig(x)}"
+            for k, x in fresh.items()
+            if not abs(stored[k] - x) <= _SUMMARY_REL_TOL * abs(x)
+        ]
     if failures:
         print("verification FAILED: " + "; ".join(failures), file=sys.stderr)
         return 1

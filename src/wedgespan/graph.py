@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -114,7 +113,14 @@ def _vertex_arrays(
 
 def _covers(cols: tuple[np.ndarray, ...], w, q) -> np.ndarray:
     """``Wedge.contains`` elementwise: wedge ``w`` looking at point ``q``,
-    both indices (or broadcasting slices) into the ``_vertex_arrays`` columns."""
+    both index arrays into the ``_vertex_arrays`` columns.
+
+    ``np.arctan2`` is not bit-equal to ``math.atan2``: it differs by one ulp
+    on about 7.7% of random vectors (``np.degrees`` and ``math.degrees``
+    agree). So this matches ``Wedge.contains`` except within a one-ulp band
+    at each widened boundary. A numpy pass whose angles reach the output
+    bytes (an angular spread, say) must take them from ``math.atan2``.
+    """
     qx, qy, q_scale, ax, ay, a_scale, bis, half, rad = cols
     dx = qx[q] - ax[w]
     dy = qy[q] - ay[w]
@@ -125,6 +131,21 @@ def _covers(cols: tuple[np.ndarray, ...], w, q) -> np.ndarray:
     return covers
 
 
+def _candidate_pairs(
+    xy: np.ndarray, radius: float, pad: float = 0.0
+) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """Index pairs (i, j), in blocks, holding every two points within ``radius``
+    + ``pad``: up to ``ALL_PAIRS_N`` points every pair (i < j) in one block,
+    above that ``grid_pairs`` blocks at ``radius`` capped at the bounding
+    box's diagonal (so an unbounded radius still gives every pair), plus
+    ``pad``. The radius so taken must be positive."""
+    n = len(xy)
+    if n <= ALL_PAIRS_N:
+        return [(~np.tri(n, dtype=bool)).nonzero()]
+    width, height = np.ptp(xy, axis=0).tolist()
+    return grid_pairs(xy, min(radius, math.hypot(width, height)) + pad)
+
+
 def induced_graph(
     points: PointSet,
     wedges: Sequence[Optional[Wedge]],
@@ -133,29 +154,42 @@ def induced_graph(
     """Symmetric communication graph: edge (u,v) iff each point lies in the
     other's wedge and both range limits (when present) are satisfied.
 
-    Containment is ``Wedge.contains`` evaluated at once for every pair or,
-    given ``pairs=(a, b)``, only for the candidate pairs ``(a[k], b[k])``;
-    then only the wedges of vertices in some pair are read (and their apexes
-    checked), so the others may be None. Each kept edge is weighted by
+    Containment is ``Wedge.contains``' rules (``_covers``) evaluated both ways
+    for candidate pairs only, so memory stays O(n + m). Given ``pairs=(a, b)``
+    the candidates are the pairs ``(a[k], b[k])``; then only the wedges of
+    vertices in some pair are read (and their apexes checked), so the others
+    may be None. Otherwise they are ``_candidate_pairs`` at the largest
+    tolerant wedge range, padded by twice the largest apex tolerance (an apex
+    may sit that far from its point, and ranges are measured from the apex).
+    Edges are added in ascending (u, v) order, each weighted by
     ``Point.distance_to`` from its lower to its higher index.
     """
-    g = CommGraph(len(points))
+    n = len(points)
     if pairs is None:
-        if len(points) != len(wedges):
-            raise ApexMismatchError(f"{len(points)} points but {len(wedges)} wedges")
-        cols = _vertex_arrays(points, wedges, range(len(points)))  # type: ignore[arg-type]
-        covers = _covers(cols, np.s_[:, None], np.s_[None, :])  # row i: wedge i, every point
-        iu, iv = np.nonzero(covers & covers.T)
+        if n != len(wedges):
+            raise ApexMismatchError(f"{n} points but {len(wedges)} wedges")
+        at = np.arange(n)
+        cols = _vertex_arrays(points, wedges, at)  # type: ignore[arg-type]
+        q_scale, a_scale, rad = cols[2], cols[5], cols[8]
+        pad = 2.0 * REL_TOL * max(q_scale.max(initial=1.0), a_scale.max(initial=1.0))
+        blocks = _candidate_pairs(coordinates(points), rad.max(initial=0.0) * (1.0 + REL_TOL), pad)
     else:
         a, b = (np.asarray(side, dtype=np.intp) for side in pairs)
-        in_pair = np.zeros(len(points), dtype=bool)
+        in_pair = np.zeros(n, dtype=bool)
         in_pair[a] = in_pair[b] = True
         ids = in_pair.nonzero()[0].tolist()
         at = in_pair.cumsum() - 1  # each vertex's row in cols; np.unique would import numpy.ma
         cols = _vertex_arrays([points[i] for i in ids], [wedges[i] for i in ids], ids)  # type: ignore[misc]
-        mutual = _covers(cols, at[a], at[b]) & _covers(cols, at[b], at[a])
-        iu, iv = np.minimum(a, b)[mutual], np.maximum(a, b)[mutual]
-    for u, v in zip(iu.tolist(), iv.tolist()):
+        blocks = [(a, b)]
+    kept = [(np.empty(0, np.intp), np.empty(0, np.intp))]
+    for a, b in blocks:
+        both = _covers(cols, at[np.concatenate((a, b))], at[np.concatenate((b, a))])
+        mutual = both[: len(a)] & both[len(a) :]
+        kept.append((np.minimum(a, b)[mutual], np.maximum(a, b)[mutual]))
+    iu, iv = (np.concatenate(side) for side in zip(*kept))
+    order = np.lexsort((iv, iu))
+    g = CommGraph(n)
+    for u, v in zip(iu[order].tolist(), iv[order].tolist()):
         if u < v:
             g.add_edge(u, v, points[u].distance_to(points[v]))
     return g
@@ -164,27 +198,21 @@ def induced_graph(
 def unit_disk_graph(points: PointSet, r: float = 1.0) -> CommGraph:
     """Edge between u and v iff |uv| <= r (closed boundary, relative tolerance).
 
-    The candidate pairs come from ``grid_pairs`` at the tolerant radius, so
-    memory is O(n+m); up to ``ALL_PAIRS_N`` points every pair is one. Edges
-    carry ``Point.distance_to`` weights and neighbour lists come out
-    ascending.
+    The candidate pairs come from ``_candidate_pairs`` at the tolerant
+    radius, so memory is O(n+m). Edges carry ``Point.distance_to`` weights
+    and neighbour lists come out ascending.
     """
     limit = r * (1.0 + REL_TOL)
-    n = len(points)
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    if n <= ALL_PAIRS_N:
-        pairs = itertools.combinations(range(n), 2)
-    else:
-        blocks = grid_pairs(coordinates(points), limit)
-        pairs = (uv for first, second in blocks for uv in zip(first.tolist(), second.tolist()))
+    xy = coordinates(points)
+    xs, ys = xy.T.tolist()
     edges = []
-    for u, v in pairs:
-        d = math.hypot(xs[v] - xs[u], ys[v] - ys[u])  # == Point.distance_to, either way round
-        if d <= limit:
-            edges.append((u, v, d) if u < v else (v, u, d))
+    for first, second in _candidate_pairs(xy, limit):
+        for u, v in zip(first.tolist(), second.tolist()):
+            d = math.hypot(xs[v] - xs[u], ys[v] - ys[u])  # == Point.distance_to, either way round
+            if d <= limit:
+                edges.append((u, v, d) if u < v else (v, u, d))
     edges.sort()
-    return CommGraph(n, edges)
+    return CommGraph(len(points), edges)
 
 
 def hop_distances_from(
@@ -296,10 +324,15 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
     packed too tightly for any cell to help. ``r`` trades pairs against
     dense steps and never changes the tree.
     """
+    check_distinct(points)
+    return euclidean_mst_unchecked(points)
+
+
+def euclidean_mst_unchecked(points: PointSet) -> SpanningTree:
+    """``euclidean_mst`` of points already known to be distinct (``check_distinct``)."""
     n = len(points)
     if n < 1:
         raise TooFewPointsError("euclidean_mst requires at least one point")
-    check_distinct(points)
     if n == 1:
         return SpanningTree((), 0.0)
     xy = coordinates(points)

@@ -1,5 +1,7 @@
 import ast
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from wedgespan import cli
 from wedgespan.cli import main
 from wedgespan.errors import TheoremViolation
+from wedgespan.geom import max_spread
 from wedgespan.io import parse_instance, parse_result
 
 
@@ -193,6 +196,14 @@ class TestVerify:
         assert self._tamper(tmp_path, gen, 120, edit) == 1
         assert "summary.alpha" in capsys.readouterr().err
 
+    def test_nan_weight_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            obj["summary"]["weight"] = math.nan
+
+        gen = ("--generator", "uniform-square", "--n", "12", "--seed", "5")
+        assert self._tamper(tmp_path, gen, 120, edit) == 1
+        assert "summary.weight is not a finite number" in capsys.readouterr().err
+
     def test_mst_weight_above_tree_weight_fails(self, tmp_path, capsys):
         def edit(obj, points):
             obj["summary"]["mst_weight"] = obj["summary"]["weight"] * 1.01
@@ -218,6 +229,101 @@ class TestVerify:
         inst.write_text('{"points": [[0, 0], [0.6, 0], [0.3, 0.5], [1.1, 0.2]]}')
         assert run("convert", "--in", str(inst), "--out", str(res)) == 0
         assert run("verify", "--in", str(inst), "--result", str(res)) == 0
+
+    def test_ratio_off_in_tenth_digit_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            obj["summary"]["ratio"] *= 1.0 + 1e-9
+
+        gen = ("--generator", "uniform-square", "--n", "12", "--seed", "5")
+        assert self._tamper(tmp_path, gen, 120, edit) == 1
+        assert "stored ratio" in capsys.readouterr().err
+
+    @staticmethod
+    def _tamper_network(tmp_path, coords, edit):
+        """Convert an instance, let ``edit`` change the result object, verify it."""
+        inst = tmp_path / "i.json"
+        res = tmp_path / "r.json"
+        inst.write_text(json.dumps({"points": coords}))
+        assert run("convert", "--in", str(inst), "--out", str(res)) == 0
+        assert run("verify", "--in", str(inst), "--result", str(res)) == 0
+        points = parse_instance(inst.read_text()).points
+        obj = json.loads(res.read_text())
+        edit(obj, points)
+        res.write_text(json.dumps(obj))
+        return run("verify", "--in", str(inst), "--result", str(res))
+
+    @staticmethod
+    def _set_network_edges(obj, points, edges):
+        """Record ``edges`` with the summary values that go with them."""
+        summary = obj["summary"]
+        obj["edges"] = edges
+        summary["weight"] = sum(points[u].distance_to(points[v]) for u, v in edges)
+        summary["ratio"] = summary["weight"] / summary["mst_weight"]
+        summary["max_spread_deg"] = max_spread(points, edges)[0]
+
+    _CHAIN = [[0, 0], [0.6, 0], [0.3, 0.5], [1.1, 0.2], [1.6, 0.7], [2.2, 0.4]]
+
+    def test_network_forged_mst_weight_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            summary = obj["summary"]
+            summary["mst_weight"] *= 1.0 + 1e-9
+            summary["ratio"] = summary["weight"] / summary["mst_weight"]
+
+        assert self._tamper_network(tmp_path, self._CHAIN, edit) == 1
+        assert "stored mst_weight" in capsys.readouterr().err
+
+    def test_network_forged_max_spread_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            obj["summary"]["max_spread_deg"] -= 1.0
+
+        assert self._tamper_network(tmp_path, self._CHAIN, edit) == 1
+        assert "stored max_spread_deg" in capsys.readouterr().err
+
+    def test_network_rotated_wedge_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            u, v = obj["edges"][0]
+            obj["wedges"][u]["bisector_deg"] = (obj["wedges"][u]["bisector_deg"] + 180.0) % 360.0
+
+        assert self._tamper_network(tmp_path, self._CHAIN, edit) == 1
+        assert "is not mutual under the recorded wedges" in capsys.readouterr().err
+
+    def test_network_edge_beyond_range_fails(self, tmp_path, capsys):
+        # On a line of twelve unit-spaced points some pair more than 7 apart
+        # faces each other; with both radii enlarged its edge is mutual.
+        def edit(obj, points):
+            wedges = parse_result(json.dumps(obj)).wedges_at(points)
+            unbounded = [replace(w, radius=None) for w in wedges]
+            u, v = next(
+                (u, v)
+                for u in range(len(points))
+                for v in range(u + 1, len(points))
+                if points[u].distance_to(points[v]) > 7.0
+                and unbounded[u].contains(points[v])
+                and unbounded[v].contains(points[u])
+            )
+            obj["wedges"][u]["radius"] = obj["wedges"][v]["radius"] = 12.0
+            self._set_network_edges(obj, points, sorted(obj["edges"] + [[u, v]]))
+
+        assert self._tamper_network(tmp_path, [[x, 0] for x in range(12)], edit) == 1
+        err = capsys.readouterr().err
+        assert "exceeds range 7.0" in err and "not mutual" not in err and "stored" not in err
+
+    def test_network_dropped_edge_fails_hop_cap(self, tmp_path, capsys):
+        # Forty points 0.9 apart on a circle: the unit disk graph is the ring,
+        # and without the network's edge (0,1) the detour takes 13 hops.
+        n, radius = 40, 0.45 / math.sin(math.pi / 40)
+        ring = [
+            [round(radius * math.cos(2 * math.pi * k / n), 6), round(radius * math.sin(2 * math.pi * k / n), 6)]
+            for k in range(n)
+        ]
+
+        def edit(obj, points):
+            assert [0, 1] in obj["edges"]
+            self._set_network_edges(obj, points, [e for e in obj["edges"] if e != [0, 1]])
+
+        assert self._tamper_network(tmp_path, ring, edit) == 1
+        err = capsys.readouterr().err
+        assert "unit-disk edge (0,1) needs 13 hops > cap 6" in err and "stored" not in err
 
 
 class TestOracle:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wedgespan.errors import ApexMismatchError, DuplicatePointError, TooFewPointsError
 from wedgespan.gadget import orient_pair, orient_triplet
 from wedgespan import graph
-from wedgespan.geom import Direction, Point, Wedge, coordinates
+from wedgespan.geom import REL_TOL, Direction, Point, Wedge, coordinates
 from wedgespan.graph import (
     CommGraph,
     DisjointSets,
@@ -29,6 +29,7 @@ from wedgespan.generators import (
     uniform_square,
 )
 from wedgespan.oracle import brute_force_alpha_mst, dense_prim_mst
+from wedgespan.spanner import greedy_components, orient_components
 
 
 def rand_points(rng, k, side=1.0):
@@ -104,10 +105,11 @@ class TestInducedGraph:
         assert wedges[0].contains(pts[1]) and wedges[1].contains(pts[0])
         assert induced_graph(pts, wedges).has_edge(0, 1)
 
-    def test_pairs_match_dense_restricted(self):
+    def test_given_pairs_match_full_pass_restricted(self):
         # Bounded and unbounded wedges, two apexes that coincide within the
         # tolerance, a point exactly on a bounding ray; pairs in both orders
-        # and repeated.
+        # and repeated. Given pairs and the pass over every candidate pair
+        # agree on the pairs given, and both with Wedge.contains.
         rng = random.Random(7)
         for _ in range(40):
             pts = rand_points(rng, 12, side=3.0)
@@ -123,15 +125,70 @@ class TestInducedGraph:
             picked = rng.sample(everything, 40) + [(0, 12), (13, 1)]
             pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in picked]
             pairs += pairs[:5]
-            sparse = induced_graph(pts, wedges, ([u for u, _ in pairs], [v for _, v in pairs]))
+            given = induced_graph(pts, wedges, ([u for u, _ in pairs], [v for _, v in pairs]))
             wanted = {(min(u, v), max(u, v)) for u, v in pairs}
-            dense = {(u, v): w for u, v, w in induced_graph(pts, wedges).edges() if (u, v) in wanted}
-            assert {(u, v): w for u, v, w in sparse.edges()} == dense
+            full = {(u, v): w for u, v, w in induced_graph(pts, wedges).edges() if (u, v) in wanted}
+            assert {(u, v): w for u, v, w in given.edges()} == full
             for u, v in wanted:
                 mutual = wedges[u].contains(pts[v]) and wedges[v].contains(pts[u])
-                assert sparse.has_edge(u, v) == mutual, (u, v)
-            assert wedges[1].contains(pts[13]) and sparse.has_edge(0, 12)
-            assert sparse.has_edge(1, 13) == wedges[13].contains(pts[1])
+                assert given.has_edge(u, v) == mutual, (u, v)
+            assert wedges[1].contains(pts[13]) and given.has_edge(0, 12)
+            assert given.has_edge(1, 13) == wedges[13].contains(pts[1])
+
+    @pytest.mark.parametrize("radii", [(1.5, 3.0), (None, 1.5, 3.0)], ids=["finite", "mixed"])
+    def test_grid_candidates_match_brute_force(self, radii):
+        # 150 points near (1000, 1000), where the apex tolerance is 1e-6:
+        # above ALL_PAIRS_N, so the candidates come from the grid (a single
+        # cell's worth when some wedge is unbounded).
+        rng = random.Random(len(radii))
+        pts = [Point(1000.0, 1006.0)] + [
+            Point(1000.0 + rng.uniform(0, 12), 1000.0 + rng.uniform(0, 12)) for _ in range(145)
+        ]
+        wedges = [
+            Wedge(p, Direction(rng.uniform(0, 360)), rng.choice([90.0, 120.0, 180.0]),
+                  radius=rng.choice(radii))
+            for p in pts
+        ]
+        # A facing pair at exactly the tolerant range 3 (1 + REL_TOL), in
+        # adjacent grid columns.
+        pts += [Point(1002.0, 1009.0), Point(1002.0 + 3.0 * (1.0 + REL_TOL), 1009.0)]
+        wedges += [Wedge(pts[-2], Direction(0), 90.0, 3.0), Wedge(pts[-1], Direction(180), 90.0, 3.0)]
+        # A facing pair 3 apart from apexes moved 0.9 tolerances towards each
+        # other: the points are farther apart than the range, and two grid
+        # columns apart unless the candidate radius is padded.
+        off = 0.9 * REL_TOL * 1003.0
+        near, far = Point(1002.9999996, 1003.0), Point(1002.9999996 + 3.0 + off, 1003.0)
+        pts += [near, far]
+        wedges += [
+            Wedge(Point(near.x + off, near.y), Direction(0), 90.0, 3.0),
+            Wedge(Point(far.x - off, far.y), Direction(180), 90.0, 3.0),
+        ]
+        n = len(pts)
+        expect = {
+            (u, v): pts[u].distance_to(pts[v])
+            for u in range(n)
+            for v in range(u + 1, n)
+            if wedges[u].contains(pts[v]) and wedges[v].contains(pts[u])
+        }
+        assert (n - 4, n - 3) in expect and (n - 2, n - 1) in expect
+        assert pts[n - 1].distance_to(pts[n - 2]) > 3.0 * (1.0 + REL_TOL)
+        g = induced_graph(pts, wedges)
+        assert {(u, v): w for u, v, w in g.edges()} == expect
+        assert all(g.neighbors(u) == sorted(g.neighbors(u)) for u in range(n))
+
+    def test_memory_bound(self):
+        # The 2000-point convert network (range 7, 65k edges). A dense n x n
+        # pass peaked at 168 MB here; the candidate pairs at about 16 MB.
+        pts = uniform_square(2000, side=20.0, seed=1)
+        udg = unit_disk_graph(pts)
+        wedges = orient_components(pts, greedy_components(pts, udg))
+        tracemalloc.start()
+        try:
+            induced_graph(pts, wedges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_pairs_read_only_their_wedges(self):
         pts = [Point(0, 0), Point(1, 0), Point(5, 5)]
