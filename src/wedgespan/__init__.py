@@ -78,6 +78,7 @@ from .spanner import (
     ComponentPartition,
     SpannerResult,
     build_spanner,
+    check_spanner,
     greedy_components,
     orient_components,
     verify_hop_spanner,

@@ -61,10 +61,6 @@ class AlphaTree:
     mst_weight: float
     tour_weight: float
 
-    @property
-    def ratio(self) -> float:
-        return self.tree.weight / self.mst_weight if self.mst_weight > 0 else 1.0
-
 
 @dataclass(frozen=True)
 class TourPartition:
@@ -351,6 +347,17 @@ class AlphaTreeReport:
     witness_edges_ok: bool
     failures: tuple[str, ...]
 
+    @property
+    def summary(self) -> dict:
+        """The summary values of a tree result, in result-file order."""
+        return {
+            "alpha": self.alpha_deg,
+            "weight": self.weight,
+            "mst_weight": self.mst_weight,
+            "ratio": self.ratio,
+            "max_spread_deg": self.max_spread_deg,
+        }
+
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
@@ -383,8 +390,9 @@ def check_alpha_tree(
     """Check an alpha-tree given as plain data (edges: distinct indices into points).
 
     Checks edge count, span, acyclicity, the stored weight, per-vertex spread
-    against alpha, that every edge is mutual under the witness wedges, that
-    the reference MST weight is positive and at most the tree's, and the ratio.
+    against alpha, that every witness wedge has aperture alpha and every edge
+    is mutual under them, that the reference MST weight is positive and at
+    most the tree's, and the ratio.
     The ratio bound (2 / 6 / 16) is enforced only where the charging argument
     applies: always for 180, and when the group size divides n for 120 and 90.
     """
@@ -411,6 +419,11 @@ def check_alpha_tree(
     spread, worst = max_spread(points, edges)
     if spread > alpha_deg + ANGLE_TOL_DEG:
         failures.append(f"vertex {worst} has spread {spread} > alpha {alpha_deg}")
+
+    for k, w in enumerate(wedges):
+        if abs(w.aperture_deg - alpha_deg) > ANGLE_TOL_DEG:
+            failures.append(f"witness wedge {k} has aperture {w.aperture_deg}, not alpha {alpha_deg}")
+            break
 
     witness_ok = True
     for u, v in edges:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from . import generators
 from .approx import build_tree, check_alpha_tree, verify_alpha_tree
 from .errors import GuaranteeViolation, WedgespanError
-from .geom import ANGLE_TOL_DEG, max_spread
+from .geom import ANGLE_TOL_DEG
 from .graph import CommGraph, euclidean_mst, unit_disk_graph
 from .io import (
     Instance,
@@ -26,7 +26,7 @@ from .io import (
     round_sig,
 )
 from .oracle import brute_force_alpha_mst
-from .spanner import SPANNER_HOPS, SPANNER_RANGE, build_spanner, verify_hop_spanner
+from .spanner import SPANNER_APERTURE, SPANNER_HOPS, SPANNER_RANGE, build_spanner, check_spanner
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -36,8 +36,8 @@ def _write(text: str, path: Optional[str]) -> None:
         Path(path).write_text(text)
 
 
-def _read_instance(path: str, duplicates: str = "reject") -> Instance:
-    return parse_instance(Path(path).read_text(), duplicates=duplicates)
+def _read_instance(path: str) -> Instance:
+    return parse_instance(Path(path).read_text())
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -81,13 +81,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc = ResultDoc(
         wedges=[WedgeRecord.from_wedge(w) for w in result.wedges],
         edges=list(result.tree.edges),
-        summary={
-            "alpha": result.alpha_deg,
-            "weight": result.tree.weight,
-            "mst_weight": result.mst_weight,
-            "ratio": report.ratio,
-            "max_spread_deg": report.max_spread_deg,
-        },
+        summary=report.summary,
         verification=report.to_dict(),
     )
     _write(emit_result(doc), args.out)
@@ -103,21 +97,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     points = instance.points
     result = build_spanner(points)
-    weight = sum(w for _, _, w in result.graph.edges())
-    mst_weight = euclidean_mst(points).weight
     edges = [(u, v) for u, v, _ in result.graph.edges()]
     doc = ResultDoc(
         wedges=[WedgeRecord.from_wedge(w) for w in result.wedges],
         edges=edges,
-        summary={
-            "alpha": 120.0,
-            "weight": weight,
-            "mst_weight": mst_weight,
-            "ratio": weight / mst_weight if mst_weight > 0 else 1.0,
-            "max_spread_deg": max_spread(points, edges)[0],
-            "hop_stretch": result.hop_stretch,
-            "max_edge_len": result.max_edge_length,
-        },
+        summary=result.summary,
         verification={
             "hop_cap": SPANNER_HOPS,
             "range": SPANNER_RANGE,
@@ -136,31 +120,24 @@ def cmd_convert(args: argparse.Namespace) -> int:
 _SUMMARY_REL_TOL = 2e-11
 
 
-def _network_failures(points, wedges, edges, alpha: float) -> tuple[list[str], dict]:
-    """Failures of a network result, and its summary values recomputed."""
+def _is_finite(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def _antenna_failures(points, wedges, edges) -> list[str]:
+    """Failures of a network's recorded wedges: their shape, and mutual edges."""
     failures = []
+    for k, w in enumerate(wedges):
+        if abs(w.aperture_deg - SPANNER_APERTURE) > ANGLE_TOL_DEG or w.radius != SPANNER_RANGE:
+            failures.append(
+                f"wedge {k} has aperture {w.aperture_deg} and radius {w.radius}, "
+                f"not {SPANNER_APERTURE} and {SPANNER_RANGE}"
+            )
+            break
     for u, v in edges:
         if not (wedges[u].contains(points[v]) and wedges[v].contains(points[u])):
             failures.append(f"edge ({u},{v}) is not mutual under the recorded wedges")
-    spread, worst = max_spread(points, edges)
-    if spread > alpha + ANGLE_TOL_DEG:
-        failures.append(f"vertex {worst} has spread {spread} > alpha {alpha}")
-    g = CommGraph(len(points))
-    for u, v in edges:
-        g.add_edge(u, v, points[u].distance_to(points[v]))
-    failures.extend(verify_hop_spanner(g, unit_disk_graph(points), SPANNER_HOPS).failures)
-    max_len = max((points[u].distance_to(points[v]) for u, v in edges), default=0.0)
-    if max_len > SPANNER_RANGE * (1.0 + 1e-9):
-        failures.append(f"edge of length {max_len} exceeds range {SPANNER_RANGE}")
-    weight = sum(points[u].distance_to(points[v]) for u, v in edges)
-    mst_weight = euclidean_mst(points).weight
-    fresh = {
-        "weight": weight,
-        "mst_weight": mst_weight,
-        "ratio": weight / mst_weight if mst_weight > 0 else 1.0,
-        "max_spread_deg": spread,
-    }
-    return failures, fresh
+    return failures
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -168,7 +145,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     points = instance.points
     n = len(points)
     doc = parse_result(Path(args.result).read_text())
-    network = "hop_stretch" in doc.summary
+    stored = doc.summary
+    network = "hop_stretch" in stored
     failures = [
         f"edge ({u},{v}) is out of range or a self-loop"
         for u, v in doc.edges
@@ -178,16 +156,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         wedges = doc.wedges_at(points)
     except ValueError as exc:
         failures.append(str(exc))
-    keys = ("alpha", "weight", "mst_weight", "ratio", "max_spread_deg")
-    stored = {k: doc.summary.get(k) for k in keys}
-    failures += [
-        f"summary.{k} is not a finite number"
-        for k, x in stored.items()
-        if not (isinstance(x, (int, float)) and math.isfinite(x))
-    ]
+    if not network:
+        # The tree checker takes these three as given.
+        failures += [
+            f"summary.{k} is not a finite number"
+            for k in ("alpha", "weight", "mst_weight")
+            if not _is_finite(stored.get(k))
+        ]
     if not failures:
         if network:
-            failures, fresh = _network_failures(points, wedges, doc.edges, stored["alpha"])
+            failures = _antenna_failures(points, wedges, doc.edges)
+            graph = CommGraph(n, [(u, v, points[u].distance_to(points[v])) for u, v in doc.edges])
+            more, fresh = check_spanner(points, graph, unit_disk_graph(points))
+            failures += more
         else:
             # The ratio is checked against the stored MST weight: a fresh
             # EMST would add about a third to the check's time.
@@ -195,12 +176,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 points, stored["alpha"], doc.edges, wedges, stored["weight"], stored["mst_weight"]
             )
             failures = list(report.failures)
-            fresh = {"ratio": report.ratio, "max_spread_deg": report.max_spread_deg}
-        failures += [
-            f"stored {k} {stored[k]} != recomputed {round_sig(x)}"
-            for k, x in fresh.items()
-            if not abs(stored[k] - x) <= _SUMMARY_REL_TOL * abs(x)
-        ]
+            fresh = report.summary
+        for k, x in fresh.items():
+            if not _is_finite(stored.get(k)):
+                failures.append(f"summary.{k} is not a finite number")
+            elif not abs(stored[k] - x) <= _SUMMARY_REL_TOL * abs(x):
+                shown = x if isinstance(x, int) else round_sig(x)
+                failures.append(f"stored {k} {stored[k]} != recomputed {shown}")
     if failures:
         print("verification FAILED: " + "; ".join(failures), file=sys.stderr)
         return 1

@@ -60,7 +60,6 @@ class TripletOrientation:
     base_left: int
     base_right: int
     peak: int
-    rotation_deg: float
     reflected: bool
     wedges: tuple[Wedge, Wedge, Wedge]
 
@@ -148,7 +147,6 @@ def orient_triplet(points: PointSet) -> TripletOrientation:
         base_left=bl,
         base_right=br,
         peak=pk,
-        rotation_deg=theta,
         reflected=reflected,
         wedges=wedges,  # type: ignore[arg-type]
     )

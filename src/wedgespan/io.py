@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InstanceParseError
-from .geom import Direction, Point, PointSet, Wedge, check_distinct, points_coincide
+from .geom import Direction, Point, PointSet, Wedge, check_distinct
 
 _SIG_DIGITS = 12
 
@@ -53,30 +53,11 @@ def _point_from_pair(pair, where: str) -> Point:
     return Point(float(x), float(y))
 
 
-def _dedupe(points: list[Point]) -> list[Point]:
-    order = sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y, i))
-    drop = set()
-    for a in range(len(order) - 1):
-        i = order[a]
-        if i in drop:
-            continue
-        for b in range(a + 1, len(order)):
-            j = order[b]
-            if points[j].x - points[i].x > 1e-6 * max(1.0, abs(points[i].x)):
-                break
-            if points_coincide(points[i], points[j]):
-                drop.add(max(i, j))
-    return [p for i, p in enumerate(points) if i not in drop]
-
-
-def parse_instance(text: str, *, duplicates: str = "reject") -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse an instance from JSON ({"points": [[x,y],...]}) or headerless CSV.
 
-    Exact or near-duplicate points are rejected by default; pass
-    duplicates="dedupe" to keep first occurrences instead.
+    Exact or near-duplicate points are rejected.
     """
-    if duplicates not in ("reject", "dedupe"):
-        raise ValueError(f"unknown duplicate policy {duplicates!r}")
     stripped = text.lstrip()
     if not stripped:
         raise InstanceParseError("empty instance")
@@ -115,10 +96,7 @@ def parse_instance(text: str, *, duplicates: str = "reject") -> Instance:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InstanceParseError("coordinates must be finite", lineno)
             points.append(Point(x, y))
-    if duplicates == "dedupe":
-        points = _dedupe(points)
-    else:
-        check_distinct(points)
+    check_distinct(points)
     return Instance(points=points, meta=meta)
 
 

@@ -23,9 +23,10 @@ from .errors import (
     PartitionError,
 )
 from .gadget import aim_leftovers, orient_pair, orient_triplet
-from .geom import Direction, PointSet, REL_TOL, Wedge, check_distinct
-from .graph import CommGraph, hop_distances_from, induced_graph, unit_disk_graph
+from .geom import ANGLE_TOL_DEG, Direction, PointSet, REL_TOL, Wedge, check_distinct, max_spread
+from .graph import CommGraph, euclidean_mst, hop_distances_from, induced_graph, unit_disk_graph
 
+SPANNER_APERTURE = 120.0
 SPANNER_RANGE = 7.0
 SPANNER_HOPS = 6
 
@@ -160,15 +161,15 @@ def orient_components(points: PointSet, partition: ComponentPartition) -> list[W
         anchor = partition.anchor[k]
         if anchor is None:
             if len(comp) == 2:
-                pair = orient_pair([points[comp[0]], points[comp[1]]], 120.0)
+                pair = orient_pair([points[comp[0]], points[comp[1]]], SPANNER_APERTURE)
                 for local in range(2):
                     w = pair[local]
-                    wedges[comp[local]] = Wedge(w.apex, w.bisector, 120.0, SPANNER_RANGE)
+                    wedges[comp[local]] = Wedge(w.apex, w.bisector, SPANNER_APERTURE, SPANNER_RANGE)
             else:
-                wedges[comp[0]] = Wedge(points[comp[0]], Direction(0.0), 120.0, SPANNER_RANGE)
+                wedges[comp[0]] = Wedge(points[comp[0]], Direction(0.0), SPANNER_APERTURE, SPANNER_RANGE)
             continue
         host = partition.components[partition.component_of[anchor]]
-        aim_leftovers(points, wedges, comp, host, 120.0, SPANNER_RANGE)
+        aim_leftovers(points, wedges, comp, host, SPANNER_APERTURE, SPANNER_RANGE)
     missing = [i for i, w in enumerate(wedges) if w is None]
     if missing:
         raise GuaranteeViolation(f"points {missing} received no wedge from {partition.components}")
@@ -177,12 +178,11 @@ def orient_components(points: PointSet, partition: ComponentPartition) -> list[W
 
 @dataclass(frozen=True)
 class SpannerResult:
-    """Oriented wedges, the range-filtered graph, and its hop-stretch report."""
+    """Oriented wedges, the range-filtered graph, and its ``check_spanner`` summary."""
 
     wedges: tuple[Wedge, ...]
     graph: CommGraph
-    max_edge_length: float
-    hop_stretch: int
+    summary: dict
     partition: ComponentPartition
     runtime_stats: dict = field(compare=False)
 
@@ -195,16 +195,6 @@ class HopSpannerReport:
     worst_edge: Optional[tuple[int, int]]
     case_max: dict
     failures: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "cap": self.cap,
-            "max_hops": self.max_hops,
-            "worst_edge": list(self.worst_edge) if self.worst_edge else None,
-            "case_max": dict(self.case_max),
-            "failures": list(self.failures),
-        }
 
 
 def _edge_case(partition: ComponentPartition, u: int, v: int) -> str:
@@ -268,12 +258,50 @@ def verify_hop_spanner(
     )
 
 
+def check_spanner(
+    points: PointSet,
+    graph: CommGraph,
+    udg: CommGraph,
+    partition: Optional[ComponentPartition] = None,
+) -> tuple[list[str], dict]:
+    """Check an antenna network over the points against the conversion's claims.
+
+    The graph must be connected, every vertex's edges must fit in a
+    ``SPANNER_APERTURE`` wedge, no edge may be longer than ``SPANNER_RANGE``,
+    and every edge of the unit disk graph ``udg`` must be covered within
+    ``SPANNER_HOPS`` hops (and, with a partition, within its case bound).
+    Returns the failures and the summary values in result-file order.
+    """
+    edges = graph.edges()
+    failures = []
+    if not graph.is_connected():
+        failures.append("antenna graph is disconnected")
+    spread, worst = max_spread(points, [(u, v) for u, v, _ in edges])
+    if spread > SPANNER_APERTURE + ANGLE_TOL_DEG:
+        failures.append(f"vertex {worst} has spread {spread} > alpha {SPANNER_APERTURE}")
+    max_len = max((w for _, _, w in edges), default=0.0)
+    if max_len > SPANNER_RANGE * (1.0 + REL_TOL):
+        failures.append(f"edge of length {max_len} exceeds range {SPANNER_RANGE}")
+    report = verify_hop_spanner(graph, udg, SPANNER_HOPS, partition)
+    failures.extend(report.failures)
+    weight = sum(w for _, _, w in edges)
+    mst_weight = euclidean_mst(points).weight
+    summary = {
+        "alpha": SPANNER_APERTURE,
+        "weight": weight,
+        "mst_weight": mst_weight,
+        "ratio": weight / mst_weight if mst_weight > 0 else 1.0,
+        "max_spread_deg": spread,
+        "hop_stretch": report.max_hops,
+        "max_edge_len": max_len,
+    }
+    return failures, summary
+
+
 def build_spanner(points: PointSet) -> SpannerResult:
     """Run the full conversion pipeline and verify its guarantees.
 
-    Asserts: every kept edge has length at most 7, the graph is connected,
-    and every unit-disk edge is covered within 6 hops (HopBoundViolation
-    otherwise).
+    Raises HopBoundViolation naming every ``check_spanner`` failure.
     """
     stats: dict = {}
     t0 = time.perf_counter()
@@ -285,15 +313,9 @@ def build_spanner(points: PointSet) -> SpannerResult:
     t3 = time.perf_counter()
     graph = induced_graph(points, wedges)
     t4 = time.perf_counter()
-
-    max_len = max((w for _, _, w in graph.edges()), default=0.0)
-    if max_len > SPANNER_RANGE * (1.0 + REL_TOL):
-        raise HopBoundViolation(f"edge of length {max_len} survived the range filter")
-    if not graph.is_connected():
-        raise HopBoundViolation("antenna graph is disconnected")
-    report = verify_hop_spanner(graph, udg, SPANNER_HOPS, partition)
-    if not report.passed:
-        raise HopBoundViolation("; ".join(report.failures))
+    failures, summary = check_spanner(points, graph, udg, partition)
+    if failures:
+        raise HopBoundViolation("; ".join(failures))
     t5 = time.perf_counter()
 
     sizes = [len(c) for c in partition.components]
@@ -315,8 +337,7 @@ def build_spanner(points: PointSet) -> SpannerResult:
     return SpannerResult(
         wedges=tuple(wedges),
         graph=graph,
-        max_edge_length=max_len,
-        hop_stretch=report.max_hops,
+        summary=summary,
         partition=partition,
         runtime_stats=stats,
     )

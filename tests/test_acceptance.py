@@ -207,8 +207,8 @@ def test_c08_spanner_mass():
             continue
         accepted += 1
         result = build_spanner(pts)  # raises on any internal claim violation
-        assert result.max_edge_length <= 7.0 * (1.0 + REL)
-        assert result.hop_stretch <= 6
+        assert result.summary["max_edge_len"] <= 7.0 * (1.0 + REL)
+        assert result.summary["hop_stretch"] <= 6
         report = verify_hop_spanner(result.graph, udg, 6, result.partition)
         assert report.passed, report.failures
         for case, bound in CASE_BOUNDS.items():

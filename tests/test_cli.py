@@ -1,6 +1,8 @@
 import ast
 import json
 import math
+import re
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -69,6 +71,7 @@ class TestSolve:
         assert run("solve", "--in", str(inst), "--alpha", str(alpha),
                    "--out", str(res)) == 0
         doc = parse_result(res.read_text())
+        assert list(doc.summary) == ["alpha", "weight", "mst_weight", "ratio", "max_spread_deg"]
         assert doc.summary["alpha"] == alpha
         bound = {180: 2.0, 120: 6.0, 90: 16.0}[alpha]
         assert doc.summary["ratio"] <= bound * (1 + 1e-9)
@@ -99,6 +102,10 @@ class TestConvert:
         inst.write_text('{"points": [[0, 0], [0.6, 0], [0.3, 0.5]]}')
         assert run("convert", "--in", str(inst), "--out", str(res)) == 0
         doc = parse_result(res.read_text())
+        assert list(doc.summary) == [
+            "alpha", "weight", "mst_weight", "ratio", "max_spread_deg", "hop_stretch",
+            "max_edge_len",
+        ]
         assert doc.summary["hop_stretch"] <= 2
         assert doc.summary["max_edge_len"] <= 7.0 + 1e-9
 
@@ -238,12 +245,25 @@ class TestVerify:
         assert self._tamper(tmp_path, gen, 120, edit) == 1
         assert "stored ratio" in capsys.readouterr().err
 
+    def test_tree_widened_witnesses_fail(self, tmp_path, capsys):
+        def edit(obj, points):
+            for rec in obj["wedges"]:
+                rec["aperture_deg"] = 360.0
+
+        gen = ("--generator", "uniform-square", "--n", "24", "--seed", "2")
+        assert self._tamper(tmp_path, gen, 120, edit) == 1
+        assert "witness wedge 0 has aperture 360.0, not alpha 120.0" in capsys.readouterr().err
+
     @staticmethod
-    def _tamper_network(tmp_path, coords, edit):
-        """Convert an instance, let ``edit`` change the result object, verify it."""
+    def _tamper_network(tmp_path, instance, edit):
+        """Convert an instance (coordinates, or ``gen`` arguments), let ``edit``
+        change the result object, verify it."""
         inst = tmp_path / "i.json"
         res = tmp_path / "r.json"
-        inst.write_text(json.dumps({"points": coords}))
+        if isinstance(instance, tuple):
+            assert run("gen", *instance, "--out", str(inst)) == 0
+        else:
+            inst.write_text(json.dumps({"points": instance}))
         assert run("convert", "--in", str(inst), "--out", str(res)) == 0
         assert run("verify", "--in", str(inst), "--result", str(res)) == 0
         points = parse_instance(inst.read_text()).points
@@ -253,6 +273,36 @@ class TestVerify:
         return run("verify", "--in", str(inst), "--result", str(res))
 
     @staticmethod
+    def _unit_disk_pairs(points):
+        return [
+            [u, v]
+            for u in range(len(points))
+            for v in range(u + 1, len(points))
+            if points[u].distance_to(points[v]) <= 1.0
+        ]
+
+    @staticmethod
+    def _hop_stretch(points, edges):
+        """Most hops between the ends of a unit-disk pair over ``edges``, by a
+        BFS per pair (pairs they leave unconnected are skipped)."""
+        adjacency = [[] for _ in points]
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        worst = 0
+        for u, v in TestVerify._unit_disk_pairs(points):
+            hops = {u: 0}
+            queue = deque([u])
+            while queue and v not in hops:
+                x = queue.popleft()
+                for y in adjacency[x]:
+                    if y not in hops:
+                        hops[y] = hops[x] + 1
+                        queue.append(y)
+            worst = max(worst, hops.get(v, 0))
+        return worst
+
+    @staticmethod
     def _set_network_edges(obj, points, edges):
         """Record ``edges`` with the summary values that go with them."""
         summary = obj["summary"]
@@ -260,8 +310,57 @@ class TestVerify:
         summary["weight"] = sum(points[u].distance_to(points[v]) for u, v in edges)
         summary["ratio"] = summary["weight"] / summary["mst_weight"]
         summary["max_spread_deg"] = max_spread(points, edges)[0]
+        summary["max_edge_len"] = max(points[u].distance_to(points[v]) for u, v in edges)
+        summary["hop_stretch"] = TestVerify._hop_stretch(points, edges)
 
     _CHAIN = [[0, 0], [0.6, 0], [0.3, 0.5], [1.1, 0.2], [1.6, 0.7], [2.2, 0.4]]
+    _N60 = ("--generator", "uniform-square", "--n", "60", "--side", "3.4", "--seed", "1")
+
+    def test_network_forged_hop_stretch_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            assert obj["summary"]["hop_stretch"] == 4
+            obj["summary"]["hop_stretch"] = 1
+
+        assert self._tamper_network(tmp_path, self._N60, edit) == 1
+        assert capsys.readouterr().err.endswith("stored hop_stretch 1 != recomputed 4\n")
+
+    def test_network_forged_max_edge_len_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            obj["summary"]["max_edge_len"] = 0.5
+
+        assert self._tamper_network(tmp_path, self._N60, edit) == 1
+        assert "stored max_edge_len 0.5 != recomputed 3.83576723612" in capsys.readouterr().err
+
+    def test_network_nan_hop_stretch_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            obj["summary"]["hop_stretch"] = math.nan
+
+        assert self._tamper_network(tmp_path, self._N60, edit) == 1
+        assert "summary.hop_stretch is not a finite number" in capsys.readouterr().err
+
+    def test_network_omnidirectional_fake_fails(self, tmp_path, capsys):
+        # Full-circle antennas and the unit disk graph itself: every check
+        # that does not fix the aperture at 120 holds.
+        def edit(obj, points):
+            for rec in obj["wedges"]:
+                rec["aperture_deg"] = 360.0
+            obj["summary"]["alpha"] = 360.0
+            self._set_network_edges(obj, points, self._unit_disk_pairs(points))
+            assert len(obj["edges"]) == 372 and obj["summary"]["hop_stretch"] == 1
+
+        assert self._tamper_network(tmp_path, self._N60, edit) == 1
+        err = capsys.readouterr().err
+        assert "has aperture 360.0" in err and "stored alpha 360.0 != recomputed 120.0" in err
+        assert re.search(r"vertex \d+ has spread 317\.\d+ > alpha 120\.0", err)
+
+    def test_network_wide_long_wedges_fail(self, tmp_path, capsys):
+        def edit(obj, points):
+            for rec in obj["wedges"]:
+                rec["aperture_deg"], rec["radius"] = 200.0, 100.0
+
+        assert self._tamper_network(tmp_path, self._N60, edit) == 1
+        err = capsys.readouterr().err
+        assert "wedge 0 has aperture 200.0 and radius 100.0, not 120.0 and 7.0" in err
 
     def test_network_forged_mst_weight_fails(self, tmp_path, capsys):
         def edit(obj, points):

@@ -4,7 +4,9 @@ Generates a small fixed corpus with ``wedgespan gen``, solves every instance
 at each alpha and converts the unit-disk instances, then hashes the result
 files. Outputs are canonicalised to 12 significant digits, so any change to
 the chosen trees, wedges or edges changes the digest. The convert results
-drop ``verification.runtime_stats``, which holds wall-clock timings.
+drop ``verification.runtime_stats``, which holds wall-clock timings. Every
+hashed result must also pass ``wedgespan verify``, which re-checks its stored
+summary values.
 
 When an intended output change lands, recompute the digest with this corpus
 and record the change and the instances it affects.
@@ -37,17 +39,23 @@ def _run(*argv):
         return main([str(a) for a in argv])
 
 
+def _solve(inst, alpha, out):
+    """Solve, verify the result, and return its bytes."""
+    assert _run("solve", "--in", inst, "--alpha", alpha, "--out", out) == 0, (inst.name, alpha)
+    assert _run("verify", "--in", inst, "--result", out) == 0, (inst.name, alpha)
+    return out.read_bytes()
+
+
 def test_solve_and_convert_outputs_match_golden_digest(tmp_path):
     digest = hashlib.sha256()
     for name, gen_args in CORPUS:
         inst = tmp_path / f"{name}.json"
         assert _run("gen", *gen_args, "--out", inst) == 0
         for alpha in ALPHAS:
-            out = tmp_path / f"{name}.solve{alpha}.json"
-            assert _run("solve", "--in", inst, "--alpha", alpha, "--out", out) == 0, (name, alpha)
-            digest.update(out.read_bytes())
+            digest.update(_solve(inst, alpha, tmp_path / f"{name}.solve{alpha}.json"))
         out = tmp_path / f"{name}.convert.json"
         assert _run("convert", "--in", inst, "--out", out) == 0, name
+        assert _run("verify", "--in", inst, "--result", out) == 0, name
         doc = json.loads(out.read_text())
         del doc["verification"]["runtime_stats"]
         digest.update(json.dumps(doc, indent=2, sort_keys=True).encode())
@@ -72,9 +80,7 @@ def test_tie_heavy_solve_outputs_match_golden_digest(tmp_path):
         inst = tmp_path / f"{name}.json"
         assert _run("gen", *gen_args, "--out", inst) == 0
         for alpha in ALPHAS:
-            out = tmp_path / f"{name}.solve{alpha}.json"
-            assert _run("solve", "--in", inst, "--alpha", alpha, "--out", out) == 0, (name, alpha)
-            digest.update(out.read_bytes())
+            digest.update(_solve(inst, alpha, tmp_path / f"{name}.solve{alpha}.json"))
     assert digest.hexdigest() == TIE_GOLDEN_SHA256
 
 
@@ -97,7 +103,5 @@ def test_mid_size_solve_outputs_match_golden_digest(tmp_path):
         inst = tmp_path / f"{name}.json"
         assert _run("gen", *gen_args, "--out", inst) == 0
         for alpha in ("90", "120"):
-            out = tmp_path / f"{name}.solve{alpha}.json"
-            assert _run("solve", "--in", inst, "--alpha", alpha, "--out", out) == 0, (name, alpha)
-            digest.update(out.read_bytes())
+            digest.update(_solve(inst, alpha, tmp_path / f"{name}.solve{alpha}.json"))
     assert digest.hexdigest() == MID_GOLDEN_SHA256

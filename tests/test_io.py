@@ -31,10 +31,6 @@ class TestParseInstance:
         with pytest.raises(DuplicatePointError):
             parse_instance('{"points": [[0, 0], [0, 0]]}')
 
-    def test_dedupe_policy(self):
-        inst = parse_instance('{"points": [[0, 0], [0, 0], [1, 0]]}', duplicates="dedupe")
-        assert inst.points == [Point(0, 0), Point(1, 0)]
-
     def test_meta_preserved(self):
         inst = parse_instance('{"points": [[0, 0]], "meta": {"seed": 7}}')
         assert inst.meta == {"seed": 7}

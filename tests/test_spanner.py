@@ -97,8 +97,8 @@ class TestBuildSpanner:
     def test_three_close_points(self):
         pts = [Point(0, 0), Point(0.6, 0), Point(0.3, 0.5)]
         res = build_spanner(pts)
-        assert res.hop_stretch <= 2
-        assert res.max_edge_length <= SPANNER_RANGE + 1e-9
+        assert res.summary["hop_stretch"] <= 2
+        assert res.summary["max_edge_len"] <= SPANNER_RANGE + 1e-9
 
     def test_pair_component_case(self):
         # triple {0,1,2}, then pair {3,4}; pair's unit-disk neighbor sits in the triple
@@ -119,8 +119,8 @@ class TestBuildSpanner:
             pts, seed = connected_instance(120, 8.0, start_seed=seed)
             seed += 1
             res = build_spanner(pts)
-            assert res.hop_stretch <= SPANNER_HOPS
-            assert res.max_edge_length <= SPANNER_RANGE * (1 + 1e-9)
+            assert res.summary["hop_stretch"] <= SPANNER_HOPS
+            assert res.summary["max_edge_len"] <= SPANNER_RANGE * (1 + 1e-9)
             assert res.graph.is_connected()
             report = verify_hop_spanner(
                 res.graph, unit_disk_graph(pts), SPANNER_HOPS, res.partition
@@ -214,7 +214,7 @@ class TestHopReportMatchesFullBFS:
         pts, _ = connected_instance(60, 4.0, start_seed=3)
         res = build_spanner(pts)
         report = self.check(res.graph, unit_disk_graph(pts), SPANNER_HOPS, res.partition)
-        assert report.passed and report.max_hops == res.hop_stretch
+        assert report.passed and report.max_hops == res.summary["hop_stretch"]
 
     def test_cap_below_stretch_fails(self):
         pts, _ = connected_instance(60, 4.0, start_seed=3)
