@@ -49,7 +49,6 @@ from .geom import (
     angular_spread,
     covering_wedge,
     direction,
-    max_spread,
 )
 from .graph import (
     CommGraph,

@@ -28,7 +28,6 @@ from .geom import (
     check_distinct,
     covering_wedge,
     direction,
-    max_spread,
 )
 from .graph import (
     CommGraph,
@@ -39,6 +38,7 @@ from .graph import (
     euclidean_mst,
     euclidean_mst_unchecked,
     induced_graph,
+    non_mutual_edges,
     tree_from_edges,
     tsp_tour,
 )
@@ -259,8 +259,7 @@ def build_tree_90(points: PointSet) -> AlphaTree:
         hub = next(
             v
             for v in range(3)
-            if angular_spread(points[v], [points[u] for u in range(3) if u != v])
-            <= 90.0 + ANGLE_TOL_DEG
+            if angular_spread(points, [(v, u) for u in range(3) if u != v])[0] <= 90.0 + ANGLE_TOL_DEG
         )
         others = [u for u in range(3) if u != hub]
         wedges[hub] = covering_wedge(points[hub], [points[u] for u in others], 90.0)
@@ -416,7 +415,7 @@ def check_alpha_tree(
     if abs(weight - stored_weight) > _REL * max(1.0, weight):
         failures.append(f"stored weight {stored_weight} != recomputed {weight}")
 
-    spread, worst = max_spread(points, edges)
+    spread, worst = angular_spread(points, edges)
     if spread > alpha_deg + ANGLE_TOL_DEG:
         failures.append(f"vertex {worst} has spread {spread} > alpha {alpha_deg}")
 
@@ -425,12 +424,10 @@ def check_alpha_tree(
             failures.append(f"witness wedge {k} has aperture {w.aperture_deg}, not alpha {alpha_deg}")
             break
 
-    witness_ok = True
-    for u, v in edges:
-        if not (wedges[u].contains(points[v]) and wedges[v].contains(points[u])):
-            witness_ok = False
-            failures.append(f"edge ({u},{v}) is not mutual under the witness wedges")
-            break
+    missed = non_mutual_edges(points, wedges, edges)
+    witness_ok = not missed
+    if missed:
+        failures.append("edge ({},{}) is not mutual under the witness wedges".format(*missed[0]))
 
     if n >= 2 and not mst_weight > 0:
         failures.append(f"MST weight {mst_weight} is not positive")

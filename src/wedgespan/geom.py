@@ -341,44 +341,78 @@ def spanning_arc(direction_degs: Sequence[float]) -> tuple[float, float]:
     return start, 360.0 - best_gap
 
 
-def angular_spread(center: Point, neighbors: PointSet) -> float:
-    """Smallest angle (degrees) of a cone at center containing every neighbor.
+def angular_spread(points: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[float, Optional[int]]:
+    """Largest angular spread over the vertices of an edge list, and where.
 
-    360 minus the largest circular gap between the sorted neighbor
-    directions; a single neighbor gives 0.
+    A vertex's spread is the smallest angle of a cone at it holding every
+    edge's other end: 360 minus the largest circular gap between its sorted
+    edge directions, 0 for a single direction. Returns the largest spread
+    and the lowest vertex attaining it, or (0.0, None) when no vertex has a
+    positive spread.
+
+    One numpy pass over both ends of every edge, with ``direction``'s angles
+    bit for bit (``_end_angles``) and ``spanning_arc``'s gaps. Raises
+    DuplicatePointError, as ``direction`` does, for an edge between
+    coincident points.
     """
-    if not neighbors:
-        raise ValueError("angular_spread requires at least one neighbor")
-    degs = [direction(center, q).degrees for q in neighbors]
-    _, extent = spanning_arc(degs)
-    return extent
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    if not len(ends):
+        return 0.0, None
+    at, angle = _end_angles(points, ends)
+    angle = angle[np.lexsort((angle, at))]
+    counts = np.bincount(at)
+    vertices = counts.nonzero()[0]
+    last = counts.cumsum()[vertices] - 1
+    first = last - counts[vertices] + 1
+    gap = np.empty_like(angle)
+    gap[:-1] = angle[1:] - angle[:-1]
+    gap[last] = angle[first] + 360.0 - angle[last]
+    spread = 360.0 - np.maximum.reduceat(gap, first)
+    spread[first == last] = 0.0
+    k = int(spread.argmax())
+    if not spread[k] > 0.0:
+        return 0.0, None
+    return float(spread[k]), int(vertices[k])
 
 
-def max_spread(points: PointSet, edges: Iterable[tuple[int, int]]) -> tuple[float, Optional[int]]:
-    """Largest angular_spread over the vertices of an edge list, and where.
+def _end_angles(points: PointSet, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For edges ``(u, v)`` (an (m, 2) array), the vertex of each edge end,
+    u for the first m and v for the last m, and the ``direction`` from it to
+    the other end in degrees.
 
-    Returns the spread and the lowest vertex attaining it, or (0.0, None)
-    when every vertex sees a single direction.
+    The angles are ``direction``'s: ``math.atan2`` (``np.arctan2`` is an ulp
+    off on some vectors), degrees and ``Direction``'s normalisation, with the
+    reverse vector the exact negation of the forward one. A coincident pair
+    raises through ``direction``, at the first such edge in vertex, then
+    edge, order.
     """
-    adjacency: list[list[int]] = [[] for _ in points]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    worst = 0.0
-    at: Optional[int] = None
-    for v, nbrs in enumerate(adjacency):
-        if nbrs:
-            spread = angular_spread(points[v], [points[u] for u in nbrs])
-            if spread > worst:
-                worst, at = spread, v
-    return worst, at
+    u, v = ends.T
+    xy = coordinates(points)
+    with np.errstate(over="ignore"):  # a gap that overflows is no near one
+        dx = xy[v, 0] - xy[u, 0]
+        dy = xy[v, 1] - xy[u, 1]
+    # points_coincide's first two tests here; its last one in direction.
+    tol = REL_TOL * np.maximum(np.maximum(np.abs(xy[u]), np.abs(xy[v])).max(axis=1), 1.0)
+    close = ((np.abs(dx) <= tol) & (np.abs(dy) <= tol)).nonzero()[0]
+    low, high = np.minimum(u, v), np.maximum(u, v)
+    for k in close[np.lexsort((close, low[close]))].tolist():
+        direction(points[low[k]], points[high[k]])
+    m = len(ends)
+    angle = np.empty(2 * m)
+    angle[:m] = np.fromiter(map(math.atan2, memoryview(dy), memoryview(dx)), float, m)
+    angle[m:] = np.fromiter(map(math.atan2, memoryview(-dy), memoryview(-dx)), float, m)
+    np.degrees(angle, out=angle)
+    angle %= 360.0
+    angle[angle == 360.0] = 0.0
+    return np.concatenate((u, v)), angle
 
 
 def covering_wedge(center: Point, neighbors: PointSet, aperture_deg: float) -> Wedge:
     """Witness wedge of the given aperture at center containing all neighbors.
 
     Bisector sits at the circular midpoint of the spanning arc; only valid
-    when angular_spread(center, neighbors) <= aperture_deg.
+    when the neighbors' spread at center (``angular_spread``) is at most
+    aperture_deg.
     """
     degs = [direction(center, q).degrees for q in neighbors]
     start, extent = spanning_arc(degs)

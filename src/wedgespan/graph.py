@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,45 +91,110 @@ class CommGraph:
         return count == self.n
 
 
-def _vertex_arrays(
-    points: PointSet, wedges: Sequence[Wedge], ids: Sequence[int]
-) -> tuple[np.ndarray, ...]:
-    """Per-vertex columns for ``_covers``, after checking that each wedge's
-    apex is at its point; ``ids`` names the vertices in the error."""
-    for i, p, w in zip(ids, points, wedges):
-        if not points_coincide(p, w.apex):
-            raise ApexMismatchError(f"wedge {i} apex {w.apex} is not at point {p}")
-    return (
-        np.array([p.x for p in points]),
-        np.array([p.y for p in points]),
-        np.array([max(1.0, abs(p.x), abs(p.y)) for p in points]),
-        np.array([w.apex.x for w in wedges]),
-        np.array([w.apex.y for w in wedges]),
-        np.array([max(1.0, abs(w.apex.x), abs(w.apex.y)) for w in wedges]),
+class _Rows(NamedTuple):
+    """Points and their wedges (row k: ``points[k]`` and ``wedges[k]``) with
+    the per-row columns ``_covers`` reads."""
+
+    points: PointSet
+    wedges: Sequence[Wedge]
+    qx: np.ndarray
+    qy: np.ndarray
+    q_scale: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    a_scale: np.ndarray
+    bis: np.ndarray
+    half: np.ndarray
+    rad: np.ndarray
+
+
+def _vertex_arrays(points: PointSet, wedges: Sequence[Wedge]) -> _Rows:
+    """The ``_Rows`` of the points and their wedges."""
+    qx, qy = coordinates(points).T
+    ax = np.array([w.apex.x for w in wedges])
+    ay = np.array([w.apex.y for w in wedges])
+    return _Rows(
+        points,
+        wedges,
+        qx,
+        qy,
+        np.maximum(np.maximum(np.abs(qx), np.abs(qy)), 1.0),
+        ax,
+        ay,
+        np.maximum(np.maximum(np.abs(ax), np.abs(ay)), 1.0),
         np.array([w.bisector.degrees for w in wedges]),
         np.array([w.aperture_deg / 2.0 for w in wedges]),
         np.array([math.inf if w.radius is None else w.radius for w in wedges]),
     )
 
 
-def _covers(cols: tuple[np.ndarray, ...], w, q) -> np.ndarray:
-    """``Wedge.contains`` elementwise: wedge ``w`` looking at point ``q``,
-    both index arrays into the ``_vertex_arrays`` columns.
+def _check_apexes(rows: _Rows, ids: Sequence[int]) -> None:
+    """Raise ApexMismatchError unless each wedge's apex is at its point
+    (``points_coincide``); ``ids`` names the rows' vertices in the error."""
+    for k in ((rows.ax != rows.qx) | (rows.ay != rows.qy)).nonzero()[0].tolist():
+        p, w = rows.points[k], rows.wedges[k]
+        if not points_coincide(p, w.apex):
+            raise ApexMismatchError(f"wedge {ids[k]} apex {w.apex} is not at point {p}")
 
-    ``np.arctan2`` is not bit-equal to ``math.atan2``: it differs by one ulp
-    on about 7.7% of random vectors (``np.degrees`` and ``math.degrees``
-    agree). So this matches ``Wedge.contains`` except within a one-ulp band
-    at each widened boundary. A numpy pass whose angles reach the output
-    bytes (an angular spread, say) must take them from ``math.atan2``.
+
+# Widths of the bands around _covers' three boundaries inside which it
+# re-decides by Wedge.contains: relative, for distances (np.hypot and
+# math.hypot are each within an ulp of the true length), and in degrees, for
+# the angle (an ulp of np.arctan2 grows to under 5e-13 through the
+# bisector offset's roundings).
+_DIST_BAND = 8.0 * sys.float_info.epsilon
+_ANGLE_BAND = 1e-11
+# Edges non_mutual_edges evaluates at a time, which bounds its arrays.
+_EDGE_BLOCK = 1 << 14
+
+
+def _covers(rows: _Rows, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``Wedge.contains`` elementwise: wedge ``w`` looking at point ``q``,
+    both index arrays into ``rows``; equal to it entry for entry.
+
+    ``np.arctan2`` and ``np.hypot`` are not bit-equal to ``math.atan2`` and
+    ``math.hypot`` (``np.arctan2`` is an ulp off on about 7.6% of random
+    vectors), so an entry whose distance or angle lies within a few ulps of
+    the coincidence tolerance, the widened range or the widened half-aperture
+    is decided by ``Wedge.contains`` itself.
     """
-    qx, qy, q_scale, ax, ay, a_scale, bis, half, rad = cols
-    dx = qx[q] - ax[w]
-    dy = qy[q] - ay[w]
+    dx = rows.qx[q] - rows.ax[w]
+    dy = rows.qy[q] - rows.ay[w]
     dist = np.hypot(dx, dy)
-    delta = (np.degrees(np.arctan2(dy, dx)) - bis[w] + 180.0) % 360.0 - 180.0
-    covers = (np.abs(delta) <= half[w] + ANGLE_TOL_DEG) & (dist <= rad[w] * (1.0 + REL_TOL))
-    covers |= dist <= REL_TOL * np.maximum(a_scale[w], q_scale[q])
+    near = REL_TOL * np.maximum(rows.a_scale[w], rows.q_scale[q])
+    reach = rows.rad[w] * (1.0 + REL_TOL)
+    limit = rows.half[w] + ANGLE_TOL_DEG
+    delta = np.abs((np.degrees(np.arctan2(dy, dx)) - rows.bis[w] + 180.0) % 360.0 - 180.0)
+    covers = (dist <= near) | ((dist <= reach) & (delta <= limit))
+    with np.errstate(invalid="ignore"):  # inf - inf: an unbounded range, far off
+        band = np.abs(dist - near) <= _DIST_BAND * dist
+        band |= np.abs(dist - reach) <= _DIST_BAND * dist
+    band |= np.abs(delta - limit) <= _ANGLE_BAND
+    for k in band.nonzero()[0].tolist():
+        covers[k] = rows.wedges[w[k]].contains(rows.points[q[k]])
     return covers
+
+
+def non_mutual_edges(
+    points: PointSet, wedges: Sequence[Wedge], edges: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The edges (u, v), in order, for which ``wedges[u]`` does not contain
+    ``points[v]`` or ``wedges[v]`` does not contain ``points[u]``.
+
+    Every edge is evaluated both ways by ``_covers``, ``_EDGE_BLOCK`` edges
+    at a time; the ones it fails are checked again by ``Wedge.contains``.
+    """
+    rows = _vertex_arrays(points, wedges)
+    failed = []
+    for start in range(0, len(edges), _EDGE_BLOCK):
+        u, v = np.array(edges[start : start + _EDGE_BLOCK], dtype=np.intp).T
+        both = _covers(rows, np.concatenate((u, v)), np.concatenate((v, u)))
+        failed += (start + (~(both[: len(u)] & both[len(u) :])).nonzero()[0]).tolist()
+    return [
+        (u, v)
+        for u, v in (edges[k] for k in failed)
+        if not (wedges[u].contains(points[v]) and wedges[v].contains(points[u]))
+    ]
 
 
 def _candidate_pairs(
@@ -169,21 +235,22 @@ def induced_graph(
         if n != len(wedges):
             raise ApexMismatchError(f"{n} points but {len(wedges)} wedges")
         at = np.arange(n)
-        cols = _vertex_arrays(points, wedges, at)  # type: ignore[arg-type]
-        q_scale, a_scale, rad = cols[2], cols[5], cols[8]
-        pad = 2.0 * REL_TOL * max(q_scale.max(initial=1.0), a_scale.max(initial=1.0))
-        blocks = _candidate_pairs(coordinates(points), rad.max(initial=0.0) * (1.0 + REL_TOL), pad)
+        rows = _vertex_arrays(points, wedges)  # type: ignore[arg-type]
+        _check_apexes(rows, at)
+        pad = 2.0 * REL_TOL * max(rows.q_scale.max(initial=1.0), rows.a_scale.max(initial=1.0))
+        blocks = _candidate_pairs(coordinates(points), rows.rad.max(initial=0.0) * (1.0 + REL_TOL), pad)
     else:
         a, b = (np.asarray(side, dtype=np.intp) for side in pairs)
         in_pair = np.zeros(n, dtype=bool)
         in_pair[a] = in_pair[b] = True
         ids = in_pair.nonzero()[0].tolist()
-        at = in_pair.cumsum() - 1  # each vertex's row in cols; np.unique would import numpy.ma
-        cols = _vertex_arrays([points[i] for i in ids], [wedges[i] for i in ids], ids)  # type: ignore[misc]
+        at = in_pair.cumsum() - 1  # each vertex's row in rows; np.unique would import numpy.ma
+        rows = _vertex_arrays([points[i] for i in ids], [wedges[i] for i in ids])  # type: ignore[misc]
+        _check_apexes(rows, ids)
         blocks = [(a, b)]
     kept = [(np.empty(0, np.intp), np.empty(0, np.intp))]
     for a, b in blocks:
-        both = _covers(cols, at[np.concatenate((a, b))], at[np.concatenate((b, a))])
+        both = _covers(rows, at[np.concatenate((a, b))], at[np.concatenate((b, a))])
         mutual = both[: len(a)] & both[len(a) :]
         kept.append((np.minimum(a, b)[mutual], np.maximum(a, b)[mutual]))
     iu, iv = (np.concatenate(side) for side in zip(*kept))

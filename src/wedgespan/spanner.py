@@ -23,7 +23,7 @@ from .errors import (
     PartitionError,
 )
 from .gadget import aim_leftovers, orient_pair, orient_triplet
-from .geom import ANGLE_TOL_DEG, Direction, PointSet, REL_TOL, Wedge, check_distinct, max_spread
+from .geom import ANGLE_TOL_DEG, Direction, PointSet, REL_TOL, Wedge, angular_spread, check_distinct
 from .graph import CommGraph, euclidean_mst, hop_distances_from, induced_graph, unit_disk_graph
 
 SPANNER_APERTURE = 120.0
@@ -276,7 +276,7 @@ def check_spanner(
     failures = []
     if not graph.is_connected():
         failures.append("antenna graph is disconnected")
-    spread, worst = max_spread(points, [(u, v) for u, v, _ in edges])
+    spread, worst = angular_spread(points, [(u, v) for u, v, _ in edges])
     if spread > SPANNER_APERTURE + ANGLE_TOL_DEG:
         failures.append(f"vertex {worst} has spread {spread} > alpha {SPANNER_APERTURE}")
     max_len = max((w for _, _, w in edges), default=0.0)

@@ -11,7 +11,7 @@ import pytest
 from wedgespan import cli
 from wedgespan.cli import main
 from wedgespan.errors import TheoremViolation
-from wedgespan.geom import max_spread
+from wedgespan.geom import angular_spread
 from wedgespan.io import parse_instance, parse_result
 
 
@@ -219,6 +219,17 @@ class TestVerify:
         assert self._tamper(tmp_path, gen, 120, edit) == 1
         assert "MST weight" in capsys.readouterr().err
 
+    def test_halved_weight_reported_once(self, tmp_path, capsys):
+        def edit(obj, points):
+            assert obj["summary"]["weight"] == 6.54678506848
+            obj["summary"]["weight"] /= 2.0
+
+        gen = ("--generator", "uniform-square", "--n", "12", "--seed", "5")
+        assert self._tamper(tmp_path, gen, 120, edit) == 1
+        err = capsys.readouterr().err
+        assert err.count("stored weight") == 1
+        assert re.search(r"stored weight 3\.27339253424 != recomputed 6\.54678506847\d*", err)
+
     def test_spread_above_alpha_fails(self, tmp_path, capsys):
         # The 90-degree star on three collinear points hangs both others off
         # point 0; the path through point 1 gives it a 180-degree spread.
@@ -309,7 +320,7 @@ class TestVerify:
         obj["edges"] = edges
         summary["weight"] = sum(points[u].distance_to(points[v]) for u, v in edges)
         summary["ratio"] = summary["weight"] / summary["mst_weight"]
-        summary["max_spread_deg"] = max_spread(points, edges)[0]
+        summary["max_spread_deg"] = angular_spread(points, edges)[0]
         summary["max_edge_len"] = max(points[u].distance_to(points[v]) for u, v in edges)
         summary["hop_stretch"] = TestVerify._hop_stretch(points, edges)
 

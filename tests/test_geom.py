@@ -24,7 +24,6 @@ from wedgespan.geom import (
     direction,
     grid_pairs,
     intervals_cover_circle,
-    max_spread,
     points_coincide,
     signed_angle_delta,
     spanning_arc,
@@ -134,21 +133,72 @@ class TestWedgeContains:
         assert w2.contains(move(q)) == before
 
 
+def reference_spread(points, edges):
+    """The per-vertex spread, one ``spanning_arc`` over ``math.atan2``
+    directions per vertex: the largest and the lowest vertex attaining it."""
+    adjacency = [[] for _ in points]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    worst, at = 0.0, None
+    for v, nbrs in enumerate(adjacency):
+        if nbrs:
+            p = points[v]
+            degs = [
+                Direction(math.degrees(math.atan2(points[u].y - p.y, points[u].x - p.x))).degrees
+                for u in nbrs
+            ]
+            _, spread = spanning_arc(degs)
+            if spread > worst:
+                worst, at = spread, v
+    return worst, at
+
+
+def star(center, neighbors):
+    return [center, *neighbors], [(0, k) for k in range(1, len(neighbors) + 1)]
+
+
 class TestAngularSpread:
     def test_single_neighbor(self):
-        assert angular_spread(pt(0, 0), [pt(1, 0)]) == 0.0
+        assert angular_spread(*star(pt(0, 0), [pt(1, 0)])) == (0.0, None)
 
     def test_antipodal(self):
-        assert angular_spread(pt(0, 0), [pt(1, 0), pt(-1, 0)]) == pytest.approx(180.0)
+        spread, worst = angular_spread(*star(pt(0, 0), [pt(1, 0), pt(-1, 0)]))
+        assert spread == pytest.approx(180.0) and worst == 0
 
     def test_three_directions(self):
         # directions 0, 90, 180: gaps 90, 90, 180 -> spread 180
-        got = angular_spread(pt(0, 0), [pt(1, 0), pt(0, 1), pt(-1, 0)])
+        got, _ = angular_spread(*star(pt(0, 0), [pt(1, 0), pt(0, 1), pt(-1, 0)]))
         assert got == pytest.approx(180.0)
 
     def test_duplicate_neighbor_raises(self):
         with pytest.raises(DuplicatePointError):
-            angular_spread(pt(0, 0), [pt(0, 0)])
+            angular_spread(*star(pt(0, 0), [pt(0, 0)]))
+        # the first clash in vertex order, as a per-vertex loop meets it
+        with pytest.raises(DuplicatePointError, match=r"Point\(x=1, y=1\) and Point\(x=1, y=1\.000000000001\)$"):
+            angular_spread([pt(0, 0), pt(1, 1), pt(1, 1 + 1e-12), pt(2, 0)], [(0, 1), (2, 1), (0, 3)])
+
+    def test_wrap_across_zero(self):
+        points, edges = star(pt(0, 0), [pt(1, -0.1), pt(1, 0.1), pt(1, 0.0)])
+        spread, worst = angular_spread(points, edges)
+        assert (spread, worst) == reference_spread(points, edges)
+        assert spread == pytest.approx(2 * math.degrees(math.atan(0.1))) and worst == 0
+
+    def test_tiny_negative_angle_rounds_to_zero(self):
+        # atan2 gives -1e-300 rad, whose degrees % 360 round up to 360.0;
+        # as a direction it is 0, so the spread is 45, not 315.
+        points, edges = star(pt(0, 0), [pt(1, -1e-300), pt(1, 1)])
+        assert math.degrees(math.atan2(-1e-300, 1.0)) % 360.0 == 360.0
+        assert angular_spread(points, edges) == reference_spread(points, edges) == (45.0, 0)
+
+    def test_repeated_directions(self):
+        points = [pt(0, 0), pt(1, 1), pt(2, 2), pt(3, 3), pt(-1, 0)]
+        assert angular_spread(points, [(0, 1), (0, 2), (0, 3)]) == (0.0, None)
+        edges = [(0, 1), (0, 2), (0, 4), (0, 1)]
+        assert angular_spread(points, edges) == reference_spread(points, edges) == (135.0, 0)
+
+    def test_empty_edge_list(self):
+        assert angular_spread([pt(0, 0), pt(1, 0)], []) == (0.0, None)
 
     @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=8))
     @settings(max_examples=200)
@@ -156,7 +206,7 @@ class TestAngularSpread:
         center = pt(0, 0)
         neighbors = [pt(x, y) for x, y in raw if math.hypot(x, y) > 1e-3]
         assume(neighbors)
-        spread = angular_spread(center, neighbors)
+        spread, _ = angular_spread(*star(center, neighbors))
         witness = covering_wedge(center, neighbors, max(spread, 1e-6))
         assert all(witness.contains(q) for q in neighbors)
         if spread > 1.0:
@@ -167,11 +217,36 @@ class TestAngularSpread:
 
     def test_max_spread_names_lowest_worst_vertex(self):
         pts = [pt(0, 0), pt(1, 0), pt(2, 0), pt(2, 1)]
-        spread, worst = max_spread(pts, [(0, 1), (1, 2), (2, 3)])
+        spread, worst = angular_spread(pts, [(0, 1), (1, 2), (2, 3)])
         assert spread == pytest.approx(180.0) and worst == 1
 
     def test_max_spread_of_single_edge_is_zero(self):
-        assert max_spread([pt(0, 0), pt(1, 0)], [(0, 1)]) == (0.0, None)
+        assert angular_spread([pt(0, 0), pt(1, 0)], [(0, 1)]) == (0.0, None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_trees_match_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3, 9, 50, 400])
+        scale = rng.choice([1.0, 1e-6, 1e6])
+        points = [pt(rng.uniform(0, scale), rng.uniform(0, scale)) for _ in range(n)]
+        edges = [(rng.randrange(v), v) if rng.random() < 0.5 else (v, rng.randrange(v)) for v in range(1, n)]
+        assert angular_spread(points, edges) == reference_spread(points, edges)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_disk_networks_match_reference(self, seed):
+        from wedgespan.graph import unit_disk_graph
+
+        rng = random.Random(100 + seed)
+        n = rng.choice([20, 150, 600])
+        side = math.sqrt(n / 5)
+        # a coarse lattice repeats directions exactly
+        step = rng.choice([None, 0.25])
+        raw = {(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)}
+        if step:
+            raw = {(round(x / step) * step, round(y / step) * step) for x, y in raw}
+        points = [pt(x, y) for x, y in sorted(raw)]
+        edges = [(u, v) for u, v, _ in unit_disk_graph(points).edges()]
+        assert angular_spread(points, edges) == reference_spread(points, edges)
 
 
 class TestSpanningArc:

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from wedgespan.errors import ApexMismatchError, DuplicatePointError, TooFewPointsError
 from wedgespan.gadget import orient_pair, orient_triplet
 from wedgespan import graph
-from wedgespan.geom import REL_TOL, Direction, Point, Wedge, coordinates
+from wedgespan.geom import ANGLE_TOL_DEG, REL_TOL, Direction, Point, Wedge, coordinates
 from wedgespan.graph import (
     CommGraph,
     DisjointSets,
@@ -198,6 +199,57 @@ class TestInducedGraph:
         wedges[1] = Wedge(pts[2], Direction(180), 90.0)
         with pytest.raises(ApexMismatchError, match="wedge 1 "):
             induced_graph(pts, wedges, ([0], [1]))
+
+
+def _ulps(x, k):
+    """x moved k ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+def _straddling(rng, wedge, heading, dist):
+    """Points a few ulps on either side of ``apex + dist * heading``."""
+    a = wedge.apex
+    rad = math.radians(heading)
+    x, y = a.x + dist * math.cos(rad), a.y + dist * math.sin(rad)
+    return [Point(_ulps(x, i), _ulps(y, j)) for i in range(-3, 4) for j in range(-3, 4)]
+
+
+class TestCoversMatchesContains:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ulps_around_every_boundary(self, seed):
+        rng = random.Random(seed)
+        probes, wedges = [], []
+        for _ in range(40):
+            offset = rng.choice([1.0, 1e3, 1e7])
+            apex = Point(rng.uniform(-offset, offset), rng.uniform(-offset, offset))
+            w = Wedge(apex, Direction(rng.uniform(0, 360)), rng.choice([60.0, 90.0, 120.0, 180.0, 359.0]),
+                      rng.choice([None, 1.0, 7.0]))
+            widened = w.aperture_deg / 2.0 + ANGLE_TOL_DEG
+            reach = (w.radius or 10.0) * (1.0 + REL_TOL)
+            scale = max(1.0, abs(apex.x), abs(apex.y))
+            near = [
+                *_straddling(rng, w, w.bisector.degrees + widened, rng.uniform(0.1, 1.0) * reach),
+                *_straddling(rng, w, w.bisector.degrees - widened, rng.uniform(0.1, 1.0) * reach),
+                *_straddling(rng, w, w.bisector.degrees + rng.uniform(-1, 1) * widened, reach),
+                *_straddling(rng, w, rng.uniform(0, 360), REL_TOL * scale),
+            ]
+            probes += near
+            wedges += [w] * len(near)
+        at = np.arange(len(probes))
+        got = graph._covers(graph._vertex_arrays(probes, wedges), at, at)
+        want = np.array([w.contains(q) for w, q in zip(wedges, probes)])
+        assert 0 < want.sum() < len(want)
+        assert (got == want).all()
+
+    def test_apex_within_tolerance_passes_and_mismatch_names_its_vertex(self):
+        pts = [Point(0, 0), Point(1, 0), Point(1, 1)]
+        wedges = [Wedge(Point(1e-12, 0), Direction(0), 120.0), Wedge(pts[1], Direction(180), 120.0)]
+        assert induced_graph(pts[:2], wedges).edge_count == 1
+        wedges.append(Wedge(Point(1, 1.5), Direction(0), 120.0))
+        with pytest.raises(ApexMismatchError, match=r"^wedge 2 apex Point\(x=1, y=1\.5\) is not at point Point\(x=1, y=1\)$"):
+            induced_graph(pts, wedges)
 
 
 class TestUnitDiskGraph:
