@@ -8,6 +8,7 @@ degrees, and distance comparisons use a relative tolerance of ``REL_TOL``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -355,10 +356,9 @@ def angular_spread(points: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[
     DuplicatePointError, as ``direction`` does, for an edge between
     coincident points.
     """
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    if not len(ends):
+    at, angle = _end_angles(points, edges)
+    if not len(angle):
         return 0.0, None
-    at, angle = _end_angles(points, ends)
     angle = angle[np.lexsort((angle, at))]
     counts = np.bincount(at)
     vertices = counts.nonzero()[0]
@@ -375,10 +375,10 @@ def angular_spread(points: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[
     return float(spread[k]), int(vertices[k])
 
 
-def _end_angles(points: PointSet, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For edges ``(u, v)`` (an (m, 2) array), the vertex of each edge end,
-    u for the first m and v for the last m, and the ``direction`` from it to
-    the other end in degrees.
+def _end_angles(points: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """For m edges ``(u, v)``, the vertex of each edge end, u for the first m
+    and v for the last m, and the ``direction`` from it to the other end in
+    degrees.
 
     The angles are ``direction``'s: ``math.atan2`` (``np.arctan2`` is an ulp
     off on some vectors), degrees and ``Direction``'s normalisation, with the
@@ -386,21 +386,24 @@ def _end_angles(points: PointSet, ends: np.ndarray) -> tuple[np.ndarray, np.ndar
     raises through ``direction``, at the first such edge in vertex, then
     edge, order.
     """
-    u, v = ends.T
+    u, v = np.fromiter(itertools.chain.from_iterable(edges), np.intp).reshape(-1, 2).T
     xy = coordinates(points)
     with np.errstate(over="ignore"):  # a gap that overflows is no near one
         dx = xy[v, 0] - xy[u, 0]
         dy = xy[v, 1] - xy[u, 1]
     # points_coincide's first two tests here; its last one in direction.
-    tol = REL_TOL * np.maximum(np.maximum(np.abs(xy[u]), np.abs(xy[v])).max(axis=1), 1.0)
+    scale = np.abs(xy).max(axis=1, initial=1.0)
+    tol = REL_TOL * np.maximum(scale[u], scale[v])
     close = ((np.abs(dx) <= tol) & (np.abs(dy) <= tol)).nonzero()[0]
-    low, high = np.minimum(u, v), np.maximum(u, v)
-    for k in close[np.lexsort((close, low[close]))].tolist():
+    low, high = np.minimum(u[close], v[close]), np.maximum(u[close], v[close])
+    for k in np.lexsort((close, low)).tolist():
         direction(points[low[k]], points[high[k]])
-    m = len(ends)
+    m = len(u)
     angle = np.empty(2 * m)
     angle[:m] = np.fromiter(map(math.atan2, memoryview(dy), memoryview(dx)), float, m)
-    angle[m:] = np.fromiter(map(math.atan2, memoryview(-dy), memoryview(-dx)), float, m)
+    np.negative(dx, out=dx)
+    np.negative(dy, out=dy)
+    angle[m:] = np.fromiter(map(math.atan2, memoryview(dy), memoryview(dx)), float, m)
     np.degrees(angle, out=angle)
     angle %= 360.0
     angle[angle == 360.0] = 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import sys
 from collections import deque
@@ -187,7 +188,8 @@ def non_mutual_edges(
     rows = _vertex_arrays(points, wedges)
     failed = []
     for start in range(0, len(edges), _EDGE_BLOCK):
-        u, v = np.array(edges[start : start + _EDGE_BLOCK], dtype=np.intp).T
+        block = itertools.chain.from_iterable(edges[start : start + _EDGE_BLOCK])
+        u, v = np.fromiter(block, np.intp).reshape(-1, 2).T
         both = _covers(rows, np.concatenate((u, v)), np.concatenate((v, u)))
         failed += (start + (~(both[: len(u)] & both[len(u) :])).nonzero()[0]).tolist()
     return [
