@@ -208,8 +208,9 @@ def _ulps(x, k):
     return x
 
 
-def _straddling(rng, wedge, heading, dist):
-    """Points a few ulps on either side of ``apex + dist * heading``."""
+def _straddling(wedge, heading, dist):
+    """Points a few ulps on either side of the point ``dist`` from the
+    wedge's apex in the direction ``heading`` (degrees)."""
     a = wedge.apex
     rad = math.radians(heading)
     x, y = a.x + dist * math.cos(rad), a.y + dist * math.sin(rad)
@@ -230,10 +231,10 @@ class TestCoversMatchesContains:
             reach = (w.radius or 10.0) * (1.0 + REL_TOL)
             scale = max(1.0, abs(apex.x), abs(apex.y))
             near = [
-                *_straddling(rng, w, w.bisector.degrees + widened, rng.uniform(0.1, 1.0) * reach),
-                *_straddling(rng, w, w.bisector.degrees - widened, rng.uniform(0.1, 1.0) * reach),
-                *_straddling(rng, w, w.bisector.degrees + rng.uniform(-1, 1) * widened, reach),
-                *_straddling(rng, w, rng.uniform(0, 360), REL_TOL * scale),
+                *_straddling(w, w.bisector.degrees + widened, rng.uniform(0.1, 1.0) * reach),
+                *_straddling(w, w.bisector.degrees - widened, rng.uniform(0.1, 1.0) * reach),
+                *_straddling(w, w.bisector.degrees + rng.uniform(-1, 1) * widened, reach),
+                *_straddling(w, rng.uniform(0, 360), REL_TOL * scale),
             ]
             probes += near
             wedges += [w] * len(near)
