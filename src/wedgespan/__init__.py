@@ -5,9 +5,6 @@ from .approx import (
     AlphaTreeReport,
     TourPartition,
     build_tree,
-    build_tree_90,
-    build_tree_120,
-    build_tree_180,
     check_alpha_tree,
     partition_tour,
     verify_alpha_tree,
@@ -41,7 +38,6 @@ from .gadget import (
     verify_coverage,
 )
 from .geom import (
-    AngleInterval,
     Direction,
     Point,
     PointSet,

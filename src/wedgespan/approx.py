@@ -1,8 +1,9 @@
 """Angle-bounded spanning tree builders for apertures 180, 120, and 90 degrees.
 
-Each builder starts from the shortcut TSP tour (at most twice the MST
-weight), carves it into groups, orients a wedge gadget per group, and joins
-consecutive groups with the shortest induced cross edge. The heaviest
+``build_tree`` runs one scheme for every alpha. It takes the shortcut TSP
+tour (at most twice the MST weight), and the alpha's gadget step carves the
+tour into groups of 1, 3 or 8 points, orients a wedge gadget per group, and
+joins consecutive groups with the shortest induced cross edge. The heaviest
 tour-edge class is reserved for the group boundaries, which is what brings
 the weight bounds down to 2x / 6x / 16x the Euclidean MST.
 """
@@ -10,8 +11,8 @@ the weight bounds down to 2x / 6x / 16x the Euclidean MST.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     GuaranteeViolation,
@@ -22,6 +23,7 @@ from .errors import (
 from .gadget import aim_leftovers, orient_pair, orient_quadruplet, orient_triplet
 from .geom import (
     ANGLE_TOL_DEG,
+    REL_TOL,
     PointSet,
     Wedge,
     angular_spread,
@@ -42,9 +44,6 @@ from .graph import (
     tree_from_edges,
     tsp_tour,
 )
-
-_RATIO_BOUNDS = {180: 2.0, 120: 6.0, 90: 16.0}
-_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class TourPartition:
     class_weights: tuple[float, ...]
 
 
-def partition_tour(tour: Tour, group_size: int = 3) -> TourPartition:
+def partition_tour(tour: Tour, group_size: int) -> TourPartition:
     """Split the tour into runs of ``group_size`` consecutive vertices.
 
     Tour edges with index congruent to the chosen class run between groups.
@@ -89,7 +88,7 @@ def partition_tour(tour: Tour, group_size: int = 3) -> TourPartition:
     for i in range(n):
         weights[i % group_size] += tour.edge_weights[i]
     best = max(range(group_size), key=lambda j: (weights[j], -j))
-    if weights[best] < tour.weight / group_size - _REL * tour.weight:
+    if weights[best] < tour.weight / group_size - REL_TOL * tour.weight:
         raise GuaranteeViolation(
             f"heaviest tour-edge class {best} of {tuple(weights)} carries less than "
             f"1/{group_size} of the tour weight {tour.weight}"
@@ -102,47 +101,25 @@ def partition_tour(tour: Tour, group_size: int = 3) -> TourPartition:
     return TourPartition(groups=groups, connecting_class=best, class_weights=tuple(weights))
 
 
-def _check_weight_bound(tree: SpanningTree, factor: float, reference: float, of: str) -> None:
-    """Raise GuaranteeViolation, naming the tree, when it outweighs factor x reference."""
-    if tree.weight > factor * reference * (1.0 + _REL):
-        raise GuaranteeViolation(
-            f"tree {tree.edges} weighs {tree.weight}, more than {factor:g}x the {of} "
-            f"weight {reference}"
-        )
+# What a gadget step returns: the tree edges and one witness wedge per point.
+_Gadgets = tuple[list[tuple[int, int]], list[Optional[Wedge]]]
 
 
-def _pair_tree(points: PointSet, aperture_deg: float) -> AlphaTree:
-    w = points[0].distance_to(points[1])
-    wedges = orient_pair(points, aperture_deg)
-    tree = tree_from_edges(points, [(0, 1)])
-    return AlphaTree(aperture_deg, tree, tuple(wedges), mst_weight=w, tour_weight=2.0 * w)
-
-
-def build_tree_180(points: PointSet) -> AlphaTree:
-    """Half-plane tree: the shortcut tour minus its heaviest edge.
+def _path_step(points: PointSet, tour: Tour) -> _Gadgets:
+    """Alpha 180: the tour minus its heaviest edge.
 
     A path has maximum degree two, so the incident edges at every vertex fit
-    in a 180-degree wedge. Weight is at most the tour's, hence at most twice
-    the MST weight.
+    in a 180-degree wedge.
     """
-    n = len(points)
-    if n < 2:
-        raise TooFewPointsError("build_tree_180 requires at least two points")
-    check_distinct(points)
-    mst = euclidean_mst_unchecked(points)
-    tour = tsp_tour(points, mst=mst)
+    n = tour.n
     drop = max(range(n), key=lambda i: (tour.edge_weights[i], -i))
-    edges = {tuple(sorted(tour.edge(i))) for i in range(n) if i != drop}
+    edges = [tuple(sorted(tour.edge(i))) for i in range(n) if i != drop]
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    wedges = tuple(
-        covering_wedge(points[v], [points[u] for u in adjacency[v]], 180.0) for v in range(n)
-    )
-    tree = tree_from_edges(points, edges)
-    _check_weight_bound(tree, 2.0, mst.weight, "MST")
-    return AlphaTree(180.0, tree, wedges, mst_weight=mst.weight, tour_weight=tour.weight)
+    wedges = [covering_wedge(points[v], [points[u] for u in adjacency[v]], 180.0) for v in range(n)]
+    return edges, wedges
 
 
 def _cross_pairs(sides: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[list[int], list[int]]:
@@ -153,52 +130,40 @@ def _cross_pairs(sides: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[
     return a, b
 
 
-def build_tree_120(points: PointSet) -> AlphaTree:
-    """Aperture-120 tree via triplet gadgets along the tour.
+def _cross_edges(g: CommGraph, sides: Sequence, missing: Callable[[int], Exception]) -> list:
+    """The shortest edge of g between each two sides (``cross_edge``); raises
+    ``missing(k)`` for the first k whose two sides have none."""
+    edges = [cross_edge(g, a, b) for a, b in sides]
+    if None in edges:
+        raise missing(edges.index(None))
+    return edges
 
-    Groups of three consecutive tour points are oriented independently; the
-    two guaranteed gadget edges join each group internally and the shortest
-    induced cross edge joins consecutive groups (its existence for any two
-    independently oriented triplet gadgets is the load-bearing guarantee —
-    a missing one raises TheoremViolation). When 3 divides n, the weight is
-    at most 3x the tour and 6x the MST.
+
+def _triplet_step(points: PointSet, tour: Tour) -> _Gadgets:
+    """Alpha 120: triplet gadgets on runs of three consecutive tour points.
+
+    The groups are oriented independently; the two guaranteed gadget edges
+    join each group internally and the shortest induced cross edge joins
+    consecutive groups (its existence for any two independently oriented
+    triplet gadgets is the load-bearing guarantee — a missing one raises
+    TheoremViolation).
     """
-    n = len(points)
-    if n < 2:
-        raise TooFewPointsError("build_tree_120 requires at least two points")
-    check_distinct(points)
-    if n == 2:
-        return _pair_tree(points, 120.0)
-    mst = euclidean_mst_unchecked(points)
-    tour = tsp_tour(points, mst=mst)
     part = partition_tour(tour, 3)
     full = [g for g in part.groups if len(g) == 3]
     leftovers = [p for g in part.groups if len(g) < 3 for p in g]
-
-    wedges: list[Optional[Wedge]] = [None] * n
+    wedges: list[Optional[Wedge]] = [None] * len(points)
     edges: list[tuple[int, int]] = []
     for g in full:
         tri = orient_triplet([points[i] for i in g])
-        for local in range(3):
-            wedges[g[local]] = tri.wedges[local]
-        for a, b in tri.tree_edges:
-            edges.append((g[a], g[b]))
+        for i, w in zip(g, tri.wedges):
+            wedges[i] = w
+        edges += [(g[a], g[b]) for a, b in tri.tree_edges]
     consecutive = list(zip(full, full[1:]))
     induced = induced_graph(points, wedges, _cross_pairs(consecutive))
-    for a, b in consecutive:
-        ce = cross_edge(induced, a, b)
-        if ce is None:
-            raise TheoremViolation(
-                f"no cross edge between triplet groups {a} and {b}"
-            )
-        edges.append(ce)
-    edges.extend(aim_leftovers(points, wedges, leftovers, full[-1], 120.0))
-
-    tree = tree_from_edges(points, edges)
-    if n % 3 == 0:
-        _check_weight_bound(tree, 3.0, tour.weight, "tour")
-        _check_weight_bound(tree, 6.0, mst.weight, "MST")
-    return AlphaTree(120.0, tree, tuple(wedges), mst_weight=mst.weight, tour_weight=tour.weight)
+    edges += _cross_edges(induced, consecutive, lambda k: TheoremViolation(
+        "no cross edge between triplet groups {} and {}".format(*consecutive[k])))
+    edges += aim_leftovers(points, wedges, leftovers, full[-1], 120.0)
+    return edges, wedges
 
 
 def _split_by_x(points: PointSet, members: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -231,28 +196,19 @@ def _quad_inner_edges(g: CommGraph, quad: Sequence[int]) -> list[tuple[int, int]
     return picked
 
 
-def build_tree_90(points: PointSet) -> AlphaTree:
-    """Aperture-90 tree via quadruplet gadgets over tour sections of eight.
+def _quadruplet_step(points: PointSet, tour: Tour) -> _Gadgets:
+    """Alpha 90: quadruplet gadgets over tour sections of eight.
 
     Each section splits at its median x coordinate into two quadruplets
     (so the pair is separated by a vertical line); quadruplets are oriented
     independently, joined inside each section and across consecutive
     sections by induced cross edges. Missing cross edges raise
-    SeparationConnectivityViolation. When 8 divides n, the weight is at
-    most 8x the tour and 16x the MST.
+    SeparationConnectivityViolation. Three points make a star; four to
+    seven make one quadruplet of the leftmost four, with the rest aimed at it.
     """
     n = len(points)
-    if n < 2:
-        raise TooFewPointsError("build_tree_90 requires at least two points")
-    check_distinct(points)
-    if n == 2:
-        return _pair_tree(points, 90.0)
-    mst = euclidean_mst_unchecked(points)
-    tour = tsp_tour(points, mst=mst)
-
     wedges: list[Optional[Wedge]] = [None] * n
     edges: list[tuple[int, int]] = []
-
     if n == 3:
         # Star on the vertex whose two neighbors fit in a quarter wedge; the
         # smallest triangle angle is at most 60, so one always exists.
@@ -266,63 +222,81 @@ def build_tree_90(points: PointSet) -> AlphaTree:
         for u in others:
             wedges[u] = Wedge(points[u], direction(points[u], points[hub]), 90.0)
             edges.append((u, hub))
-    elif n < 8:
-        quad, leftovers = sorted(range(n), key=lambda i: (points[i].x, points[i].y, i))[:4], []
-        quad_set = set(quad)
-        leftovers = [p for p in tour.order if p not in quad_set]
-        orientation = orient_quadruplet([points[i] for i in quad])
-        for local in range(4):
-            wedges[quad[local]] = orientation.wedges[local]
-        edges.extend(_quad_inner_edges(induced_graph(points, wedges, _quad_pairs([quad])), quad))
-        edges.extend(aim_leftovers(points, wedges, leftovers, quad, 90.0))
+        return edges, wedges
+
+    if n < 8:
+        host = sorted(range(n), key=lambda i: (points[i].x, points[i].y, i))[:4]
+        leftovers = [p for p in tour.order if p not in host]
+        full, halves, quads = [], [], [host]
     else:
         part = partition_tour(tour, 8)
         full = [g for g in part.groups if len(g) == 8]
         leftovers = [p for g in part.groups if len(g) < 8 for p in g]
         halves = [_split_by_x(points, g) for g in full]
         quads = [quad for half in halves for quad in half]
-        for quad in quads:
-            orientation = orient_quadruplet([points[i] for i in quad])
-            for local in range(4):
-                wedges[quad[local]] = orientation.wedges[local]
-        consecutive = list(zip(full, full[1:]))
-        quad_a, quad_b = _quad_pairs(quads)
-        cross_a, cross_b = _cross_pairs(halves + consecutive)
-        induced = induced_graph(points, wedges, (quad_a + cross_a, quad_b + cross_b))
-        for quad in quads:
-            edges.extend(_quad_inner_edges(induced, quad))
-        for (left, right), section in zip(halves, full):
-            ce = cross_edge(induced, left, right)
-            if ce is None:
-                raise SeparationConnectivityViolation(
-                    f"no edge between x-separated quadruplets of section {section}"
-                )
-            edges.append(ce)
-        for a, b in consecutive:
-            ce = cross_edge(induced, a, b)
-            if ce is None:
-                raise SeparationConnectivityViolation(
-                    f"no edge between consecutive sections {a} and {b}"
-                )
-            edges.append(ce)
-        edges.extend(aim_leftovers(points, wedges, leftovers, full[-1], 90.0))
-
-    tree = tree_from_edges(points, edges)
-    if n % 8 == 0:
-        _check_weight_bound(tree, 8.0, tour.weight, "tour")
-        _check_weight_bound(tree, 16.0, mst.weight, "MST")
-    return AlphaTree(90.0, tree, tuple(wedges), mst_weight=mst.weight, tour_weight=tour.weight)
+        host = full[-1]
+    for quad in quads:
+        orientation = orient_quadruplet([points[i] for i in quad])
+        for i, w in zip(quad, orientation.wedges):
+            wedges[i] = w
+    consecutive = list(zip(full, full[1:]))
+    quad_a, quad_b = _quad_pairs(quads)
+    cross_a, cross_b = _cross_pairs(halves + consecutive)
+    induced = induced_graph(points, wedges, (quad_a + cross_a, quad_b + cross_b))
+    for quad in quads:
+        edges += _quad_inner_edges(induced, quad)
+    edges += _cross_edges(induced, halves, lambda k: SeparationConnectivityViolation(
+        f"no edge between x-separated quadruplets of section {full[k]}"))
+    edges += _cross_edges(induced, consecutive, lambda k: SeparationConnectivityViolation(
+        "no edge between consecutive sections {} and {}".format(*consecutive[k])))
+    edges += aim_leftovers(points, wedges, leftovers, host, 90.0)
+    return edges, wedges
 
 
-_BUILDERS = {180: build_tree_180, 120: build_tree_120, 90: build_tree_90}
+# Per alpha: the gadget step, its group size, and the MST-ratio bound. When
+# the group size divides n, the tree weighs at most group size x the tour
+# and the bound x the MST.
+_ALPHAS: dict[int, tuple[Callable[[PointSet, Tour], _Gadgets], int, float]] = {
+    180: (_path_step, 1, 2.0),
+    120: (_triplet_step, 3, 6.0),
+    90: (_quadruplet_step, 8, 16.0),
+}
 
 
 def build_tree(points: PointSet, alpha_deg: float) -> AlphaTree:
-    """Dispatch to the builder for alpha in {90, 120, 180} degrees."""
+    """Build an alpha-tree for alpha in {90, 120, 180} degrees.
+
+    Two points get facing wedges at 90 and 120. Otherwise the alpha's gadget
+    step runs on the shortcut tour of the Euclidean MST, and the tree's
+    weight bounds are checked when the group size divides n.
+    """
     key = int(round(alpha_deg))
-    if key not in _BUILDERS or abs(alpha_deg - key) > ANGLE_TOL_DEG:
+    if key not in _ALPHAS or abs(alpha_deg - key) > ANGLE_TOL_DEG:
         raise ValueError(f"no builder for alpha={alpha_deg}; supported: 90, 120, 180")
-    return _BUILDERS[key](points)
+    step, group, bound = _ALPHAS[key]
+    alpha = float(key)
+    n = len(points)
+    if n < 2:
+        raise TooFewPointsError("build_tree requires at least two points")
+    check_distinct(points)
+    # Two points need no gadget; at 180 the path step covers them, with its
+    # covering wedges in place of facing ones.
+    if n == 2 and key != 180:
+        w = points[0].distance_to(points[1])
+        tree = tree_from_edges(points, [(0, 1)])
+        return AlphaTree(alpha, tree, orient_pair(points, alpha), mst_weight=w, tour_weight=2.0 * w)
+    mst = euclidean_mst_unchecked(points)
+    tour = tsp_tour(points, mst)
+    edges, wedges = step(points, tour)
+    tree = tree_from_edges(points, edges)
+    if n % group == 0:
+        for factor, of, reference in ((group, "tour", tour.weight), (bound, "MST", mst.weight)):
+            if tree.weight > factor * reference * (1.0 + REL_TOL):
+                raise GuaranteeViolation(
+                    f"tree {tree.edges} weighs {tree.weight}, more than {factor:g}x the {of} "
+                    f"weight {reference}"
+                )
+    return AlphaTree(alpha, tree, tuple(wedges), mst_weight=mst.weight, tour_weight=tour.weight)
 
 
 @dataclass(frozen=True)
@@ -383,15 +357,15 @@ def check_alpha_tree(
     alpha_deg: float,
     edges: Sequence[tuple[int, int]],
     wedges: Sequence[Wedge],
-    stored_weight: float,
     mst_weight: float,
 ) -> AlphaTreeReport:
     """Check an alpha-tree given as plain data (edges: distinct indices into points).
 
-    Checks edge count, span, acyclicity, the stored weight, per-vertex spread
-    against alpha, that every witness wedge has aperture alpha and every edge
-    is mutual under them, that the reference MST weight is positive and at
-    most the tree's, and the ratio.
+    Checks edge count, span, acyclicity, per-vertex spread against alpha,
+    that every witness wedge has aperture alpha and every edge is mutual
+    under them, that the reference MST weight is positive and at most the
+    tree's, and the ratio. The weight is computed from the edges; comparing
+    it with a stored one is left to the caller.
     The ratio bound (2 / 6 / 16) is enforced only where the charging argument
     applies: always for 180, and when the group size divides n for 120 and 90.
     """
@@ -412,8 +386,6 @@ def check_alpha_tree(
     weight = 0.0
     for u, v in edges:
         weight += points[u].distance_to(points[v])
-    if abs(weight - stored_weight) > _REL * max(1.0, weight):
-        failures.append(f"stored weight {stored_weight} != recomputed {weight}")
 
     spread, worst = angular_spread(points, edges)
     if spread > alpha_deg + ANGLE_TOL_DEG:
@@ -431,14 +403,12 @@ def check_alpha_tree(
 
     if n >= 2 and not mst_weight > 0:
         failures.append(f"MST weight {mst_weight} is not positive")
-    elif edge_count_ok and connected and mst_weight > weight * (1.0 + _REL):
+    elif edge_count_ok and connected and mst_weight > weight * (1.0 + REL_TOL):
         failures.append(f"MST weight {mst_weight} exceeds the spanning tree's {weight}")
     ratio = weight / mst_weight if mst_weight > 0 else 1.0
-    key = int(round(alpha_deg))
-    bound = _RATIO_BOUNDS.get(key)
-    group = {180: 1, 120: 3, 90: 8}.get(key, 1)
+    _, group, bound = _ALPHAS.get(int(round(alpha_deg)), (None, 1, None))
     enforced = bound is not None and n % group == 0
-    ratio_ok = bound is None or ratio <= bound * (1.0 + _REL)
+    ratio_ok = bound is None or ratio <= bound * (1.0 + REL_TOL)
     if enforced and not ratio_ok:
         failures.append(f"ratio {ratio} exceeds bound {bound}")
 
@@ -463,8 +433,12 @@ def check_alpha_tree(
 
 
 def verify_alpha_tree(points: PointSet, result: AlphaTree) -> AlphaTreeReport:
-    """Recompute every AlphaTree invariant, the ratio against a fresh Euclidean MST."""
+    """Recompute every AlphaTree invariant, the ratio against a fresh Euclidean
+    MST, and compare the tree's stored weight with the recomputed one."""
     mst_weight = euclidean_mst(points).weight if points else 0.0
-    return check_alpha_tree(
-        points, result.alpha_deg, result.tree.edges, result.wedges, result.tree.weight, mst_weight
-    )
+    report = check_alpha_tree(points, result.alpha_deg, result.tree.edges, result.wedges, mst_weight)
+    stored = result.tree.weight
+    if abs(report.weight - stored) <= REL_TOL * max(1.0, report.weight):
+        return report
+    failure = f"stored weight {stored} != recomputed {report.weight}"
+    return replace(report, passed=False, failures=report.failures + (failure,))

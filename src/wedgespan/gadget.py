@@ -32,7 +32,7 @@ from .geom import (
     PointSet,
     Wedge,
     direction,
-    intervals_cover_circle,
+    spanning_arc,
 )
 
 # Canonical triplet bisectors by role: smallest triangle angle faces along the
@@ -138,7 +138,9 @@ def orient_triplet(points: PointSet) -> TripletOrientation:
         raise GuaranteeViolation(
             f"triplet gadget with bisectors {bis} lost a guaranteed edge on {tuple(points)}"
         )
-    if not intervals_cover_circle(w.direction_interval() for w in wedges):
+    # The wedges cover every direction iff no gap between circularly
+    # consecutive bisectors exceeds the aperture.
+    if 360.0 - spanning_arc(bis)[1] > 120.0 + ANGLE_TOL_DEG:
         raise GuaranteeViolation(
             f"triplet gadget with bisectors {bis} leaves a direction uncovered on {tuple(points)}"
         )

@@ -12,7 +12,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -232,48 +232,6 @@ def direction(p: Point, q: Point) -> Direction:
 
 
 @dataclass(frozen=True, slots=True)
-class AngleInterval:
-    """Counterclockwise arc of directions from ``start`` spanning ``extent`` degrees."""
-
-    start: Direction
-    extent: float
-
-    def __post_init__(self):
-        if not (0.0 < self.extent <= 360.0):
-            raise ValueError(f"interval extent must be in (0, 360], got {self.extent}")
-
-    def contains(self, d: Direction, tol: float = ANGLE_TOL_DEG) -> bool:
-        offset = (d.degrees - self.start.degrees) % 360.0
-        return offset <= self.extent + tol or offset >= 360.0 - tol
-
-
-def intervals_cover_circle(intervals: Iterable[AngleInterval], tol: float = ANGLE_TOL_DEG) -> bool:
-    """True when the union of the intervals covers every direction in [0, 360)."""
-    ivs = [(iv.start.degrees, iv.extent) for iv in intervals]
-    if not ivs:
-        return False
-    if any(ext >= 360.0 - tol for _, ext in ivs):
-        return True
-    ivs.sort()
-    base = ivs[0][0]
-    # Unroll onto [base, base + 720) so a single sweep handles the wrap.
-    spans = []
-    for s, ext in ivs:
-        s_sh = (s - base) % 360.0
-        spans.append((s_sh, s_sh + ext))
-        spans.append((s_sh + 360.0, s_sh + 360.0 + ext))
-    spans.sort()
-    reach = 0.0
-    for s, e in spans:
-        if s > reach + tol:
-            return False
-        reach = max(reach, e)
-        if reach >= 360.0 - tol:
-            return True
-    return reach >= 360.0 - tol
-
-
-@dataclass(frozen=True, slots=True)
 class Wedge:
     """Circular sector: apex, bisector direction, aperture, optional range limit.
 
@@ -300,9 +258,6 @@ class Wedge:
     @property
     def right_ray(self) -> Direction:
         return self.bisector.rotated(-self.aperture_deg / 2.0)
-
-    def direction_interval(self) -> AngleInterval:
-        return AngleInterval(self.right_ray, self.aperture_deg)
 
     def contains(self, q: Point) -> bool:
         dx = q.x - self.apex.x

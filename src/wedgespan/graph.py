@@ -264,14 +264,14 @@ def induced_graph(
     return g
 
 
-def unit_disk_graph(points: PointSet, r: float = 1.0) -> CommGraph:
-    """Edge between u and v iff |uv| <= r (closed boundary, relative tolerance).
+def unit_disk_graph(points: PointSet) -> CommGraph:
+    """Edge between u and v iff |uv| <= 1 (closed boundary, relative tolerance).
 
     The candidate pairs come from ``_candidate_pairs`` at the tolerant
     radius, so memory is O(n+m). Edges carry ``Point.distance_to`` weights
     and neighbour lists come out ascending.
     """
-    limit = r * (1.0 + REL_TOL)
+    limit = 1.0 + REL_TOL
     xy = coordinates(points)
     xs, ys = xy.T.tolist()
     edges = []
@@ -556,8 +556,9 @@ class Tour:
         return self.order[i], self.order[(i + 1) % self.n]
 
 
-def tsp_tour(points: PointSet, mst: Optional[SpanningTree] = None) -> Tour:
-    """2-approximate TSP tour: preorder walk of the Euclidean MST with shortcuts.
+def tsp_tour(points: PointSet, mst: SpanningTree) -> Tour:
+    """2-approximate TSP tour: preorder walk of ``mst``, the points' Euclidean
+    MST, with shortcuts.
 
     Root is vertex 0 and children are visited in ascending index order, so
     the result is deterministic. Raises GuaranteeViolation unless
@@ -566,8 +567,6 @@ def tsp_tour(points: PointSet, mst: Optional[SpanningTree] = None) -> Tour:
     n = len(points)
     if n < 2:
         raise TooFewPointsError("tsp_tour requires at least two points")
-    if mst is None:
-        mst = euclidean_mst(points)
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in mst.edges:
         adj[u].append(v)

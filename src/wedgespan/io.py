@@ -208,6 +208,8 @@ def parse_result(text: str) -> ResultDoc:
 # ---------------------------------------------------------------------------
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# Width and height of the drawing, in pixels.
+_SVG_CANVAS = 800.0
 
 
 def _fmt(v: float) -> str:
@@ -218,15 +220,11 @@ def emit_svg(
     points: PointSet,
     wedges: Optional[Sequence[Wedge]] = None,
     edges: Optional[Sequence[tuple[int, int]]] = None,
-    *,
-    canvas: float = 800.0,
-    default_wedge_radius: Optional[float] = None,
 ) -> str:
     """Draw points, edges, and wedge sectors as standalone SVG 1.1.
 
-    The drawing is fit to the canvas with a 5% margin; unbounded wedges are
-    drawn with ``default_wedge_radius`` (a quarter of the point-cloud span
-    when not given).
+    The drawing is fit to an 800-pixel square with a 5% margin; unbounded
+    wedges are drawn with a quarter of the point-cloud span as radius.
     """
     if not points:
         raise ValueError("nothing to draw")
@@ -235,27 +233,26 @@ def emit_svg(
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y, 1e-9)
-    if default_wedge_radius is None:
-        default_wedge_radius = span * 0.25
-    margin = 0.05 * canvas
-    scale = (canvas - 2 * margin) / span
+    unbounded_radius = span * 0.25
+    margin = 0.05 * _SVG_CANVAS
+    scale = (_SVG_CANVAS - 2 * margin) / span
 
     def to_px(p: Point) -> tuple[float, float]:
         return (
             margin + (p.x - min_x) * scale,
-            canvas - (margin + (p.y - min_y) * scale),
+            _SVG_CANVAS - (margin + (p.y - min_y) * scale),
         )
 
+    size = _fmt(_SVG_CANVAS)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(canvas)}" height="{_fmt(canvas)}" '
-        f'viewBox="0 0 {_fmt(canvas)} {_fmt(canvas)}">',
-        f'<rect width="{_fmt(canvas)}" height="{_fmt(canvas)}" fill="#ffffff"/>',
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     if wedges:
         for k, w in enumerate(wedges):
-            r_world = w.radius if w.radius is not None else default_wedge_radius
+            r_world = w.radius if w.radius is not None else unbounded_radius
             r = r_world * scale
             ax, ay = to_px(w.apex)
             color = _SVG_COLORS[k % len(_SVG_COLORS)]

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from wedgespan.approx import build_tree_90, build_tree_120, build_tree_180, verify_alpha_tree
+from wedgespan.approx import build_tree, verify_alpha_tree
 from wedgespan.errors import SeparationConnectivityViolation
 from wedgespan.gadget import orient_triplet, verify_coverage
 from wedgespan.generators import collinear, equilateral, equilateral_with_center, uniform_square
@@ -113,7 +113,7 @@ def test_c03_pi_builder_bounds():
     for seed in range(1000):
         n = 2 + seed % 59
         pts = uniform_square(n, seed=seed)
-        result = build_tree_180(pts)
+        result = build_tree(pts, 180)
         report = verify_alpha_tree(pts, result)
         assert report.passed, (seed, report.failures)
         assert report.max_spread_deg <= 180.0 + ANG
@@ -125,7 +125,7 @@ def test_c04_two_thirds_builder_bounds():
     for seed in range(1000):
         for n in (3, 6, 60, 99):
             pts = uniform_square(n, seed=seed)
-            result = build_tree_120(pts)
+            result = build_tree(pts, 120)
             report = verify_alpha_tree(pts, result)
             assert report.passed, (seed, n, report.failures)
             assert report.max_spread_deg <= 120.0 + ANG
@@ -141,7 +141,7 @@ def test_c05_half_pi_builder_bounds():
         for n in (8, 16, 64):
             pts = uniform_square(n, seed=seed)
             try:
-                result = build_tree_90(pts)
+                result = build_tree(pts, 90)
             except SeparationConnectivityViolation:
                 violations += 1
                 continue
@@ -157,7 +157,6 @@ def test_c05_half_pi_builder_bounds():
 
 def test_c06_oracle_cross_check():
     start = time.perf_counter()
-    builders = {90.0: build_tree_90, 120.0: build_tree_120, 180.0: build_tree_180}
     for k in range(500):
         n = 4 + k % 4
         pts = uniform_square(n, seed=10_000 + k)
@@ -165,8 +164,8 @@ def test_c06_oracle_cross_check():
         assert exact[360.0].weight == pytest.approx(
             euclidean_mst(pts).weight, rel=REL
         ), f"set {k}: MST mismatch"
-        for alpha, build in builders.items():
-            result = build(pts)
+        for alpha in (90.0, 120.0, 180.0):
+            result = build_tree(pts, alpha)
             oracle_tree = exact[alpha]
             assert oracle_tree is not None, (k, alpha)
             assert result.tree.weight >= oracle_tree.weight * (1.0 - REL), (k, alpha)

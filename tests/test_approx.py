@@ -6,9 +6,6 @@ import pytest
 from wedgespan.approx import (
     AlphaTree,
     build_tree,
-    build_tree_90,
-    build_tree_120,
-    build_tree_180,
     check_alpha_tree,
     partition_tour,
     verify_alpha_tree,
@@ -49,24 +46,26 @@ class TestPartitionTour:
         rng = random.Random(31)
         for _ in range(50):
             pts = [Point(rng.random(), rng.random()) for _ in range(rng.randint(3, 30))]
-            tour = tsp_tour(pts)
+            tour = tsp_tour(pts, euclidean_mst(pts))
             part = partition_tour(tour, 3)
             assert part.class_weights[part.connecting_class] >= tour.weight / 3.0 - 1e-9
 
     def test_remainder_grouping(self):
-        tour = tsp_tour(collinear(7))
+        pts = collinear(7)
+        tour = tsp_tour(pts, euclidean_mst(pts))
         part = partition_tour(tour, 3)
         sizes = sorted(len(g) for g in part.groups)
         assert sizes == [1, 3, 3]
         assert len(part.groups[-1]) == 1
 
     def test_too_few(self):
+        pts = collinear(2)
         with pytest.raises(TooFewPointsError):
-            partition_tour(tsp_tour(collinear(2)), 3)
+            partition_tour(tsp_tour(pts, euclidean_mst(pts)), 3)
 
     def test_groups_consecutive_in_tour(self):
         pts = uniform_square(12, seed=3)
-        tour = tsp_tour(pts)
+        tour = tsp_tour(pts, euclidean_mst(pts))
         part = partition_tour(tour, 3)
         flattened = [v for g in part.groups for v in g]
         doubled = tour.order + tour.order
@@ -76,26 +75,26 @@ class TestPartitionTour:
 
 class TestBuild180:
     def test_collinear_is_path(self):
-        at = build_tree_180(collinear(3))
+        at = build_tree(collinear(3), 180)
         assert at.tree.weight == pytest.approx(2.0)
         assert verify_alpha_tree(collinear(3), at).ratio == pytest.approx(1.0)
 
     def test_unit_square_drops_heaviest(self):
         pts = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
-        at = build_tree_180(pts)
+        at = build_tree(pts, 180)
         assert at.tree.weight == pytest.approx(3.0)
 
     def test_spread_bounded_by_180(self):
         rng = random.Random(32)
         for _ in range(30):
             pts = uniform_square(rng.randint(2, 40), seed=rng.randint(0, 10**6))
-            at = build_tree_180(pts)
+            at = build_tree(pts, 180)
             report = verify_alpha_tree(pts, at)
             assert report.passed
             assert report.max_spread_deg <= 180.0 + 1e-9
 
     def test_two_points(self):
-        at = build_tree_180([Point(0, 0), Point(0, 5)])
+        at = build_tree([Point(0, 0), Point(0, 5)], 180)
         assert at.tree.weight == pytest.approx(5.0)
         assert verify_alpha_tree([Point(0, 0), Point(0, 5)], at).ratio == pytest.approx(1.0)
 
@@ -103,7 +102,7 @@ class TestBuild180:
 class TestBuild120:
     def test_single_gadget(self):
         pts = [Point(0, 0), Point(2, 0), Point(1, 1.4)]
-        at = build_tree_120(pts)
+        at = build_tree(pts, 120)
         assert len(at.tree.edges) == 2
         report = verify_alpha_tree(pts, at)
         assert report.passed
@@ -111,14 +110,14 @@ class TestBuild120:
 
     def test_one_leftover(self):
         pts = uniform_square(4, seed=9)
-        at = build_tree_120(pts)
+        at = build_tree(pts, 120)
         report = verify_alpha_tree(pts, at)
         assert report.passed and len(at.tree.edges) == 3
 
     def test_ratio_bound_when_divisible(self):
         for seed in range(20):
             pts = uniform_square(6, seed=seed)
-            at = build_tree_120(pts)
+            at = build_tree(pts, 120)
             assert at.tree.weight <= 3.0 * at.tour_weight * (1 + 1e-9)
             assert at.tree.weight <= 6.0 * at.mst_weight * (1 + 1e-9)
             assert verify_alpha_tree(pts, at).passed
@@ -126,17 +125,17 @@ class TestBuild120:
     def test_validity_nondivisible(self):
         for n in (4, 5, 7, 8, 10):
             pts = uniform_square(n, seed=100 + n)
-            report = verify_alpha_tree(pts, build_tree_120(pts))
+            report = verify_alpha_tree(pts, build_tree(pts, 120))
             assert report.passed
             assert report.max_spread_deg <= 120.0 + 1e-9
 
     def test_pair(self):
-        at = build_tree_120([Point(0, 0), Point(1, 1)])
+        at = build_tree([Point(0, 0), Point(1, 1)], 120)
         assert at.tree.weight == pytest.approx(math.sqrt(2.0))
 
     def test_deterministic(self):
         pts = uniform_square(21, seed=77)
-        a, b = build_tree_120(pts), build_tree_120(pts)
+        a, b = build_tree(pts, 120), build_tree(pts, 120)
         assert a.tree.edges == b.tree.edges
         assert [w.bisector.degrees for w in a.wedges] == [
             w.bisector.degrees for w in b.wedges
@@ -144,7 +143,7 @@ class TestBuild120:
 
     def test_deterministic_90(self):
         pts = uniform_square(19, seed=78)
-        a, b = build_tree_90(pts), build_tree_90(pts)
+        a, b = build_tree(pts, 90), build_tree(pts, 90)
         assert a.tree.edges == b.tree.edges
         assert [w.bisector.degrees for w in a.wedges] == [
             w.bisector.degrees for w in b.wedges
@@ -155,7 +154,7 @@ class TestBuild90:
     def test_sixteen_random(self):
         for seed in range(10):
             pts = uniform_square(16, seed=seed)
-            at = build_tree_90(pts)
+            at = build_tree(pts, 90)
             report = verify_alpha_tree(pts, at)
             assert report.passed
             assert at.tree.weight <= 16.0 * at.mst_weight * (1 + 1e-9)
@@ -164,7 +163,7 @@ class TestBuild90:
         left = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
         right = [Point(5, 0), Point(6, 0), Point(6, 1), Point(5, 1)]
         pts = left + right
-        at = build_tree_90(pts)
+        at = build_tree(pts, 90)
         report = verify_alpha_tree(pts, at)
         assert report.passed
         crossing = [
@@ -177,14 +176,14 @@ class TestBuild90:
         # section-connecting edge per consecutive pair: total n-1
         for n, seed in ((8, 1), (16, 2), (24, 3)):
             pts = uniform_square(n, seed=seed)
-            at = build_tree_90(pts)
+            at = build_tree(pts, 90)
             assert len(at.tree.edges) == n - 1
             assert at.tree.weight <= 8.0 * at.tour_weight * (1 + 1e-9)
 
     def test_small_sizes(self):
         for n in (2, 3, 4, 5, 6, 7):
             pts = uniform_square(n, seed=50 + n)
-            at = build_tree_90(pts)
+            at = build_tree(pts, 90)
             report = verify_alpha_tree(pts, at)
             assert report.passed, (n, report.failures)
             assert report.max_spread_deg <= 90.0 + 1e-9
@@ -192,7 +191,7 @@ class TestBuild90:
     def test_collinear_small(self):
         for n in (3, 5, 7):
             pts = collinear(n)
-            report = verify_alpha_tree(pts, build_tree_90(pts))
+            report = verify_alpha_tree(pts, build_tree(pts, 90))
             assert report.passed
 
 
@@ -211,7 +210,7 @@ class TestDispatch:
 class TestVerifier:
     def test_passes_builder_output(self):
         pts = uniform_square(12, seed=4)
-        report = verify_alpha_tree(pts, build_tree_120(pts))
+        report = verify_alpha_tree(pts, build_tree(pts, 120))
         assert report.passed and not report.failures
 
     def test_detects_spread_violation(self):
@@ -226,7 +225,7 @@ class TestVerifier:
 
     def test_detects_weight_tampering(self):
         pts = uniform_square(6, seed=5)
-        at = build_tree_120(pts)
+        at = build_tree(pts, 120)
         fake = AlphaTree(
             at.alpha_deg,
             type(at.tree)(at.tree.edges, at.tree.weight * 2.0),
@@ -238,8 +237,8 @@ class TestVerifier:
 
     def test_reference_mst_weight_is_checked(self):
         pts = uniform_square(9, seed=2)
-        at = build_tree_120(pts)
-        args = (pts, 120.0, at.tree.edges, at.wedges, at.tree.weight)
+        at = build_tree(pts, 120)
+        args = (pts, 120.0, at.tree.edges, at.wedges)
         assert check_alpha_tree(*args, at.mst_weight).passed
         for bad in (0.0, at.tree.weight * 1.01):
             report = check_alpha_tree(*args, bad)
@@ -258,10 +257,10 @@ class TestWitnessConsistency:
         rng = random.Random(33)
         from wedgespan.graph import induced_graph
 
-        for builder in (build_tree_180, build_tree_120, build_tree_90):
+        for alpha in (180, 120, 90):
             for _ in range(5):
                 pts = uniform_square(rng.randint(8, 25), seed=rng.randint(0, 10**6))
-                at = builder(pts)
+                at = build_tree(pts, alpha)
                 g = induced_graph(pts, list(at.wedges))
                 for u, v in at.tree.edges:
                     assert g.has_edge(u, v)

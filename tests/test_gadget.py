@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wedgespan import gadget
 from wedgespan.errors import DuplicatePointError, GuaranteeViolation
 from wedgespan.gadget import (
     aim_leftovers,
@@ -92,6 +93,14 @@ class TestOrientTriplet:
     def test_duplicate_raises(self):
         with pytest.raises(DuplicatePointError):
             orient_triplet([Point(0, 0), Point(0, 0), Point(1, 1)])
+
+    def test_bisector_gap_above_aperture_raises(self, monkeypatch):
+        # Turning the peak's bisector by one degree opens a 121-degree gap
+        # between it and base_right's, which no 120-degree wedge closes;
+        # both guaranteed edges stay inside the wedges.
+        monkeypatch.setattr(gadget, "_CANON_PEAK", 241.0)
+        with pytest.raises(GuaranteeViolation, match="leaves a direction uncovered"):
+            orient_triplet([Point(0, 0), Point(2, 0), Point(1, 1.4)])
 
     def test_property1_bisector_partition(self):
         rng = random.Random(1)

@@ -13,7 +13,6 @@ from wedgespan.generators import hex_grid_points
 from wedgespan.geom import (
     ANGLE_TOL_DEG,
     REL_TOL,
-    AngleInterval,
     Direction,
     Point,
     Wedge,
@@ -23,7 +22,6 @@ from wedgespan.geom import (
     covering_wedge,
     direction,
     grid_pairs,
-    intervals_cover_circle,
     points_coincide,
     signed_angle_delta,
     spanning_arc,
@@ -258,26 +256,6 @@ class TestSpanningArc:
     def test_identical_directions(self):
         _, extent = spanning_arc([42.0, 42.0])
         assert extent == 0.0
-
-
-class TestAngleInterval:
-    def test_contains_wraps(self):
-        iv = AngleInterval(Direction(350), 20.0)
-        assert iv.contains(Direction(355))
-        assert iv.contains(Direction(5))
-        assert not iv.contains(Direction(180))
-
-    def test_cover_circle_partition(self):
-        ivs = [AngleInterval(Direction(d), 120.0) for d in (0, 120, 240)]
-        assert intervals_cover_circle(ivs)
-
-    def test_cover_circle_gap(self):
-        ivs = [AngleInterval(Direction(0), 120.0), AngleInterval(Direction(120), 120.0)]
-        assert not intervals_cover_circle(ivs)
-
-    def test_cover_circle_overlapping(self):
-        ivs = [AngleInterval(Direction(d), 200.0) for d in (0, 120, 240)]
-        assert intervals_cover_circle(ivs)
 
 
 @pytest.fixture(params=["grid", "all-pairs"])

@@ -105,3 +105,29 @@ def test_mid_size_solve_outputs_match_golden_digest(tmp_path):
         for alpha in ("90", "120"):
             digest.update(_solve(inst, alpha, tmp_path / f"{name}.solve{alpha}.json"))
     assert digest.hexdigest() == MID_GOLDEN_SHA256
+
+
+# Small inputs: the pair tree at n = 2, the alpha=90 star at n = 3, the single
+# quadruplet with leftovers at n = 4..7, and one or two gadget groups with
+# leftovers at every alpha. The other corpora start at n = 12.
+SMALL_CORPUS = [
+    (f"{gen}-{n}", ["--generator", gen, "--n", str(n)] + extra)
+    for gen, extra in (
+        ("uniform-square", ["--seed", "7"]),
+        ("collinear", []),
+        ("clustered", ["--seed", "2", "--clusters", "2", "--spread", "0.2"]),
+    )
+    for n in range(2, 10)
+]
+
+SMALL_GOLDEN_SHA256 = "12af41fc1be92544de2109351ede60f6799ee103253552cff9e9a897e3294046"
+
+
+def test_small_n_solve_outputs_match_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for name, gen_args in SMALL_CORPUS:
+        inst = tmp_path / f"{name}.json"
+        assert _run("gen", *gen_args, "--out", inst) == 0
+        for alpha in ALPHAS:
+            digest.update(_solve(inst, alpha, tmp_path / f"{name}.solve{alpha}.json"))
+    assert digest.hexdigest() == SMALL_GOLDEN_SHA256

@@ -14,6 +14,7 @@ from wedgespan.geom import ANGLE_TOL_DEG, REL_TOL, Direction, Point, Wedge, coor
 from wedgespan.graph import (
     CommGraph,
     DisjointSets,
+    SpanningTree,
     cross_edge,
     euclidean_mst,
     hop_distances_from,
@@ -451,29 +452,33 @@ class TestEuclideanMSTMatchesDensePrim:
 
 
 class TestTspTour:
+    @staticmethod
+    def tour(points):
+        return tsp_tour(points, euclidean_mst(points))
+
     def test_collinear(self):
-        tour = tsp_tour([Point(0, 0), Point(1, 0), Point(2, 0)])
+        tour = self.tour([Point(0, 0), Point(1, 0), Point(2, 0)])
         assert tour.order == (0, 1, 2)
         assert tour.weight == pytest.approx(4.0)
 
     def test_unit_square_perimeter(self):
-        tour = tsp_tour([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
+        tour = self.tour([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
         assert tour.weight == pytest.approx(4.0)
 
     def test_two_points(self):
-        tour = tsp_tour([Point(0, 0), Point(3, 4)])
+        tour = self.tour([Point(0, 0), Point(3, 4)])
         assert tour.weight == pytest.approx(10.0)
 
     def test_too_few(self):
         with pytest.raises(TooFewPointsError):
-            tsp_tour([Point(0, 0)])
+            tsp_tour([Point(0, 0)], SpanningTree((), 0.0))
 
     def test_twice_mst_bound(self):
         rng = random.Random(23)
         for _ in range(50):
             pts = rand_points(rng, rng.randint(2, 40))
             mst = euclidean_mst(pts)
-            tour = tsp_tour(pts, mst=mst)
+            tour = tsp_tour(pts, mst)
             assert tour.weight <= 2.0 * mst.weight * (1.0 + 1e-9)
             assert sorted(tour.order) == list(range(len(pts)))
 
