@@ -6,8 +6,9 @@ Three recipes live here:
   two induced edges (a 2-edge spanning path centered on the smallest-angle
   vertex) and full plane coverage by the wedge union.
 * ``orient_quadruplet`` — 90-degree wedges for any four points, found by a
-  deterministic candidate search: the best-ranked candidate with a connected
-  induced graph whose wedges cover the plane (``verify_coverage``).
+  deterministic candidate search: all candidates are scored in one numpy
+  pass, and the best-ranked one with a connected induced graph whose wedges
+  cover the plane (``verify_coverage``) wins.
 * ``orient_pair`` — two facing wedges, the trivial case.
 
 ``aim_leftovers`` gives points outside any gadget a wedge aimed at a gadget
@@ -24,6 +25,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import GadgetSearchFailed, GuaranteeViolation
 from .geom import (
@@ -189,20 +192,20 @@ def aim_leftovers(
     return edges
 
 
-def _connected_on_four(edges: Sequence[tuple[int, int]]) -> bool:
-    reach = 1  # bitmask over vertices 0..3, seeded with vertex 0
-    changed = True
-    while changed:
-        changed = False
-        for u, v in edges:
-            bu, bv = 1 << u, 1 << v
-            if (reach & bu) and not (reach & bv):
-                reach |= bv
-                changed = True
-            elif (reach & bv) and not (reach & bu):
-                reach |= bu
-                changed = True
-    return reach == 0b1111
+# Bit k of an edge mask stands for the point pair _PAIRS[k]; _CONNECTED[mask]
+# says whether those edges connect all four points (a path of at most three
+# edges joins every pair, so (A + I)^3 has no zero entry).
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+_PAIR_I, _PAIR_J = np.array(_PAIRS).T
+_PAIR_BITS = 1 << np.arange(6)
+_ADJ = np.broadcast_to(np.eye(4, dtype=np.int64), (64, 4, 4)).copy()
+_ADJ[:, _PAIR_I, _PAIR_J] = _ADJ[:, _PAIR_J, _PAIR_I] = (np.arange(64)[:, None] & _PAIR_BITS) > 0
+_CONNECTED = (np.linalg.matrix_power(_ADJ, 3) > 0).all(axis=(1, 2))
+_PERMS = np.array(list(itertools.permutations(range(4))))
+# Pair ends k < 6 are the pairs' lower points, k >= 6 their higher ones;
+# _END_QUADRANT[perm, k] is the quadrant that permutation gives end k.
+_END_QUADRANT = _PERMS[:, np.concatenate([_PAIR_I, _PAIR_J])]
+_QUADRANTS = np.array([45.0, 135.0, 225.0, 315.0])
 
 
 def orient_quadruplet(points: PointSet) -> QuadrupletOrientation:
@@ -211,61 +214,52 @@ def orient_quadruplet(points: PointSet) -> QuadrupletOrientation:
     Candidate bisector assignments are the four quadrant bisectors
     45/135/225/315 rotated by phi, with phi drawn from the directions of the
     six point pairs (mod 90) plus 0, assigned to the points in every
-    permutation. Candidates with a connected induced graph are ranked by
-    (most induced edges, smallest total edge length, enumeration order) and
-    the first one whose wedges cover the plane, by the exact
+    permutation. All candidates are scored in one numpy pass: an edge is
+    induced when each end's direction to the other lies within 45 degrees
+    (plus ``ANGLE_TOL_DEG``) of its bisector, the same test as
+    ``_dir_in_half_aperture``. Candidates with a connected induced graph are
+    ranked by (most induced edges, smallest total edge length, enumeration
+    order) and the first one whose wedges cover the plane, by the exact
     ``verify_coverage``, wins.
     """
     if len(points) != 4:
         raise ValueError(f"orient_quadruplet requires exactly 4 points, got {len(points)}")
-    dirs = [[0.0] * 4 for _ in range(4)]
-    dists = [[0.0] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = direction(points[i], points[j]).degrees
-            dirs[i][j] = d
-            dirs[j][i] = (d + 180.0) % 360.0
-            dists[i][j] = dists[j][i] = points[i].distance_to(points[j])
+    dirs, dists = [0.0] * 12, []
+    for k, (i, j) in enumerate(_PAIRS):
+        d = direction(points[i], points[j]).degrees
+        dirs[k], dirs[k + 6] = d, (d + 180.0) % 360.0
+        dists.append(points[i].distance_to(points[j]))
 
     phis: list[float] = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            cand = dirs[i][j] % 90.0
-            if all(abs(cand - p) > ANGLE_TOL_DEG for p in phis):
-                phis.append(cand)
+    for d in dirs[:6]:
+        cand = d % 90.0
+        if all(abs(cand - p) > ANGLE_TOL_DEG for p in phis):
+            phis.append(cand)
     if all(abs(p) > ANGLE_TOL_DEG for p in phis):
         phis.append(0.0)
 
-    scored: list[tuple[int, float, int, tuple[float, float, float, float]]] = []
-    seq = 0
-    for phi in phis:
-        base = (45.0 + phi, 135.0 + phi, 225.0 + phi, 315.0 + phi)
-        for perm in itertools.permutations(range(4)):
-            bis = tuple(base[perm[i]] % 360.0 for i in range(4))
-            edges = []
-            total = 0.0
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if _dir_in_half_aperture(dirs[i][j], bis[i], 45.0) and _dir_in_half_aperture(
-                        dirs[j][i], bis[j], 45.0
-                    ):
-                        edges.append((i, j))
-                        total += dists[i][j]
-            if edges and _connected_on_four(edges):
-                scored.append((-len(edges), total, seq, bis))
-            seq += 1
-
-    if not scored:
+    # inside[p, k, q]: the direction from end k to the other end of its pair
+    # lies in the 90-degree wedge with quadrant q's bisector at phi p. Each
+    # candidate, numbered phi_index * 24 + perm_index as loops over phi and
+    # then permutations would meet it, reads its ends' entries.
+    base = (_QUADRANTS + np.array(phis)[:, None]) % 360.0
+    offset = (np.array(dirs)[:, None] - base[:, None, :] + 180.0) % 360.0 - 180.0
+    inside = np.abs(offset) <= 45.0 + ANGLE_TOL_DEG
+    ends = inside[:, np.arange(12), _END_QUADRANT].reshape(-1, 12)
+    induced = ends[:, :6] & ends[:, 6:]
+    seq = np.flatnonzero(_CONNECTED[induced @ _PAIR_BITS])
+    if not len(seq):
         raise GadgetSearchFailed(f"no connected wedge assignment found for {points}")
-
-    scored.sort()
-    for _, _, _, bis in scored:
-        wedges = tuple(Wedge(points[i], Direction(bis[i]), 90.0) for i in range(4))
+    # Lengths summed left to right in pair order; an absent edge adds 0.0,
+    # which leaves the partial sum unchanged.
+    edges = induced[seq]
+    total = np.where(edges, dists, 0.0).cumsum(axis=1)[:, -1]
+    ranked = seq[np.lexsort((seq, total, -edges.sum(axis=1)))]
+    for row in base[:, _PERMS].reshape(-1, 4)[ranked].tolist():
+        wedges = tuple(Wedge(points[i], Direction(row[i]), 90.0) for i in range(4))
         if verify_coverage(wedges):
             return QuadrupletOrientation(wedges=wedges)  # type: ignore[arg-type]
     raise GadgetSearchFailed(f"no covering wedge assignment found for {points}")
-
-
 
 
 def _cone(w: Wedge) -> tuple[float, float, float, float, float, float]:

@@ -1,9 +1,12 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wedgespan import gadget
+from wedgespan import approx, gadget
 from wedgespan.errors import DuplicatePointError, GuaranteeViolation
 from wedgespan.gadget import (
     aim_leftovers,
@@ -12,8 +15,9 @@ from wedgespan.gadget import (
     orient_triplet,
     verify_coverage,
 )
-from wedgespan.geom import ANGLE_TOL_DEG, Direction, Point, Wedge, signed_angle_delta
-from wedgespan.graph import induced_graph
+from wedgespan.generators import uniform_square
+from wedgespan.geom import ANGLE_TOL_DEG, Direction, Point, Wedge, direction, signed_angle_delta
+from wedgespan.graph import DisjointSets, induced_graph
 
 
 def rand_points(rng, k, lo=0.0, hi=1.0):
@@ -221,6 +225,172 @@ _SAMPLED_GAPS = [
               (0.0628062964552, 0.556549314094), (0.0671701810111, 0.553888800212)],
      (0.042787170714618336, 0.5697653730735631)),
 ]
+
+
+def _connected_on_four(edges):
+    reach = 1  # bitmask over vertices 0..3, seeded with vertex 0
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            bu, bv = 1 << u, 1 << v
+            if (reach & bu) and not (reach & bv):
+                reach |= bv
+                changed = True
+            elif (reach & bv) and not (reach & bu):
+                reach |= bu
+                changed = True
+    return reach == 0b1111
+
+
+def reference_quadruplet_bisectors(points):
+    """Scalar reference for ``orient_quadruplet``: score each candidate pair
+    by pair, rank the connected ones by (most edges, least total length,
+    enumeration order) and return the first covering one's bisectors."""
+    dirs = [[0.0] * 4 for _ in range(4)]
+    dists = [[0.0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            d = direction(points[i], points[j]).degrees
+            dirs[i][j] = d
+            dirs[j][i] = (d + 180.0) % 360.0
+            dists[i][j] = dists[j][i] = points[i].distance_to(points[j])
+
+    phis = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            cand = dirs[i][j] % 90.0
+            if all(abs(cand - p) > ANGLE_TOL_DEG for p in phis):
+                phis.append(cand)
+    if all(abs(p) > ANGLE_TOL_DEG for p in phis):
+        phis.append(0.0)
+
+    scored = []
+    seq = 0
+    for phi in phis:
+        base = (45.0 + phi, 135.0 + phi, 225.0 + phi, 315.0 + phi)
+        for perm in itertools.permutations(range(4)):
+            bis = tuple(base[perm[i]] % 360.0 for i in range(4))
+            edges = []
+            total = 0.0
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    if gadget._dir_in_half_aperture(dirs[i][j], bis[i], 45.0) and gadget._dir_in_half_aperture(
+                        dirs[j][i], bis[j], 45.0
+                    ):
+                        edges.append((i, j))
+                        total += dists[i][j]
+            if edges and _connected_on_four(edges):
+                scored.append((-len(edges), total, seq, bis))
+            seq += 1
+
+    scored.sort()
+    for _, _, _, bis in scored:
+        wedges = tuple(Wedge(points[i], Direction(bis[i]), 90.0) for i in range(4))
+        if verify_coverage(wedges):
+            return [w.bisector.degrees for w in wedges]
+    raise AssertionError(f"reference found no covering assignment for {points}")
+
+
+def _random_quads(rng):
+    return [rand_points(rng, 4) for _ in range(1000)]
+
+
+def _lattice_quads(rng):
+    # Small integer coordinates: repeated directions, lengths and phi values.
+    quads = []
+    while len(quads) < 300:
+        cells = {(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(4)}
+        if len(cells) == 4:
+            quads.append([Point(x, y) for x, y in sorted(cells)])
+    return quads
+
+
+def _cocircular_quads(rng):
+    quads = []
+    for _ in range(100):
+        turn, r = rng.uniform(0.0, 360.0), rng.uniform(0.1, 10.0)
+        quads.append([rotated(r, 0.0, turn + 90.0 * k) for k in range(4)])
+        angles = rng.sample(range(0, 360, 15), 4)
+        quads.append([rotated(r, 0.0, a) for a in angles])
+    return quads
+
+
+def _collinear_quads(rng):
+    quads = []
+    for _ in range(100):
+        turn = rng.choice((0.0, 45.0, 90.0, rng.uniform(0.0, 180.0)))
+        quads.append([rotated(float(x), 0.0, turn) for x in rng.sample(range(12), 4)])
+    return quads
+
+
+def _needle_quads(rng):
+    # A triangle with a tiny height over its base, plus a point anywhere.
+    quads = []
+    for _ in range(100):
+        h = 10.0 ** rng.uniform(-9.0, -3.0)
+        tri = [Point(0.0, 0.0), Point(1.0, 0.0), Point(rng.random(), h)]
+        quads.append(tri + [Point(rng.uniform(-1.0, 2.0), rng.uniform(-1.0, 1.0))])
+    return quads
+
+
+class TestScoringMatchesScalarReference:
+    @pytest.mark.parametrize(
+        "make", [_random_quads, _lattice_quads, _cocircular_quads, _collinear_quads, _needle_quads]
+    )
+    def test_same_bisectors(self, make):
+        rng = random.Random(make.__name__)
+        for pts in make(rng):
+            got = [w.bisector.degrees for w in orient_quadruplet(pts).wedges]
+            assert got == reference_quadruplet_bisectors(pts), pts
+
+    def test_same_bisectors_on_sampled_gap_fixtures(self):
+        for _, _, pts, _ in _SAMPLED_GAPS:
+            pts = [Point(x, y) for x, y in pts]
+            got = [w.bisector.degrees for w in orient_quadruplet(pts).wedges]
+            assert got == reference_quadruplet_bisectors(pts), pts
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=4, max_size=4, unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bisectors_on_small_integer_points(self, coords):
+        pts = [Point(x, y) for x, y in coords]
+        got = [w.bisector.degrees for w in orient_quadruplet(pts).wedges]
+        assert got == reference_quadruplet_bisectors(pts)
+
+    def test_connectivity_table_matches_union_find(self):
+        pairs = list(itertools.combinations(range(4), 2))
+        for mask in range(64):
+            sets = DisjointSets(4)
+            for k, (i, j) in enumerate(pairs):
+                if mask >> k & 1:
+                    sets.union(i, j)
+            assert bool(gadget._CONNECTED[mask]) == (sets.count == 1), mask
+        # 38 of the 64 labelled graphs on four vertices are connected.
+        assert int(gadget._CONNECTED.sum()) == 38
+
+
+def test_alpha90_solve_orients_each_quadruplet_once(monkeypatch):
+    """One ``orient_quadruplet`` call per quadruplet, each making at least
+    one coverage check, so per-quadruplet counts stay per quadruplet."""
+    quads, checks = [], []
+    orient, cover = approx.orient_quadruplet, gadget.verify_coverage
+
+    def counted_orient(points):
+        quads.append(frozenset(points))
+        return orient(points)
+
+    def counted_cover(wedges):
+        checks.append(None)
+        return cover(wedges)
+
+    monkeypatch.setattr(approx, "orient_quadruplet", counted_orient)
+    monkeypatch.setattr(gadget, "verify_coverage", counted_cover)
+    points = uniform_square(64, seed=0)
+    approx.build_tree(points, 90.0)
+    # 64 points make eight tour sections of eight, each split in two.
+    assert len(quads) == 16
+    assert frozenset().union(*quads) == frozenset(points)
+    assert len(checks) >= len(quads)
 
 
 class TestOrientQuadruplet:
