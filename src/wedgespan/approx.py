@@ -304,7 +304,7 @@ class AlphaTreeReport:
     """Recomputed validity and weight-bound report for an AlphaTree."""
 
     passed: bool
-    alpha_deg: float
+    alpha: float
     n: int
     edge_count_ok: bool
     connected: bool
@@ -324,31 +324,11 @@ class AlphaTreeReport:
     def summary(self) -> dict:
         """The summary values of a tree result, in result-file order."""
         return {
-            "alpha": self.alpha_deg,
+            "alpha": self.alpha,
             "weight": self.weight,
             "mst_weight": self.mst_weight,
             "ratio": self.ratio,
             "max_spread_deg": self.max_spread_deg,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "alpha": self.alpha_deg,
-            "n": self.n,
-            "edge_count_ok": self.edge_count_ok,
-            "connected": self.connected,
-            "acyclic": self.acyclic,
-            "weight": self.weight,
-            "mst_weight": self.mst_weight,
-            "ratio": self.ratio,
-            "bound": self.bound,
-            "ratio_enforced": self.ratio_enforced,
-            "ratio_ok": self.ratio_ok,
-            "max_spread_deg": self.max_spread_deg,
-            "worst_vertex": self.worst_vertex,
-            "witness_edges_ok": self.witness_edges_ok,
-            "failures": list(self.failures),
         }
 
 
@@ -414,7 +394,7 @@ def check_alpha_tree(
 
     return AlphaTreeReport(
         passed=not failures,
-        alpha_deg=alpha_deg,
+        alpha=alpha_deg,
         n=n,
         edge_count_ok=edge_count_ok,
         connected=connected,

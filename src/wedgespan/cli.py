@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -17,7 +19,6 @@ from .graph import CommGraph, euclidean_mst, non_mutual_edges, unit_disk_graph
 from .io import (
     Instance,
     ResultDoc,
-    WedgeRecord,
     emit_instance,
     emit_result,
     emit_svg,
@@ -71,6 +72,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_result(wedges, edges, summary: dict, verification: dict) -> str:
+    records = [(w.bisector.degrees, w.aperture_deg, w.radius) for w in wedges]
+    return emit_result(ResultDoc(records, edges, summary, verification))
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     points = instance.points
@@ -78,13 +84,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise WedgespanError("solve requires at least two points")
     result = build_tree(points, float(args.alpha))
     report = verify_alpha_tree(points, result)
-    doc = ResultDoc(
-        wedges=[WedgeRecord.from_wedge(w) for w in result.wedges],
-        edges=list(result.tree.edges),
-        summary=report.summary,
-        verification=report.to_dict(),
-    )
-    _write(emit_result(doc), args.out)
+    verification = dataclasses.asdict(report)
+    _write(_emit_result(result.wedges, result.tree.edges, report.summary, verification), args.out)
     if args.svg:
         _write(emit_svg(points, result.wedges, result.tree.edges), args.svg)
     if not report.passed:
@@ -98,17 +99,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
     points = instance.points
     result = build_spanner(points)
     edges = [(u, v) for u, v, _ in result.graph.edges()]
-    doc = ResultDoc(
-        wedges=[WedgeRecord.from_wedge(w) for w in result.wedges],
-        edges=edges,
-        summary=result.summary,
-        verification={
-            "hop_cap": SPANNER_HOPS,
-            "range": SPANNER_RANGE,
-            "runtime_stats": result.runtime_stats,
-        },
-    )
-    _write(emit_result(doc), args.out)
+    verification = {"hop_cap": SPANNER_HOPS, "range": SPANNER_RANGE, "runtime_stats": result.runtime_stats}
+    _write(_emit_result(result.wedges, edges, result.summary, verification), args.out)
     if args.svg:
         _write(emit_svg(points, result.wedges, edges), args.svg)
     return 0
@@ -167,6 +159,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not failures:
         if network:
             failures = _antenna_failures(points, wedges, doc.edges)
+            repeats = Counter((u, v) if u < v else (v, u) for u, v in doc.edges)
+            failures += [f"edge ({u},{v}) is listed {k} times" for (u, v), k in repeats.items() if k > 1]
             graph = CommGraph(n, [(u, v, points[u].distance_to(points[v])) for u, v in doc.edges])
             more, fresh = check_spanner(points, graph, unit_disk_graph(points))
             failures += more

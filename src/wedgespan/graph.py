@@ -183,7 +183,7 @@ def non_mutual_edges(
     ``points[v]`` or ``wedges[v]`` does not contain ``points[u]``.
 
     Every edge is evaluated both ways by ``_covers``, ``_EDGE_BLOCK`` edges
-    at a time; the ones it fails are checked again by ``Wedge.contains``.
+    at a time.
     """
     rows = _vertex_arrays(points, wedges)
     failed = []
@@ -192,11 +192,7 @@ def non_mutual_edges(
         u, v = np.fromiter(block, np.intp).reshape(-1, 2).T
         both = _covers(rows, np.concatenate((u, v)), np.concatenate((v, u)))
         failed += (start + (~(both[: len(u)] & both[len(u) :])).nonzero()[0]).tolist()
-    return [
-        (u, v)
-        for u, v in (edges[k] for k in failed)
-        if not (wedges[u].contains(points[v]) and wedges[v].contains(points[u]))
-    ]
+    return [edges[k] for k in failed]
 
 
 def _candidate_pairs(

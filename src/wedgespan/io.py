@@ -40,17 +40,38 @@ class Instance:
     meta: dict = field(default_factory=dict)
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a finite float. Only an int or a float counts, by
+    exact type, so a bool or a string does not; an int beyond float range is
+    not finite. ``where`` is the subject of the error message."""
+    if type(value) is float:
+        x = value
+    elif type(value) is int:
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+    else:
+        raise InstanceParseError(f"{where} must be numbers")
+    if not math.isfinite(x):
+        raise InstanceParseError(f"{where} must be finite")
+    return x
+
+
 def _point_from_pair(pair, where: str) -> Point:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise InstanceParseError(f"{where}: expected a [x, y] pair, got {pair!r}")
-    x, y = pair
-    if isinstance(x, bool) or isinstance(y, bool):
-        raise InstanceParseError(f"{where}: coordinates must be numbers")
-    if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
-        raise InstanceParseError(f"{where}: coordinates must be numbers")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise InstanceParseError(f"{where}: coordinates must be finite")
-    return Point(float(x), float(y))
+    where += ": coordinates"
+    return Point(_number(pair[0], where), _number(pair[1], where))
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise InstanceParseError(str(exc)) from exc
 
 
 def parse_instance(text: str) -> Instance:
@@ -62,10 +83,7 @@ def parse_instance(text: str) -> Instance:
     if not stripped:
         raise InstanceParseError("empty instance")
     if stripped.startswith("{") or stripped.startswith("["):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceParseError(exc.msg, exc.lineno, exc.colno) from exc
+        obj = _load_json(text)
         if isinstance(obj, list):
             obj = {"points": obj}
         if not isinstance(obj, dict) or "points" not in obj:
@@ -110,96 +128,77 @@ def emit_instance(instance: Instance, *, fmt: str = "json") -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class WedgeRecord:
-    """Serialized wedge: orientation and shape without the apex (the apex is
-    the instance point at the same position)."""
-
-    bisector_deg: float
-    aperture_deg: float
-    radius: Optional[float] = None
-
-    @staticmethod
-    def from_wedge(w: Wedge) -> "WedgeRecord":
-        return WedgeRecord(w.bisector.degrees, w.aperture_deg, w.radius)
-
-    def to_wedge(self, apex: Point) -> Wedge:
-        return Wedge(apex, Direction(self.bisector_deg), self.aperture_deg, self.radius)
+# A result file's wedge: (bisector_deg, aperture_deg, radius), radius None
+# when unbounded. The apex is the instance point at the same position.
+WedgeTuple = tuple[float, float, Optional[float]]
 
 
 @dataclass
 class ResultDoc:
     """Solver output: per-point wedges, chosen edges, and a summary block."""
 
-    wedges: list[WedgeRecord]
-    edges: list[tuple[int, int]]
+    wedges: Sequence[WedgeTuple]
+    edges: Sequence[tuple[int, int]]
     summary: dict
     verification: Optional[dict] = None
-
-    def canonical(self) -> "ResultDoc":
-        return ResultDoc(
-            wedges=[
-                WedgeRecord(
-                    round_sig(w.bisector_deg),
-                    round_sig(w.aperture_deg),
-                    None if w.radius is None else round_sig(w.radius),
-                )
-                for w in self.wedges
-            ],
-            edges=[(int(u), int(v)) for u, v in self.edges],
-            summary=_canon_value(self.summary),
-            verification=None if self.verification is None else _canon_value(self.verification),
-        )
 
     def wedges_at(self, points: PointSet) -> list[Wedge]:
         if len(points) != len(self.wedges):
             raise ValueError(f"{len(points)} points but {len(self.wedges)} wedge records")
-        return [rec.to_wedge(p) for rec, p in zip(self.wedges, points)]
+        return [Wedge(p, Direction(b), a, r) for (b, a, r), p in zip(self.wedges, points)]
 
 
 def emit_result(doc: ResultDoc) -> str:
-    doc = doc.canonical()
     obj: dict = {
         "wedges": [
             {
-                "bisector_deg": w.bisector_deg,
-                "aperture_deg": w.aperture_deg,
-                **({"radius": w.radius} if w.radius is not None else {}),
+                "bisector_deg": round_sig(b),
+                "aperture_deg": round_sig(a),
+                **({"radius": round_sig(r)} if r is not None else {}),
             }
-            for w in doc.wedges
+            for b, a, r in doc.wedges
         ],
         "edges": [[u, v] for u, v in doc.edges],
-        "summary": doc.summary,
+        "summary": _canon_value(doc.summary),
     }
     if doc.verification is not None:
-        obj["verification"] = doc.verification
+        obj["verification"] = _canon_value(doc.verification)
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _wedge_tuple(rec, where: str) -> WedgeTuple:
+    if not (isinstance(rec, dict) and "bisector_deg" in rec and "aperture_deg" in rec):
+        raise InstanceParseError(
+            f"{where}: expected an object with bisector_deg and aperture_deg, got {rec!r}"
+        )
+    return (
+        _number(rec["bisector_deg"], where + ".bisector_deg: wedge values"),
+        _number(rec["aperture_deg"], where + ".aperture_deg: wedge values"),
+        _number(rec["radius"], where + ".radius: wedge values") if "radius" in rec else None,
+    )
+
+
+def _edge(pair, where: str) -> tuple[int, int]:
+    if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+        raise InstanceParseError(f"{where}: expected a pair of integer indices, got {pair!r}")
+    return pair[0], pair[1]
+
+
 def parse_result(text: str) -> ResultDoc:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceParseError(exc.msg, exc.lineno, exc.colno) from exc
+    """Parse a result file. Wedge values must be finite JSON numbers and edge
+    ends JSON integers; anything else raises InstanceParseError naming the
+    field."""
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise InstanceParseError("result file must be a JSON object")
-    try:
-        wedges = [
-            WedgeRecord(
-                float(rec["bisector_deg"]),
-                float(rec["aperture_deg"]),
-                float(rec["radius"]) if "radius" in rec else None,
-            )
-            for rec in obj["wedges"]
-        ]
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
-        summary = obj["summary"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceParseError(f"malformed result file: {exc}") from exc
-    if not isinstance(summary, dict):
-        raise InstanceParseError('"summary" must be an object')
+    for key, kind in (("wedges", list), ("edges", list), ("summary", dict)):
+        if not isinstance(obj.get(key), kind):
+            raise InstanceParseError(f'"{key}" must be an {"array" if kind is list else "object"}')
     return ResultDoc(
-        wedges=wedges, edges=edges, summary=summary, verification=obj.get("verification")
+        wedges=[_wedge_tuple(rec, f"wedges[{k}]") for k, rec in enumerate(obj["wedges"])],
+        edges=[_edge(pair, f"edges[{k}]") for k, pair in enumerate(obj["edges"])],
+        summary=obj["summary"],
+        verification=obj.get("verification"),
     )
 
 

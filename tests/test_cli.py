@@ -1,7 +1,10 @@
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
@@ -138,6 +141,31 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
+def test_verify_exit_codes_under_python_O(tmp_path):
+    # README says the checks hold under ``python -O``; run the CLI that way.
+    inst = tmp_path / "i.json"
+    res = tmp_path / "r.json"
+    run("gen", "--generator", "uniform-square", "--n", "12", "--seed", "5", "--out", str(inst))
+    run("solve", "--in", str(inst), "--alpha", "120", "--out", str(res))
+    obj = json.loads(res.read_text())
+    tampered, malformed = tmp_path / "tampered.json", tmp_path / "malformed.json"
+    obj["summary"]["weight"] *= 0.5
+    tampered.write_text(json.dumps(obj))
+    obj["edges"][0][0] = "0"
+    malformed.write_text(json.dumps(obj))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    codes = {}
+    for result in (tampered, malformed):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "wedgespan.cli", "verify", "--in", str(inst), "--result", str(result)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        codes[result.name] = proc.returncode
+    assert codes == {"tampered.json": 1, "malformed.json": 2}
+
+
 class TestVerify:
     def test_round_trip_passes(self, tmp_path):
         inst = tmp_path / "i.json"
@@ -157,6 +185,42 @@ class TestVerify:
         obj["summary"]["weight"] = obj["summary"]["weight"] * 0.5
         res.write_text(json.dumps(obj))
         assert run("verify", "--in", str(inst), "--result", str(res)) == 1
+
+    @pytest.mark.parametrize(
+        "field, forge",
+        [
+            ("edges[0]", str),
+            ("edges[0]", lambda u: u + 0.4),
+            ("edges[0]", lambda u: True),
+            ("wedges[0].bisector_deg", str),
+            ("wedges[0].aperture_deg", lambda x: 10**400),
+        ],
+        ids=["string-index", "fractional-index", "true-index", "string-bisector", "huge-aperture"],
+    )
+    def test_malformed_value_is_an_input_error(self, tmp_path, capsys, field, forge):
+        def edit(obj, points):
+            if field == "edges[0]":
+                obj["edges"][0][0] = forge(obj["edges"][0][0])
+            else:
+                key = field.split(".")[1]
+                obj["wedges"][0][key] = forge(obj["wedges"][0][key])
+
+        gen = ("--generator", "uniform-square", "--n", "12", "--seed", "5")
+        assert self._tamper(tmp_path, gen, 120, edit) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_huge_coordinate_is_an_input_error(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        res = tmp_path / "r.json"
+        run("gen", "--generator", "uniform-square", "--n", "12", "--seed", "5", "--out", str(inst))
+        run("solve", "--in", str(inst), "--alpha", "120", "--out", str(res))
+        obj = json.loads(inst.read_text())
+        obj["points"][0][0] = 10**400
+        inst.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("solve", "--in", str(inst), "--alpha", "120") == 2
+        assert run("verify", "--in", str(inst), "--result", str(res)) == 2
+        assert capsys.readouterr().err == "error: points[0]: coordinates must be finite\n" * 2
 
     @staticmethod
     def _tamper(tmp_path, gen_args, alpha, edit):
@@ -388,6 +452,20 @@ class TestVerify:
 
         assert self._tamper_network(tmp_path, self._CHAIN, edit) == 1
         assert "stored max_spread_deg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["exact", "reversed"])
+    def test_network_repeated_edge_fails(self, tmp_path, capsys, flip):
+        repeated = []
+
+        def edit(obj, points):
+            u, v = obj["edges"][2]
+            obj["edges"].append([v, u] if flip else [u, v])
+            repeated.append((u, v))
+
+        assert self._tamper_network(tmp_path, self._CHAIN, edit) == 1
+        assert capsys.readouterr().err == "verification FAILED: edge {} is listed 2 times\n".format(
+            "({},{})".format(*repeated[0])
+        )
 
     def test_network_rotated_wedge_fails(self, tmp_path, capsys):
         def edit(obj, points):

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgespan.errors import DuplicatePointError, InstanceParseError
 from wedgespan.gadget import orient_triplet
@@ -9,7 +11,6 @@ from wedgespan.geom import Direction, Point, Wedge
 from wedgespan.io import (
     Instance,
     ResultDoc,
-    WedgeRecord,
     emit_instance,
     emit_result,
     emit_svg,
@@ -57,6 +58,22 @@ class TestParseInstance:
         with pytest.raises(InstanceParseError):
             parse_instance("   ")
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            (["0", 1], "points[1]: coordinates must be numbers"),
+            ([True, 1], "points[1]: coordinates must be numbers"),
+            ([None, 1], "points[1]: coordinates must be numbers"),
+            ([10**400, 1], "points[1]: coordinates must be finite"),
+            ([1, -(10**400)], "points[1]: coordinates must be finite"),
+            ([1, 2, 3], "points[1]: expected a [x, y] pair, got [1, 2, 3]"),
+        ],
+    )
+    def test_coordinate_messages(self, pair, message):
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(json.dumps({"points": [[0, 0], pair]}))
+        assert str(err.value) == message
+
 
 class TestInstanceRoundTrip:
     def test_json_round_trip(self):
@@ -76,39 +93,57 @@ class TestInstanceRoundTrip:
         assert emit_instance(inst) == emit_instance(inst)
 
 
+def _result_doc():
+    return ResultDoc(
+        wedges=[(0.123456789012345, 120.0, None), (240.0, 120.0, 7.0)],
+        edges=[(0, 1)],
+        summary={
+            "alpha": 120.0,
+            "weight": 1.4142135623730951,
+            "mst_weight": 1.4142135623730951,
+            "ratio": 1.0,
+            "max_spread_deg": 0.0,
+        },
+        verification={"passed": True},
+    )
+
+
 class TestResultRoundTrip:
-    def _doc(self):
-        return ResultDoc(
-            wedges=[
-                WedgeRecord(0.123456789012345, 120.0, None),
-                WedgeRecord(240.0, 120.0, 7.0),
-            ],
-            edges=[(0, 1)],
-            summary={
-                "alpha": 120.0,
-                "weight": 1.4142135623730951,
-                "mst_weight": 1.4142135623730951,
-                "ratio": 1.0,
-                "max_spread_deg": 0.0,
-            },
-            verification={"passed": True},
-        )
 
     def test_parse_emit_identity_on_canonical(self):
-        doc = self._doc().canonical()
-        assert parse_result(emit_result(doc)) == doc
+        text = emit_result(_result_doc())
+        doc = parse_result(text)
+        assert doc.wedges == [(0.123456789012, 120.0, None), (240.0, 120.0, 7.0)]
+        assert doc.edges == [(0, 1)]
+        assert emit_result(doc) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 360.0, exclude_max=True),
+                st.floats(1e-6, 360.0),
+                st.one_of(st.none(), st.floats(1e-9, 1e9)),
+            ),
+            max_size=8,
+        ),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=8),
+    )
+    def test_emit_parse_emit_is_identity(self, wedges, edges):
+        text = emit_result(ResultDoc(wedges, edges, {"alpha": 120.0}))
+        assert emit_result(parse_result(text)) == text
 
     def test_radius_omitted_when_absent(self):
-        obj = json.loads(emit_result(self._doc()))
+        obj = json.loads(emit_result(_result_doc()))
         assert "radius" not in obj["wedges"][0]
         assert obj["wedges"][1]["radius"] == 7.0
 
     def test_byte_stability(self):
-        doc = self._doc()
+        doc = _result_doc()
         assert emit_result(doc) == emit_result(doc)
 
     def test_wedges_at_points(self):
-        doc = self._doc()
+        doc = _result_doc()
         wedges = doc.wedges_at([Point(0, 0), Point(1, 1)])
         assert wedges[1].radius == 7.0
         assert wedges[0].apex == Point(0, 0)
@@ -116,6 +151,65 @@ class TestResultRoundTrip:
     def test_malformed_result(self):
         with pytest.raises(InstanceParseError):
             parse_result('{"edges": []}')
+
+
+class TestStrictResultValues:
+    """Wedge values must be finite JSON numbers and edge ends JSON integers."""
+
+    @staticmethod
+    def _text(wedge=None, edge=None):
+        obj = json.loads(emit_result(_result_doc()))
+        obj["wedges"][1].update(wedge or {})
+        if edge is not None:
+            obj["edges"][0] = edge
+        return json.dumps(obj)
+
+    @pytest.mark.parametrize(
+        "edge", [["0", 1], [0.4, 1], [True, 1], [0, 1.0], [0], [0, 1, 2], {"u": 0}, "0-1"]
+    )
+    def test_edge_ends_must_be_integers(self, edge):
+        with pytest.raises(InstanceParseError, match=r"^edges\[0\]: expected a pair of integer indices"):
+            parse_result(self._text(edge=edge))
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("bisector_deg", "240", "numbers"),
+            ("aperture_deg", True, "numbers"),
+            ("radius", None, "numbers"),
+            ("radius", [7.0], "numbers"),
+            ("aperture_deg", 10**400, "finite"),
+            ("bisector_deg", math.inf, "finite"),
+            ("radius", math.nan, "finite"),
+        ],
+        ids=["string", "true", "null", "array", "huge-int", "inf", "nan"],
+    )
+    def test_wedge_values_must_be_finite_numbers(self, key, value, problem):
+        with pytest.raises(InstanceParseError) as err:
+            parse_result(self._text(wedge={key: value}))
+        assert str(err.value) == f"wedges[1].{key}: wedge values must be {problem}"
+
+    def test_integer_wedge_values_become_floats(self):
+        doc = parse_result(self._text(wedge={"bisector_deg": 240, "aperture_deg": 120, "radius": 7}))
+        assert doc.wedges[1] == (240.0, 120.0, 7.0)
+        assert all(type(x) is float for x in doc.wedges[1])
+
+    def test_wedge_record_needs_its_angles(self):
+        obj = json.loads(self._text())
+        del obj["wedges"][0]["aperture_deg"]
+        with pytest.raises(InstanceParseError, match=r"^wedges\[0\]: expected an object"):
+            parse_result(json.dumps(obj))
+
+    @pytest.mark.parametrize("key", ["wedges", "edges", "summary"])
+    def test_top_level_shapes(self, key):
+        obj = json.loads(self._text())
+        obj[key] = "x"
+        with pytest.raises(InstanceParseError, match=f'^"{key}" must be an'):
+            parse_result(json.dumps(obj))
+
+    def test_integer_past_digit_limit(self):
+        with pytest.raises(InstanceParseError, match="digits"):
+            parse_result(self._text().replace("240.0", "1" * 5000))
 
 
 class TestSvg:
