@@ -98,7 +98,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     points = instance.points
     result = build_spanner(points)
-    edges = [(u, v) for u, v, _ in result.graph.edges()]
+    edges = list(zip(result.graph.u.tolist(), result.graph.v.tolist()))
     verification = {"hop_cap": SPANNER_HOPS, "range": SPANNER_RANGE, "runtime_stats": result.runtime_stats}
     _write(_emit_result(result.wedges, edges, result.summary, verification), args.out)
     if args.svg:
@@ -133,6 +133,15 @@ def _antenna_failures(points, wedges, edges) -> list[str]:
     return failures
 
 
+def _edge_range_failures(edges, n: int) -> list[str]:
+    """A failure for each edge that is a self-loop or has an end outside 0..n-1."""
+    return [
+        f"edge ({u},{v}) is out of range or a self-loop"
+        for u, v in edges
+        if u == v or not (0 <= u < n and 0 <= v < n)
+    ]
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     points = instance.points
@@ -140,11 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = parse_result(Path(args.result).read_text())
     stored = doc.summary
     network = "hop_stretch" in stored
-    failures = [
-        f"edge ({u},{v}) is out of range or a self-loop"
-        for u, v in doc.edges
-        if u == v or not (0 <= u < n and 0 <= v < n)
-    ]
+    failures = _edge_range_failures(doc.edges, n)
     try:
         wedges = doc.wedges_at(points)
     except ValueError as exc:
@@ -161,7 +166,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures = _antenna_failures(points, wedges, doc.edges)
             repeats = Counter((u, v) if u < v else (v, u) for u, v in doc.edges)
             failures += [f"edge ({u},{v}) is listed {k} times" for (u, v), k in repeats.items() if k > 1]
-            graph = CommGraph(n, [(u, v, points[u].distance_to(points[v])) for u, v in doc.edges])
+            u, v = zip(*sorted(repeats)) if repeats else ((), ())
+            graph = CommGraph(n, u, v, [points[a].distance_to(points[b]) for a, b in zip(u, v)])
             more, fresh = check_spanner(points, graph, unit_disk_graph(points))
             failures += more
         else:
@@ -207,8 +213,13 @@ def cmd_render(args: argparse.Namespace) -> int:
     edges = None
     if args.result:
         doc = parse_result(Path(args.result).read_text())
-        wedges = doc.wedges_at(points)
         edges = doc.edges
+        if failures := _edge_range_failures(edges, len(points)):
+            raise WedgespanError(failures[0])
+        try:
+            wedges = doc.wedges_at(points)
+        except ValueError as exc:
+            raise WedgespanError(str(exc)) from exc
     _write(emit_svg(points, wedges, edges), args.out)
     return 0
 

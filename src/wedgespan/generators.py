@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownGeneratorError
+from .errors import UnknownGeneratorError, WedgespanError
 from .geom import Point
 from .oracle import hex_grid_of_cells, square_grid_graph, square_grid_reduction
 
@@ -24,8 +24,21 @@ def _distinct(points: list[Point]) -> bool:
     return len({(p.x, p.y) for p in points}) == len(points)
 
 
+def _check(n: int = 0, clusters: int = 1, **lengths: float) -> None:
+    """Raise WedgespanError on a negative n, fewer than one cluster, or a
+    length (side, spread, gap) that is not positive and finite."""
+    if n < 0:
+        raise WedgespanError(f"n must be at least 0, got {n}")
+    if clusters < 1:
+        raise WedgespanError(f"clusters must be at least 1, got {clusters}")
+    for name, value in lengths.items():
+        if not 0.0 < value < math.inf:
+            raise WedgespanError(f"{name} must be a positive finite number, got {value}")
+
+
 def uniform_square(n: int, side: float = 1.0, seed: int = 0) -> list[Point]:
     """n points i.i.d. uniform in the side x side square."""
+    _check(n=n, side=side)
     rng = _rng(seed)
     while True:
         coords = rng.uniform(0.0, side, size=(n, 2))
@@ -38,6 +51,7 @@ def clustered(
     n: int, clusters: int = 3, spread: float = 0.05, side: float = 1.0, seed: int = 0
 ) -> list[Point]:
     """n points in gaussian blobs around uniformly placed cluster centers."""
+    _check(n=n, clusters=clusters, spread=spread, side=side)
     rng = _rng(seed)
     while True:
         centers = rng.uniform(0.0, side, size=(clusters, 2))
@@ -55,10 +69,12 @@ def clustered(
 
 def collinear(n: int, gap: float = 1.0) -> list[Point]:
     """n equally spaced points on the x axis."""
+    _check(n=n, gap=gap)
     return [Point(i * gap, 0.0) for i in range(n)]
 
 
 def equilateral(side: float = 1.0) -> list[Point]:
+    _check(side=side)
     return [
         Point(0.0, 0.0),
         Point(side, 0.0),
@@ -79,7 +95,7 @@ def square_grid_reduction_points(width: int = 2, height: int = 3) -> list[Point]
     maximum-degree-3 requirement.
     """
     if width < 1 or height < 1:
-        raise ValueError("grid dimensions must be positive")
+        raise WedgespanError("grid dimensions must be positive")
     if min(width, height) <= 2:
         coords = [(x, y) for y in range(height) for x in range(width)]
     else:
@@ -92,7 +108,7 @@ def square_grid_reduction_points(width: int = 2, height: int = 3) -> list[Point]
 def hex_grid_points(rows: int = 1) -> list[Point]:
     """Vertices of a vertical column of unit hexagons (6 + 4*(rows-1) points)."""
     if rows < 1:
-        raise ValueError("rows must be positive")
+        raise WedgespanError("rows must be positive")
     return list(hex_grid_of_cells([(0, r) for r in range(rows)]).vertices)
 
 

@@ -28,68 +28,71 @@ from .geom import (
 
 
 class CommGraph:
-    """Undirected graph over vertex indices with Euclidean edge weights.
+    """Undirected graph over vertices 0..n-1 with Euclidean edge weights.
 
-    Built once and then treated as read-only, so a finished graph can be
-    shared freely across concurrent readers.
+    Edge k is ``(u[k], v[k])``, u[k] < v[k], of weight ``w[k]``, in ascending
+    order; ``neighbors(x)`` is x's ascending row of shared int objects. Built
+    once and then treated as read-only, so a finished graph can be shared
+    freely across concurrent readers.
     """
 
-    __slots__ = ("n", "_adj", "_weights")
+    __slots__ = ("n", "u", "v", "w", "_rows", "_base")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, float]] = ()):
-        self.n = n
-        self._adj: list[list[int]] = [[] for _ in range(n)]
-        self._weights: dict[tuple[int, int], float] = {}
-        for u, v, w in edges:
-            self.add_edge(u, v, w)
-
-    def add_edge(self, u: int, v: int, weight: float) -> None:
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        key = (u, v) if u < v else (v, u)
-        if key in self._weights:
-            return
-        self._weights[key] = weight
-        self._adj[u].append(v)
-        self._adj[v].append(u)
+    def __init__(self, n: int, u: Sequence[int], v: Sequence[int], w: Sequence[float]):
+        u, v, w = np.asarray(u, np.intp), np.asarray(v, np.intp), np.asarray(w, np.float64)
+        if not len(u) == len(v) == len(w):
+            raise ValueError(f"{len(u)} and {len(v)} edge ends but {len(w)} weights")
+        bad = (u >= v) | (u < 0) | (v >= n)
+        key = u * n + v
+        bad[1:] |= key[1:] <= key[:-1]
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"edge {k} ({u[k]},{v[k]}) is not an ascending pair u < v in 0..{n - 1}")
+        self.n, self.u, self.v, self.w = n, u, v, w
+        # Row x: the u of each edge (u, x), then the v of each (x, v), both ascending.
+        ids = list(range(n))
+        ul, vl = list(map(ids.__getitem__, u.tolist())), list(map(ids.__getitem__, v.tolist()))
+        self._rows = rows = [[] for _ in ids]
+        for a, b in zip(ul + vl, vl + ul):
+            rows[b].append(a)
+        # Edge (x, y), x < y, is edge _base[x] + i, where row x holds y at i.
+        self._base = (u.searchsorted(np.arange(n)) - np.bincount(v, minlength=n)).tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._weights
+        return v in self._rows[u]
 
     def weight(self, u: int, v: int) -> float:
-        return self._weights[(u, v) if u < v else (v, u)]
+        if u > v:
+            u, v = v, u
+        try:
+            return self.w.item(self._base[u] + self._rows[u].index(v))
+        except ValueError:
+            raise KeyError((u, v)) from None
 
     def neighbors(self, u: int) -> list[int]:
-        return self._adj[u]
+        return self._rows[u]
 
     def edges(self) -> list[tuple[int, int, float]]:
-        return [(u, v, w) for (u, v), w in sorted(self._weights.items())]
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(self._weights)
+        return list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self._weights)
+        return len(self.u)
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        return len(self._rows[u])
 
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        seen = [False] * self.n
-        seen[0] = True
+        seen = {0}
         stack = [0]
-        count = 1
         while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
+            for v in self._rows[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
                     stack.append(v)
-        return count == self.n
+        return len(seen) == self.n
 
 
 class _Rows(NamedTuple):
@@ -225,8 +228,7 @@ def induced_graph(
     may be None. Otherwise they are ``_candidate_pairs`` at the largest
     tolerant wedge range, padded by twice the largest apex tolerance (an apex
     may sit that far from its point, and ranges are measured from the apex).
-    Edges are added in ascending (u, v) order, each weighted by
-    ``Point.distance_to`` from its lower to its higher index.
+    Each edge is weighted by ``Point.distance_to``.
     """
     n = len(points)
     if pairs is None:
@@ -251,33 +253,37 @@ def induced_graph(
         both = _covers(rows, at[np.concatenate((a, b))], at[np.concatenate((b, a))])
         mutual = both[: len(a)] & both[len(a) :]
         kept.append((np.minimum(a, b)[mutual], np.maximum(a, b)[mutual]))
-    iu, iv = (np.concatenate(side) for side in zip(*kept))
-    order = np.lexsort((iv, iu))
-    g = CommGraph(n)
-    for u, v in zip(iu[order].tolist(), iv[order].tolist()):
-        if u < v:
-            g.add_edge(u, v, points[u].distance_to(points[v]))
-    return g
+    u, v = (np.concatenate(side) for side in zip(*kept))
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    once = u < v  # given pairs may repeat, or join a vertex to itself
+    once[1:] &= (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    u, v = u[once], v[once]
+    return CommGraph(n, u, v, _lengths(rows.qx, rows.qy, at[u], at[v]))
 
 
 def unit_disk_graph(points: PointSet) -> CommGraph:
     """Edge between u and v iff |uv| <= 1 (closed boundary, relative tolerance).
 
     The candidate pairs come from ``_candidate_pairs`` at the tolerant
-    radius, so memory is O(n+m). Edges carry ``Point.distance_to`` weights
-    and neighbour lists come out ascending.
+    radius, so memory is O(n+m). Edges carry ``Point.distance_to`` weights.
     """
     limit = 1.0 + REL_TOL
     xy = coordinates(points)
-    xs, ys = xy.T.tolist()
-    edges = []
-    for first, second in _candidate_pairs(xy, limit):
-        for u, v in zip(first.tolist(), second.tolist()):
-            d = math.hypot(xs[v] - xs[u], ys[v] - ys[u])  # == Point.distance_to, either way round
-            if d <= limit:
-                edges.append((u, v, d) if u < v else (v, u, d))
-    edges.sort()
-    return CommGraph(len(points), edges)
+    kept = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for a, b in _candidate_pairs(xy, limit):
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        d = _lengths(xy[:, 0], xy[:, 1], u, v)
+        near = d <= limit
+        kept.append((u[near], v[near], d[near]))
+    u, v, d = (np.concatenate(side) for side in zip(*kept))
+    order = np.lexsort((v, u))
+    return CommGraph(len(points), u[order], v[order], d[order])
+
+
+def _lengths(xs: np.ndarray, ys: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each ``Point.distance_to`` from u[k] to v[k]: ``math.hypot``, as ``np.hypot`` is not bit-equal."""
+    return np.fromiter(map(math.hypot, (xs[v] - xs[u]).tolist(), (ys[v] - ys[u]).tolist()), float, len(u))
 
 
 def hop_distances_from(

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InstanceParseError
+from .errors import InstanceParseError, TooFewPointsError
 from .geom import Direction, Point, PointSet, Wedge, check_distinct
 
 _SIG_DIGITS = 12
@@ -72,6 +72,8 @@ def _load_json(text: str):
         raise InstanceParseError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise InstanceParseError(str(exc)) from exc
+    except RecursionError as exc:  # arrays or objects nested past the parser's depth
+        raise InstanceParseError("JSON is nested too deeply") from exc
 
 
 def parse_instance(text: str) -> Instance:
@@ -226,7 +228,7 @@ def emit_svg(
     wedges are drawn with a quarter of the point-cloud span as radius.
     """
     if not points:
-        raise ValueError("nothing to draw")
+        raise TooFewPointsError("nothing to draw")
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     min_x, max_x = min(xs), max(xs)

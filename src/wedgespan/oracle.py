@@ -51,6 +51,13 @@ class GridGraph:
     graph: CommGraph
 
 
+def _unit_graph(index: dict[tuple[int, int], int], offsets: Sequence[tuple[int, int]]) -> CommGraph:
+    """The graph joining each lattice vertex (``index``: coordinates to id) to those at the offsets."""
+    near = [(index.get((x + dx, y + dy)), i) for (x, y), i in index.items() for dx, dy in offsets]
+    pairs = sorted({(min(i, j), max(i, j)) for j, i in near if j is not None})
+    return CommGraph(len(index), [i for i, _ in pairs], [j for _, j in pairs], [1.0] * len(pairs))
+
+
 _HEX_OFFSETS = ((2, 0), (-2, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
@@ -69,17 +76,11 @@ def hex_grid_graph(lattice: Iterable[tuple[int, int]]) -> GridGraph:
     for a, b in coords:
         _check_hex_coord(a, b)
     index = {c: i for i, c in enumerate(coords)}
-    g = CommGraph(len(coords))
-    for (a, b), i in index.items():
-        for da, db in _HEX_OFFSETS:
-            j = index.get((a + da, b + db))
-            if j is not None and i < j:
-                g.add_edge(i, j, 1.0)
     return GridGraph(
         kind="hex",
         lattice=tuple(coords),
         vertices=tuple(_hex_point(a, b) for a, b in coords),
-        graph=g,
+        graph=_unit_graph(index, _HEX_OFFSETS),
     )
 
 
@@ -110,17 +111,11 @@ def square_grid_graph(coords: Iterable[tuple[int, int]]) -> GridGraph:
     if len(set(lattice)) != len(lattice):
         raise GridLayoutError("duplicate vertices in square grid")
     index = {c: i for i, c in enumerate(lattice)}
-    g = CommGraph(len(lattice))
-    for (x, y), i in index.items():
-        for dx, dy in ((1, 0), (0, 1)):
-            j = index.get((x + dx, y + dy))
-            if j is not None:
-                g.add_edge(i, j, 1.0)
     return GridGraph(
         kind="square",
         lattice=tuple(lattice),
         vertices=tuple(Point(float(x), float(y)) for x, y in lattice),
-        graph=g,
+        graph=_unit_graph(index, ((1, 0), (0, 1))),
     )
 
 
@@ -194,7 +189,7 @@ def brute_force_alpha_mst_multi(
     """
     n = len(points)
     if n < 1:
-        raise ValueError("need at least one point")
+        raise TooFewPointsError("need at least one point")
     if n > _TREE_CAP:
         raise TooManyPointsError(f"tree enumeration capped at {_TREE_CAP} points, got {n}")
     check_distinct(points)
@@ -298,11 +293,7 @@ def _hamilton_adjacency(g: Union[CommGraph, GridGraph]) -> list[int]:
     n = graph.n
     if n > _HAMILTON_CAP:
         raise TooManyPointsError(f"Hamiltonicity capped at {_HAMILTON_CAP} vertices, got {n}")
-    masks = [0] * n
-    for u in range(n):
-        for v in graph.neighbors(u):
-            masks[u] |= 1 << v
-    return masks
+    return [sum(1 << v for v in graph.neighbors(u)) for u in range(n)]
 
 
 def _hamiltonian_ends(adj: list[int], seeds: Iterable[int]) -> int:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Optional
 
 from .errors import (
@@ -230,8 +228,10 @@ def verify_hop_spanner(
     max_hops = 0
     worst: Optional[tuple[int, int]] = None
     case_max: dict[str, int] = {}
-    for u, group in groupby(udg.edges(), key=itemgetter(0)):
-        targets = [v for _, v, _ in group]
+    for u in range(udg.n):
+        targets = [v for v in udg.neighbors(u) if v > u]
+        if not targets:
+            continue
         for v, d in zip(targets, hop_distances_from(g, u, targets)):
             if d is None:
                 failures.append(f"unit-disk edge ({u},{v}) is disconnected in the spanner")
@@ -272,19 +272,19 @@ def check_spanner(
     ``SPANNER_HOPS`` hops (and, with a partition, within its case bound).
     Returns the failures and the summary values in result-file order.
     """
-    edges = graph.edges()
     failures = []
     if not graph.is_connected():
         failures.append("antenna graph is disconnected")
-    spread, worst = angular_spread(points, [(u, v) for u, v, _ in edges])
+    spread, worst = angular_spread(points, list(zip(graph.u.tolist(), graph.v.tolist())))
     if spread > SPANNER_APERTURE + ANGLE_TOL_DEG:
         failures.append(f"vertex {worst} has spread {spread} > alpha {SPANNER_APERTURE}")
-    max_len = max((w for _, _, w in edges), default=0.0)
+    lengths = graph.w.tolist()
+    max_len = max(lengths, default=0.0)
     if max_len > SPANNER_RANGE * (1.0 + REL_TOL):
         failures.append(f"edge of length {max_len} exceeds range {SPANNER_RANGE}")
     report = verify_hop_spanner(graph, udg, SPANNER_HOPS, partition)
     failures.extend(report.failures)
-    weight = sum(w for _, _, w in edges)
+    weight = sum(lengths)  # left to right, as the result files' weights were summed
     mst_weight = euclidean_mst(points).weight
     summary = {
         "alpha": SPANNER_APERTURE,

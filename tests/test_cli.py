@@ -209,6 +209,17 @@ class TestVerify:
         assert self._tamper(tmp_path, gen, 120, edit) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("nested", ["instance", "result"])
+    def test_deeply_nested_file_is_an_input_error(self, tmp_path, capsys, nested):
+        inst = tmp_path / "i.json"
+        res = tmp_path / "r.json"
+        run("gen", "--generator", "uniform-square", "--n", "12", "--seed", "5", "--out", str(inst))
+        run("solve", "--in", str(inst), "--alpha", "120", "--out", str(res))
+        (inst if nested == "instance" else res).write_text("[" * 100000)
+        capsys.readouterr()
+        assert run("verify", "--in", str(inst), "--result", str(res)) == 2
+        assert capsys.readouterr().err == "error: JSON is nested too deeply\n"
+
     def test_huge_coordinate_is_an_input_error(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         res = tmp_path / "r.json"
@@ -540,3 +551,52 @@ class TestRender:
         run("gen", "--generator", "collinear", "--n", "4", "--out", str(inst))
         assert run("render", "--in", str(inst), "--out", str(out)) == 0
         assert "<svg" in out.read_text()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj["edges"][0].__setitem__(0, 99), "error: edge (99,1) is out of range or a self-loop\n"),
+            (lambda obj: obj["edges"][0].__setitem__(0, -1), "error: edge (-1,1) is out of range or a self-loop\n"),
+            (lambda obj: obj["wedges"].pop(), "error: 4 points but 3 wedge records\n"),
+            (lambda obj: obj["wedges"][0].__setitem__("aperture_deg", 400.0), "error: "),
+        ],
+        ids=["end-99", "end-minus-1", "missing-wedge", "aperture-400"],
+    )
+    def test_result_that_does_not_fit_the_instance_is_an_input_error(self, tmp_path, capsys, edit, message):
+        inst = tmp_path / "i.json"
+        res = tmp_path / "r.json"
+        run("gen", "--generator", "collinear", "--n", "4", "--out", str(inst))
+        run("solve", "--in", str(inst), "--alpha", "180", "--out", str(res))
+        obj = json.loads(res.read_text())
+        assert obj["edges"][0] == [0, 1]
+        edit(obj)
+        res.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("render", "--in", str(inst), "--result", str(res), "--out", str(tmp_path / "p.svg")) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--generator", "uniform-square", "--n", "-1"],
+        ["gen", "--generator", "collinear", "--n", "-2"],
+        ["gen", "--generator", "clustered", "--n", "5", "--clusters", "0"],
+        ["gen", "--generator", "uniform-square", "--n", "5", "--side", "nan"],
+        ["gen", "--generator", "uniform-square", "--n", "5", "--side", "-1"],
+        ["gen", "--generator", "clustered", "--n", "5", "--spread", "-1"],
+        ["gen", "--generator", "hex-grid", "--rows", "0"],
+        ["gen", "--generator", "square-grid-reduction", "--width", "0"],
+        ["render", "--in", "EMPTY"],
+        ["oracle", "--in", "EMPTY", "--alpha", "90"],
+    ],
+    ids=["n-minus-1", "collinear-n-minus-2", "clusters-0", "side-nan", "side-minus-1",
+         "spread-minus-1", "rows-0", "width-0", "render-empty", "oracle-empty"],
+)
+def test_bad_parameters_and_empty_instances_exit_2(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"points": []}')
+    out = tmp_path / "out"
+    assert run(*[str(empty) if a == "EMPTY" else a for a in argv], "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 
 from wedgespan.cli import main
 
@@ -131,3 +132,28 @@ def test_small_n_solve_outputs_match_golden_digest(tmp_path):
         for alpha in ALPHAS:
             digest.update(_solve(inst, alpha, tmp_path / f"{name}.solve{alpha}.json"))
     assert digest.hexdigest() == SMALL_GOLDEN_SHA256
+
+
+# A uniform instance above ALL_PAIRS_N: unit_disk_graph, induced_graph and
+# euclidean_mst take their grid-pair paths here, which the corpora above
+# (at most 64 points each) never reach. Side sqrt(60) puts about 16 points
+# in each unit disk; the unit disk graph is connected.
+ABOVE_ALL_PAIRS = ["--generator", "uniform-square", "--n", "300", "--seed", "0",
+                   "--side", str(math.sqrt(60))]
+
+ABOVE_ALL_PAIRS_SHA256 = "9d9e0a5ca3f3276db4efd4e7323c573c18a2af40091791c5586125128979236c"
+
+
+def test_above_all_pairs_outputs_match_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    inst = tmp_path / "uniform-300.json"
+    assert _run("gen", *ABOVE_ALL_PAIRS, "--out", inst) == 0
+    for alpha in ALPHAS:
+        digest.update(_solve(inst, alpha, tmp_path / f"uniform-300.solve{alpha}.json"))
+    out = tmp_path / "uniform-300.convert.json"
+    assert _run("convert", "--in", inst, "--out", out) == 0
+    assert _run("verify", "--in", inst, "--result", out) == 0
+    doc = json.loads(out.read_text())
+    del doc["verification"]["runtime_stats"]
+    digest.update(json.dumps(doc, indent=2, sort_keys=True).encode())
+    assert digest.hexdigest() == ABOVE_ALL_PAIRS_SHA256

@@ -34,8 +34,54 @@ from wedgespan.oracle import brute_force_alpha_mst, dense_prim_mst
 from wedgespan.spanner import greedy_components, orient_components
 
 
+def graph_of(n, triples):
+    """The CommGraph on n vertices with edges (u, v, weight), in any order and orientation."""
+    ends = sorted((min(u, v), max(u, v), w) for u, v, w in triples)
+    return CommGraph(n, [u for u, _, _ in ends], [v for _, v, _ in ends], [w for _, _, w in ends])
+
+
 def rand_points(rng, k, side=1.0):
     return [Point(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(k)]
+
+
+class TestCommGraph:
+    @pytest.mark.parametrize(
+        "u, v",
+        [([1], [1]), ([2], [1]), ([0, 0], [1, 1]), ([0, 0], [2, 1]), ([1, 0], [2, 2]),
+         ([-1], [1]), ([0], [3])],
+        ids=["self-loop", "reversed", "repeated", "unsorted-v", "unsorted-u", "negative", "past-n"],
+    )
+    def test_constructor_rejects_bad_pair(self, u, v):
+        with pytest.raises(ValueError, match=r"is not an ascending pair u < v in 0\.\.2"):
+            CommGraph(3, u, v, [1.0] * len(u))
+
+    def test_constructor_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            CommGraph(3, [0, 1], [1, 2], [1.0])
+
+    def test_lookups(self):
+        g = CommGraph(4, [0, 0, 1], [1, 3, 3], [0.5, 1.5, 2.5])
+        assert g.edges() == [(0, 1, 0.5), (0, 3, 1.5), (1, 3, 2.5)]
+        assert [g.neighbors(x) for x in range(4)] == [[1, 3], [0, 3], [], [0, 1]]
+        assert [g.degree(x) for x in range(4)] == [2, 2, 0, 2]
+        assert g.weight(3, 1) == 2.5 and g.weight(0, 3) == 1.5
+        assert g.has_edge(3, 0) and not g.has_edge(1, 2) and not g.has_edge(2, 2)
+        with pytest.raises(KeyError):
+            g.weight(0, 2)
+        assert not g.is_connected() and type(g.weight(0, 1)) is float
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_are_the_incidences_of_edges(self, seed):
+        pts = uniform_square(300, side=math.sqrt(60), seed=seed)
+        udg = unit_disk_graph(pts)
+        network = induced_graph(pts, orient_components(pts, greedy_components(pts, udg)))
+        for g in (udg, network):
+            rows = [[] for _ in range(g.n)]
+            for u, v, w in g.edges():
+                rows[u].append(v)
+                rows[v].append(u)
+                assert g.weight(v, u) == w
+            assert all(g.neighbors(x) == sorted(rows[x]) for x in range(g.n))
 
 
 class TestInducedGraph:
@@ -75,12 +121,13 @@ class TestInducedGraph:
             Wedge(p, Direction(rng.uniform(0, 360)), 120.0, radius=2.0) for p in pts
         ]
         big = induced_graph(pts, wedges)
-        small = CommGraph(len(pts))
-        for u in range(len(pts)):
-            for v in range(u + 1, len(pts)):
-                if wedges[u].contains(pts[v]) and wedges[v].contains(pts[u]):
-                    small.add_edge(u, v, pts[u].distance_to(pts[v]))
-        assert big.edge_set() == small.edge_set()
+        small = graph_of(len(pts), [
+            (u, v, pts[u].distance_to(pts[v]))
+            for u in range(len(pts))
+            for v in range(u + 1, len(pts))
+            if wedges[u].contains(pts[v]) and wedges[v].contains(pts[u])
+        ])
+        assert big.edges() == small.edges()
 
     @pytest.mark.parametrize("n", [2, 6, 16])
     def test_matches_wedge_contains_at_small_n(self, n):
@@ -184,13 +231,16 @@ class TestInducedGraph:
         pts = uniform_square(2000, side=20.0, seed=1)
         udg = unit_disk_graph(pts)
         wedges = orient_components(pts, greedy_components(pts, udg))
+        # Held while the graph is alive: its edge arrays and rows, about 3 MB
+        # (a tuple-keyed weight dict with adjacency lists took 12.8 MB).
         tracemalloc.start()
         try:
-            induced_graph(pts, wedges)
-            peak = tracemalloc.get_traced_memory()[1]
+            g = induced_graph(pts, wedges)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+        assert g.edge_count > 60000 and held < 6e6
 
     def test_pairs_read_only_their_wedges(self):
         pts = [Point(0, 0), Point(1, 0), Point(5, 5)]
@@ -257,7 +307,7 @@ class TestCoversMatchesContains:
 class TestUnitDiskGraph:
     def test_basic(self):
         g = unit_disk_graph([Point(0, 0), Point(0.5, 0), Point(2, 0)])
-        assert g.edge_set() == {(0, 1)}
+        assert [(u, v) for u, v, _ in g.edges()] == [(0, 1)]
 
     def test_boundary_closed(self):
         g = unit_disk_graph([Point(0, 0), Point(1, 0)])
@@ -304,15 +354,15 @@ class TestUnitDiskGraph:
 
 class TestHopDistance:
     def test_path(self):
-        g = CommGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = graph_of(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert hop_distances_from(g, 0, [2, 1]) == [2, 1]
 
     def test_same_vertex(self):
-        g = CommGraph(3, [(0, 1, 1.0)])
+        g = graph_of(3, [(0, 1, 1.0)])
         assert hop_distances_from(g, 1, [1]) == [0]
 
     def test_unreachable(self):
-        g = CommGraph(3, [(0, 1, 1.0)])
+        g = graph_of(3, [(0, 1, 1.0)])
         assert hop_distances_from(g, 0, [2, 1]) == [None, 1]
 
 
@@ -525,21 +575,21 @@ class TestCrossEdge:
         assert cross_edge(g, [0], [1]) is None
 
     def test_minimum_length_rule(self):
-        g = CommGraph(4, [(0, 2, 2.0), (1, 3, 1.0)])
+        g = graph_of(4, [(0, 2, 2.0), (1, 3, 1.0)])
         assert cross_edge(g, [0, 1], [2, 3]) == (1, 3)
 
     def test_tie_breaks_lexicographically(self):
-        g = CommGraph(4, [(1, 2, 1.0), (0, 3, 1.0)])
+        g = graph_of(4, [(1, 2, 1.0), (0, 3, 1.0)])
         assert cross_edge(g, [0, 1], [2, 3]) == (0, 3)
 
     def test_tie_breaks_by_position_not_id(self):
         # Three edges of equal weight; sides listed in descending id order.
-        g = CommGraph(6, [(5, 0, 1.0), (5, 1, 1.0), (4, 1, 1.0), (4, 0, 2.0)])
+        g = graph_of(6, [(5, 0, 1.0), (5, 1, 1.0), (4, 1, 1.0), (4, 0, 2.0)])
         assert cross_edge(g, [5, 4], [1, 0]) == (5, 1)
         assert cross_edge(g, [4, 5], [0, 1]) == (4, 1)
         assert cross_edge(g, [0, 1], [4, 5]) == (0, 5)
 
     def test_disjointness_required(self):
-        g = CommGraph(3, [(0, 1, 1.0)])
+        g = graph_of(3, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             cross_edge(g, [0, 1], [1, 2])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedgespan.errors import DuplicatePointError, InstanceParseError
+from wedgespan.errors import DuplicatePointError, InstanceParseError, TooFewPointsError
 from wedgespan.gadget import orient_triplet
 from wedgespan.geom import Direction, Point, Wedge
 from wedgespan.io import (
@@ -232,5 +232,5 @@ class TestSvg:
         assert emit_svg(pts, wedges) == emit_svg(pts, wedges)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewPointsError):
             emit_svg([])

@@ -105,11 +105,11 @@ class TestValidityFilter:
 
 class TestHamiltonicity:
     def test_path_graph(self):
-        g = CommGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        g = CommGraph(4, [0, 1, 2], [1, 2, 3], [1, 1, 1])
         assert hamiltonian_path_exists(g)
 
     def test_star_has_none(self):
-        g = CommGraph(5, [(0, i, 1.0) for i in range(1, 5)])
+        g = CommGraph(5, [0] * 4, [1, 2, 3, 4], [1.0] * 4)
         assert not hamiltonian_path_exists(g)
 
     def test_square_cycle(self):
@@ -118,11 +118,11 @@ class TestHamiltonicity:
         assert hamiltonian_cycle_exists(g)
 
     def test_cycle_needs_three(self):
-        assert not hamiltonian_cycle_exists(CommGraph(2, [(0, 1, 1.0)]))
+        assert not hamiltonian_cycle_exists(CommGraph(2, [0], [1], [1.0]))
 
     def test_cap(self):
         with pytest.raises(TooManyPointsError):
-            hamiltonian_path_exists(CommGraph(15))
+            hamiltonian_path_exists(CommGraph(15, [], [], []))
 
 
 class TestSquareGridReduction:

@@ -63,7 +63,7 @@ class TestGreedyComponents:
     def test_pipeline_deterministic(self):
         pts, _ = connected_instance(60, 5.0, start_seed=10)
         a, b = build_spanner(pts), build_spanner(pts)
-        assert a.graph.edge_set() == b.graph.edge_set()
+        assert a.graph.edges() == b.graph.edges()
         assert [w.bisector.degrees for w in a.wedges] == [
             w.bisector.degrees for w in b.wedges
         ]
@@ -160,14 +160,14 @@ class TestVerifyHopSpanner:
     def test_missing_bridge_detected(self):
         pts = [Point(0, 0), Point(1, 0), Point(2, 0)]
         udg = unit_disk_graph(pts)
-        g = CommGraph(3, [(0, 1, 1.0)])  # drop the 1-2 bridge
+        g = CommGraph(3, [0], [1], [1.0])  # drop the 1-2 bridge
         report = verify_hop_spanner(g, udg, 6)
         assert not report.passed
         assert any("(1,2)" in f for f in report.failures)
 
     def test_vertex_set_must_match(self):
         with pytest.raises(ValueError):
-            verify_hop_spanner(CommGraph(2), CommGraph(3), 6)
+            verify_hop_spanner(CommGraph(2, [], [], []), CommGraph(3, [], [], []), 6)
 
 
 def full_bfs_report(g, udg, cap, partition):
@@ -231,7 +231,7 @@ class TestHopReportMatchesFullBFS:
             f
             for k in range(0, len(edges), 3)
             for f in self.check(
-                CommGraph(len(pts), edges[:k] + edges[k + 1 :]), udg, SPANNER_HOPS, res.partition
+                CommGraph(len(pts), *zip(*(edges[:k] + edges[k + 1 :]))), udg, SPANNER_HOPS, res.partition
             ).failures
         ]
         assert any("hops >" in f for f in failures)
@@ -240,6 +240,6 @@ class TestHopReportMatchesFullBFS:
     def test_unreachable_edge_reported(self):
         pts = [Point(0, 0), Point(0.5, 0), Point(1, 0), Point(1.9, 0), Point(2.7, 0)]
         res = build_spanner(pts)
-        g = CommGraph(5, [e for e in res.graph.edges() if 4 not in e[:2]])
+        g = CommGraph(5, *zip(*(e for e in res.graph.edges() if 4 not in e[:2])))
         report = self.check(g, unit_disk_graph(pts), SPANNER_HOPS, res.partition)
         assert any("disconnected" in f for f in report.failures)
