@@ -40,6 +40,7 @@ from .gadget import (
 from .geom import (
     Direction,
     Point,
+    PointArray,
     PointSet,
     Wedge,
     angular_spread,
@@ -61,11 +62,8 @@ from .oracle import (
     ReductionInstance,
     brute_force_alpha_mst,
     brute_force_alpha_mst_multi,
-    hamiltonian_cycle_exists,
-    hamiltonian_path_exists,
     hex_grid_graph,
     hex_grid_of_cells,
-    hex_grid_reduction,
     square_grid_graph,
     square_grid_reduction,
 )

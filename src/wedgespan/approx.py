@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     GuaranteeViolation,
     SeparationConnectivityViolation,
@@ -24,12 +26,17 @@ from .gadget import aim_leftovers, orient_pair, orient_quadruplet, orient_triple
 from .geom import (
     ANGLE_TOL_DEG,
     REL_TOL,
+    Edges,
     PointSet,
     Wedge,
+    Wedges,
     angular_spread,
     check_distinct,
+    coordinates,
     covering_wedge,
     direction,
+    edge_array,
+    wedge_columns,
 )
 from .graph import (
     CommGraph,
@@ -37,10 +44,12 @@ from .graph import (
     SpanningTree,
     Tour,
     cross_edge,
+    edge_lengths,
     euclidean_mst,
     euclidean_mst_unchecked,
     induced_graph,
     non_mutual_edges,
+    sum_left,
     tree_from_edges,
     tsp_tour,
 )
@@ -335,8 +344,8 @@ class AlphaTreeReport:
 def check_alpha_tree(
     points: PointSet,
     alpha_deg: float,
-    edges: Sequence[tuple[int, int]],
-    wedges: Sequence[Wedge],
+    edges: Edges,
+    wedges: Wedges,
     mst_weight: float,
 ) -> AlphaTreeReport:
     """Check an alpha-tree given as plain data (edges: distinct indices into points).
@@ -344,39 +353,39 @@ def check_alpha_tree(
     Checks edge count, span, acyclicity, per-vertex spread against alpha,
     that every witness wedge has aperture alpha and every edge is mutual
     under them, that the reference MST weight is positive and at most the
-    tree's, and the ratio. The weight is computed from the edges; comparing
-    it with a stored one is left to the caller.
+    tree's, and the ratio. The weight is computed from the edges, summed in
+    their order; comparing it with a stored one is left to the caller.
     The ratio bound (2 / 6 / 16) is enforced only where the charging argument
     applies: always for 180, and when the group size divides n for 120 and 90.
     """
     n = len(points)
+    ends = edge_array(edges)
     failures: list[str] = []
-    edge_count_ok = len(edges) == n - 1
+    edge_count_ok = len(ends) == n - 1
     if not edge_count_ok:
-        failures.append(f"expected {n - 1} edges, found {len(edges)}")
+        failures.append(f"expected {n - 1} edges, found {len(ends)}")
 
     sets = DisjointSets(n)
-    acyclic = sum(sets.union(u, v) for u, v in edges) == len(edges)
+    acyclic = sum(map(sets.union, *ends.T.tolist())) == len(ends)
     connected = sets.count == 1
     if not connected:
         failures.append("tree does not span all vertices")
     if not acyclic:
         failures.append("tree contains a cycle")
 
-    weight = 0.0
-    for u, v in edges:
-        weight += points[u].distance_to(points[v])
+    weight = sum_left(edge_lengths(coordinates(points), ends[:, 0], ends[:, 1]).tolist())
 
-    spread, worst = angular_spread(points, edges)
+    spread, worst = angular_spread(points, ends)
     if spread > alpha_deg + ANGLE_TOL_DEG:
         failures.append(f"vertex {worst} has spread {spread} > alpha {alpha_deg}")
 
-    for k, w in enumerate(wedges):
-        if abs(w.aperture_deg - alpha_deg) > ANGLE_TOL_DEG:
-            failures.append(f"witness wedge {k} has aperture {w.aperture_deg}, not alpha {alpha_deg}")
-            break
+    aperture = wedge_columns(wedges)[:, 1]
+    off = (np.abs(aperture - alpha_deg) > ANGLE_TOL_DEG).nonzero()[0]
+    if len(off):
+        k = int(off[0])
+        failures.append(f"witness wedge {k} has aperture {aperture.item(k)}, not alpha {alpha_deg}")
 
-    missed = non_mutual_edges(points, wedges, edges)
+    missed = non_mutual_edges(points, wedges, ends)
     witness_ok = not missed
     if missed:
         failures.append("edge ({},{}) is not mutual under the witness wedges".format(*missed[0]))

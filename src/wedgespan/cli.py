@@ -11,11 +11,13 @@ from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import generators
 from .approx import build_tree, check_alpha_tree, verify_alpha_tree
 from .errors import GuaranteeViolation, WedgespanError
-from .geom import ANGLE_TOL_DEG
-from .graph import CommGraph, euclidean_mst, non_mutual_edges, unit_disk_graph
+from .geom import ANGLE_TOL_DEG, column_wedge, coordinates, edge_array, wedge_columns
+from .graph import CommGraph, edge_lengths, euclidean_mst, non_mutual_edges, unit_disk_graph
 from .io import (
     Instance,
     ResultDoc,
@@ -73,8 +75,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _emit_result(wedges, edges, summary: dict, verification: dict) -> str:
-    records = [(w.bisector.degrees, w.aperture_deg, w.radius) for w in wedges]
-    return emit_result(ResultDoc(records, edges, summary, verification))
+    return emit_result(ResultDoc(wedge_columns(wedges), edges, summary, verification))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -116,16 +117,31 @@ def _is_finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
-def _antenna_failures(points, wedges, edges) -> list[str]:
+def _wedge_failure(points, wedges: np.ndarray) -> Optional[str]:
+    """Why the wedge records do not give the points their wedges (a count
+    mismatch, or the first record ``column_wedge`` rejects), or None."""
+    if len(wedges) != len(points):
+        return f"{len(points)} points but {len(wedges)} wedge records"
+    _, aperture, radius = wedges.T
+    try:
+        for k in (~((aperture > 0.0) & (aperture <= 360.0) & (radius > 0.0))).nonzero()[0][:1].tolist():
+            column_wedge(points[k], *wedges[k].tolist())
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _antenna_failures(points, wedges: np.ndarray, edges) -> list[str]:
     """Failures of a network's recorded wedges: their shape, and mutual edges."""
     failures = []
-    for k, w in enumerate(wedges):
-        if abs(w.aperture_deg - SPANNER_APERTURE) > ANGLE_TOL_DEG or w.radius != SPANNER_RANGE:
-            failures.append(
-                f"wedge {k} has aperture {w.aperture_deg} and radius {w.radius}, "
-                f"not {SPANNER_APERTURE} and {SPANNER_RANGE}"
-            )
-            break
+    _, aperture, radius = wedges.T
+    off = (np.abs(aperture - SPANNER_APERTURE) > ANGLE_TOL_DEG) | (radius != SPANNER_RANGE)
+    for k in off.nonzero()[0][:1].tolist():
+        r = radius.item(k)
+        failures.append(
+            f"wedge {k} has aperture {aperture.item(k)} and radius {r if r < math.inf else None}, "
+            f"not {SPANNER_APERTURE} and {SPANNER_RANGE}"
+        )
     failures += [
         f"edge ({u},{v}) is not mutual under the recorded wedges"
         for u, v in non_mutual_edges(points, wedges, edges)
@@ -150,10 +166,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     stored = doc.summary
     network = "hop_stretch" in stored
     failures = _edge_range_failures(doc.edges, n)
-    try:
-        wedges = doc.wedges_at(points)
-    except ValueError as exc:
-        failures.append(str(exc))
+    if wedge_failure := _wedge_failure(points, doc.wedges):
+        failures.append(wedge_failure)
     if not network:
         # The tree checker takes these two as given.
         failures += [
@@ -163,17 +177,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
     if not failures:
         if network:
-            failures = _antenna_failures(points, wedges, doc.edges)
+            failures = _antenna_failures(points, doc.wedges, doc.edges)
             repeats = Counter((u, v) if u < v else (v, u) for u, v in doc.edges)
             failures += [f"edge ({u},{v}) is listed {k} times" for (u, v), k in repeats.items() if k > 1]
-            u, v = zip(*sorted(repeats)) if repeats else ((), ())
-            graph = CommGraph(n, u, v, [points[a].distance_to(points[b]) for a, b in zip(u, v)])
+            u, v = edge_array(sorted(repeats)).T
+            graph = CommGraph(n, u, v, edge_lengths(coordinates(points), u, v))
             more, fresh = check_spanner(points, graph, unit_disk_graph(points))
             failures += more
         else:
             # The ratio is checked against the stored MST weight: a fresh
-            # EMST would add about a third to the check's time.
-            report = check_alpha_tree(points, stored["alpha"], doc.edges, wedges, stored["mst_weight"])
+            # EMST would about triple the check's time.
+            report = check_alpha_tree(points, stored["alpha"], doc.edges, doc.wedges, stored["mst_weight"])
             failures = list(report.failures)
             fresh = report.summary
         for k, x in fresh.items():
@@ -216,10 +230,9 @@ def cmd_render(args: argparse.Namespace) -> int:
         edges = doc.edges
         if failures := _edge_range_failures(edges, len(points)):
             raise WedgespanError(failures[0])
-        try:
-            wedges = doc.wedges_at(points)
-        except ValueError as exc:
-            raise WedgespanError(str(exc)) from exc
+        if failure := _wedge_failure(points, doc.wedges):
+            raise WedgespanError(failure)
+        wedges = [column_wedge(p, *w) for p, w in zip(points, doc.wedges.tolist())]
     _write(emit_svg(points, wedges, edges), args.out)
     return 0
 

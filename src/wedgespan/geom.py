@@ -12,7 +12,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,27 @@ class Point:
 
 
 PointSet = Sequence[Point]
+# Edges as (u, v) index pairs, or an (m, 2) int array of them.
+Edges = Union[Sequence[tuple[int, int]], np.ndarray]
+
+
+class PointArray(Sequence[Point]):
+    """A read-only point set backed by an (n, 2) float64 array of (x, y) rows,
+    which ``coordinates`` returns; ``points[k]`` is from a Point list built on first use."""
+
+    __slots__ = ("xy", "_points")
+
+    def __init__(self, xy: np.ndarray):
+        xy.flags.writeable = False
+        self.xy, self._points = xy, None
+
+    def __len__(self) -> int:
+        return len(self.xy)
+
+    def __getitem__(self, k):
+        if self._points is None:
+            self._points = [Point(x, y) for x, y in self.xy.tolist()]
+        return self._points[k]
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,11 +96,6 @@ class Direction:
         return Direction(self.degrees + 180.0)
 
 
-def signed_angle_delta(from_deg: float, to_deg: float) -> float:
-    """Signed difference to_deg - from_deg folded into [-180, 180)."""
-    return (to_deg - from_deg + 180.0) % 360.0 - 180.0
-
-
 def _coord_scale(*points: Point) -> float:
     m = 1.0
     for p in points:
@@ -94,8 +110,18 @@ def points_coincide(p: Point, q: Point) -> bool:
 
 
 def coordinates(points: PointSet) -> np.ndarray:
-    """The points as an (n, 2) float array of (x, y) rows."""
+    """The points as an (n, 2) float array of (x, y) rows: a ``PointArray``'s
+    own read-only array, or one built from any other sequence of Points."""
+    if isinstance(points, PointArray):
+        return points.xy
     return np.array(([p.x for p in points], [p.y for p in points])).T
+
+
+def edge_array(edges: Edges) -> np.ndarray:
+    """m edges, given as (u, v) pairs or an (m, 2) int array, as an (m, 2) intp array."""
+    if isinstance(edges, np.ndarray):
+        return edges.astype(np.intp, copy=False).reshape(-1, 2)
+    return np.fromiter(itertools.chain.from_iterable(edges), np.intp).reshape(-1, 2)
 
 
 def grid_pairs(
@@ -272,6 +298,25 @@ class Wedge:
         return abs(delta) <= self.aperture_deg / 2.0 + ANGLE_TOL_DEG
 
 
+# Wedge objects, or ``wedge_columns`` rows whose apexes are the points.
+Wedges = Union[Sequence[Wedge], np.ndarray]
+
+
+def wedge_columns(wedges: Wedges) -> np.ndarray:
+    """The wedges as an (n, 3) float array of bisector, aperture and radius (inf when unbounded)."""
+    if isinstance(wedges, np.ndarray):
+        return wedges
+    radius = [math.inf if w.radius is None else w.radius for w in wedges]
+    cols = [[w.bisector.degrees for w in wedges], [w.aperture_deg for w in wedges], radius]
+    return np.array(cols, dtype=np.float64).T
+
+
+def column_wedge(apex: Point, bisector: float, aperture: float, radius: float) -> Wedge:
+    """The Wedge of a ``wedge_columns`` row; ValueError, naming the value, for
+    an aperture outside (0, 360] or a radius that is not positive."""
+    return Wedge(apex, Direction(bisector), aperture, radius if radius < math.inf else None)
+
+
 def spanning_arc(direction_degs: Sequence[float]) -> tuple[float, float]:
     """Smallest CCW arc (start_deg, extent_deg) containing all given directions.
 
@@ -297,8 +342,8 @@ def spanning_arc(direction_degs: Sequence[float]) -> tuple[float, float]:
     return start, 360.0 - best_gap
 
 
-def angular_spread(points: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[float, Optional[int]]:
-    """Largest angular spread over the vertices of an edge list, and where.
+def angular_spread(points: PointSet, edges: Edges) -> tuple[float, Optional[int]]:
+    """Largest angular spread over the vertices of the edges, and where.
 
     A vertex's spread is the smallest angle of a cone at it holding every
     edge's other end: 360 minus the largest circular gap between its sorted
@@ -330,7 +375,7 @@ def angular_spread(points: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[
     return float(spread[k]), int(vertices[k])
 
 
-def _end_angles(points: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+def _end_angles(points: PointSet, edges: Edges) -> tuple[np.ndarray, np.ndarray]:
     """For m edges ``(u, v)``, the vertex of each edge end, u for the first m
     and v for the last m, and the ``direction`` from it to the other end in
     degrees.
@@ -341,7 +386,7 @@ def _end_angles(points: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[np.
     raises through ``direction``, at the first such edge in vertex, then
     edge, order.
     """
-    u, v = np.fromiter(itertools.chain.from_iterable(edges), np.intp).reshape(-1, 2).T
+    u, v = edge_array(edges).T
     xy = coordinates(points)
     with np.errstate(over="ignore"):  # a gap that overflows is no near one
         dx = xy[v, 0] - xy[u, 0]

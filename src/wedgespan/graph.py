@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import sys
 from collections import deque
@@ -17,13 +16,20 @@ from .geom import (
     ALL_PAIRS_N,
     ANGLE_TOL_DEG,
     GRID_SIDE_CELLS,
-    PointSet,
     REL_TOL,
+    Edges,
+    Point,
+    PointArray,
+    PointSet,
     Wedge,
+    Wedges,
     check_distinct,
+    column_wedge,
     coordinates,
+    edge_array,
     grid_pairs,
     points_coincide,
+    wedge_columns,
 )
 
 
@@ -96,11 +102,8 @@ class CommGraph:
 
 
 class _Rows(NamedTuple):
-    """Points and their wedges (row k: ``points[k]`` and ``wedges[k]``) with
-    the per-row columns ``_covers`` reads."""
+    """Point k and its wedge, as the per-row columns ``_covers`` reads."""
 
-    points: PointSet
-    wedges: Sequence[Wedge]
     qx: np.ndarray
     qy: np.ndarray
     q_scale: np.ndarray
@@ -108,35 +111,28 @@ class _Rows(NamedTuple):
     ay: np.ndarray
     a_scale: np.ndarray
     bis: np.ndarray
-    half: np.ndarray
+    aperture: np.ndarray
     rad: np.ndarray
 
 
-def _vertex_arrays(points: PointSet, wedges: Sequence[Wedge]) -> _Rows:
+def _vertex_arrays(points: PointSet, wedges: Wedges) -> _Rows:
     """The ``_Rows`` of the points and their wedges."""
     qx, qy = coordinates(points).T
-    ax = np.array([w.apex.x for w in wedges])
-    ay = np.array([w.apex.y for w in wedges])
-    return _Rows(
-        points,
-        wedges,
-        qx,
-        qy,
-        np.maximum(np.maximum(np.abs(qx), np.abs(qy)), 1.0),
-        ax,
-        ay,
-        np.maximum(np.maximum(np.abs(ax), np.abs(ay)), 1.0),
-        np.array([w.bisector.degrees for w in wedges]),
-        np.array([w.aperture_deg / 2.0 for w in wedges]),
-        np.array([math.inf if w.radius is None else w.radius for w in wedges]),
-    )
+    q_scale = np.maximum(np.maximum(np.abs(qx), np.abs(qy)), 1.0)
+    if isinstance(wedges, np.ndarray):
+        ax, ay, a_scale = qx, qy, q_scale
+    else:
+        ax = np.array([w.apex.x for w in wedges], dtype=np.float64)
+        ay = np.array([w.apex.y for w in wedges], dtype=np.float64)
+        a_scale = np.maximum(np.maximum(np.abs(ax), np.abs(ay)), 1.0)
+    return _Rows(qx, qy, q_scale, ax, ay, a_scale, *wedge_columns(wedges).T)
 
 
-def _check_apexes(rows: _Rows, ids: Sequence[int]) -> None:
+def _check_apexes(rows: _Rows, points: PointSet, wedges: Sequence[Wedge], ids: Sequence[int]) -> None:
     """Raise ApexMismatchError unless each wedge's apex is at its point
-    (``points_coincide``); ``ids`` names the rows' vertices in the error."""
+    (``points_coincide``); row k is ``points[ids[k]]`` and ``wedges[ids[k]]``."""
     for k in ((rows.ax != rows.qx) | (rows.ay != rows.qy)).nonzero()[0].tolist():
-        p, w = rows.points[k], rows.wedges[k]
+        p, w = points[ids[k]], wedges[ids[k]]
         if not points_coincide(p, w.apex):
             raise ApexMismatchError(f"wedge {ids[k]} apex {w.apex} is not at point {p}")
 
@@ -167,7 +163,7 @@ def _covers(rows: _Rows, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     dist = np.hypot(dx, dy)
     near = REL_TOL * np.maximum(rows.a_scale[w], rows.q_scale[q])
     reach = rows.rad[w] * (1.0 + REL_TOL)
-    limit = rows.half[w] + ANGLE_TOL_DEG
+    limit = rows.aperture[w] / 2.0 + ANGLE_TOL_DEG
     delta = np.abs((np.degrees(np.arctan2(dy, dx)) - rows.bis[w] + 180.0) % 360.0 - 180.0)
     covers = (dist <= near) | ((dist <= reach) & (delta <= limit))
     with np.errstate(invalid="ignore"):  # inf - inf: an unbounded range, far off
@@ -175,13 +171,14 @@ def _covers(rows: _Rows, w: np.ndarray, q: np.ndarray) -> np.ndarray:
         band |= np.abs(dist - reach) <= _DIST_BAND * dist
     band |= np.abs(delta - limit) <= _ANGLE_BAND
     for k in band.nonzero()[0].tolist():
-        covers[k] = rows.wedges[w[k]].contains(rows.points[q[k]])
+        i, j = w.item(k), q.item(k)
+        apex = Point(rows.ax.item(i), rows.ay.item(i))
+        wedge = column_wedge(apex, rows.bis.item(i), rows.aperture.item(i), rows.rad.item(i))
+        covers[k] = wedge.contains(Point(rows.qx.item(j), rows.qy.item(j)))
     return covers
 
 
-def non_mutual_edges(
-    points: PointSet, wedges: Sequence[Wedge], edges: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
+def non_mutual_edges(points: PointSet, wedges: Wedges, edges: Edges) -> list[tuple[int, int]]:
     """The edges (u, v), in order, for which ``wedges[u]`` does not contain
     ``points[v]`` or ``wedges[v]`` does not contain ``points[u]``.
 
@@ -189,13 +186,13 @@ def non_mutual_edges(
     at a time.
     """
     rows = _vertex_arrays(points, wedges)
-    failed = []
-    for start in range(0, len(edges), _EDGE_BLOCK):
-        block = itertools.chain.from_iterable(edges[start : start + _EDGE_BLOCK])
-        u, v = np.fromiter(block, np.intp).reshape(-1, 2).T
+    ends = edge_array(edges)
+    failed = [ends[:0]]
+    for start in range(0, len(ends), _EDGE_BLOCK):
+        u, v = ends[start : start + _EDGE_BLOCK].T
         both = _covers(rows, np.concatenate((u, v)), np.concatenate((v, u)))
-        failed += (start + (~(both[: len(u)] & both[len(u) :])).nonzero()[0]).tolist()
-    return [edges[k] for k in failed]
+        failed.append(ends[start + (~(both[: len(u)] & both[len(u) :])).nonzero()[0]])
+    return list(map(tuple, np.concatenate(failed).tolist()))
 
 
 def _candidate_pairs(
@@ -231,22 +228,24 @@ def induced_graph(
     Each edge is weighted by ``Point.distance_to``.
     """
     n = len(points)
+    xy = coordinates(points)
     if pairs is None:
         if n != len(wedges):
             raise ApexMismatchError(f"{n} points but {len(wedges)} wedges")
         at = np.arange(n)
         rows = _vertex_arrays(points, wedges)  # type: ignore[arg-type]
-        _check_apexes(rows, at)
+        _check_apexes(rows, points, wedges, range(n))  # type: ignore[arg-type]
         pad = 2.0 * REL_TOL * max(rows.q_scale.max(initial=1.0), rows.a_scale.max(initial=1.0))
-        blocks = _candidate_pairs(coordinates(points), rows.rad.max(initial=0.0) * (1.0 + REL_TOL), pad)
+        blocks = _candidate_pairs(xy, rows.rad.max(initial=0.0) * (1.0 + REL_TOL), pad)
     else:
         a, b = (np.asarray(side, dtype=np.intp) for side in pairs)
         in_pair = np.zeros(n, dtype=bool)
         in_pair[a] = in_pair[b] = True
         ids = in_pair.nonzero()[0].tolist()
         at = in_pair.cumsum() - 1  # each vertex's row in rows; np.unique would import numpy.ma
-        rows = _vertex_arrays([points[i] for i in ids], [wedges[i] for i in ids])  # type: ignore[misc]
-        _check_apexes(rows, ids)
+        xy = xy[ids]
+        rows = _vertex_arrays(PointArray(xy), [wedges[i] for i in ids])  # type: ignore[misc]
+        _check_apexes(rows, points, wedges, ids)  # type: ignore[arg-type]
         blocks = [(a, b)]
     kept = [(np.empty(0, np.intp), np.empty(0, np.intp))]
     for a, b in blocks:
@@ -259,7 +258,7 @@ def induced_graph(
     once = u < v  # given pairs may repeat, or join a vertex to itself
     once[1:] &= (u[1:] != u[:-1]) | (v[1:] != v[:-1])
     u, v = u[once], v[once]
-    return CommGraph(n, u, v, _lengths(rows.qx, rows.qy, at[u], at[v]))
+    return CommGraph(n, u, v, edge_lengths(xy, at[u], at[v]))
 
 
 def unit_disk_graph(points: PointSet) -> CommGraph:
@@ -273,7 +272,7 @@ def unit_disk_graph(points: PointSet) -> CommGraph:
     kept = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     for a, b in _candidate_pairs(xy, limit):
         u, v = np.minimum(a, b), np.maximum(a, b)
-        d = _lengths(xy[:, 0], xy[:, 1], u, v)
+        d = edge_lengths(xy, u, v)
         near = d <= limit
         kept.append((u[near], v[near], d[near]))
     u, v, d = (np.concatenate(side) for side in zip(*kept))
@@ -281,9 +280,20 @@ def unit_disk_graph(points: PointSet) -> CommGraph:
     return CommGraph(len(points), u[order], v[order], d[order])
 
 
-def _lengths(xs: np.ndarray, ys: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Each ``Point.distance_to`` from u[k] to v[k]: ``math.hypot``, as ``np.hypot`` is not bit-equal."""
+def edge_lengths(xy: np.ndarray, u: Sequence[int], v: Sequence[int]) -> np.ndarray:
+    """Each ``Point.distance_to`` from row u[k] to row v[k] of the coordinates
+    ``xy``: ``math.hypot``, as ``np.hypot`` is not bit-equal."""
+    xs, ys = xy.T
     return np.fromiter(map(math.hypot, (xs[v] - xs[u]).tolist(), (ys[v] - ys[u]).tolist()), float, len(u))
+
+
+def sum_left(weights: Iterable[float]) -> float:
+    """The weights summed left to right. Builtin ``sum`` compensates float
+    rounding from Python 3.12 on, and would so change the bits."""
+    total = 0.0
+    for w in weights:
+        total += w
+    return total
 
 
 def hop_distances_from(
@@ -351,11 +361,12 @@ def tree_from_edges(points: PointSet, edges: Iterable[tuple[int, int]]) -> Spann
     if len(norm) != n - 1:
         raise ValueError(f"spanning tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
     sets = DisjointSets(n)
+    xs, ys = coordinates(points).T.tolist()
     weight = 0.0
     for u, v in norm:
         if not sets.union(u, v):
             raise ValueError(f"edge ({u},{v}) creates a cycle")
-        weight += points[u].distance_to(points[v])
+        weight += math.hypot(xs[v] - xs[u], ys[v] - ys[u])  # Point.distance_to
     return SpanningTree(norm, weight)
 
 
@@ -372,8 +383,9 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
     Above ``ALL_PAIRS_N`` points, Prim's algorithm over the pairs within a
     radius ``r`` (``grid_pairs``), finishing a step densely when no such pair
     leaves the tree; up to it, Prim over the full distance matrix. The result
-    is the tree dense Prim (``oracle.dense_prim_mst``) returns, edge for edge
-    and with the same weight bits, because each of its rules is kept:
+    is the tree dense Prim (``dense_prim_mst`` in ``tests/reference.py``)
+    returns, edge for edge and with the same weight bits, because each of its
+    rules is kept:
 
     * distances are ``np.hypot(x_j - x_k, y_j - y_k)``, the floats dense Prim
       compares (``hypot`` is exact under negation);
@@ -408,7 +420,8 @@ def euclidean_mst_unchecked(points: PointSet) -> SpanningTree:
         return SpanningTree((), 0.0)
     xy = coordinates(points)
     edges = _matrix_prim(xy) if n <= ALL_PAIRS_N else _grid_prim(xy)
-    weight = sum(points[u].distance_to(points[v]) for u, v in edges)
+    xs, ys = xy.T.tolist()
+    weight = sum_left(math.hypot(xs[v] - xs[u], ys[v] - ys[u]) for u, v in edges)  # Point.distance_to
     return SpanningTree(tuple(sorted(edges)), weight)
 
 
@@ -587,10 +600,11 @@ def tsp_tour(points: PointSet, mst: SpanningTree) -> Tour:
         for v in reversed(adj[u]):
             if not seen[v]:
                 stack.append(v)
-    edge_weights = tuple(
-        points[order[i]].distance_to(points[order[(i + 1) % n]]) for i in range(n)
+    xs, ys = coordinates(points).T.tolist()
+    edge_weights = tuple(  # Point.distance_to
+        math.hypot(xs[b] - xs[a], ys[b] - ys[a]) for a, b in zip(order, order[1:] + order[:1])
     )
-    weight = sum(edge_weights)
+    weight = sum_left(edge_weights)
     if weight > 2.0 * mst.weight * (1.0 + REL_TOL):
         raise GuaranteeViolation(
             f"shortcut tour {order} weighs {weight}, more than twice the MST weight {mst.weight}"

@@ -7,13 +7,16 @@ on canonical documents.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import InstanceParseError, TooFewPointsError
-from .geom import Direction, Point, PointSet, Wedge, check_distinct
+from .geom import Point, PointArray, PointSet, Wedge, check_distinct
 
 _SIG_DIGITS = 12
 
@@ -36,7 +39,7 @@ def _canon_value(v):
 
 @dataclass
 class Instance:
-    points: list[Point]
+    points: PointSet
     meta: dict = field(default_factory=dict)
 
 
@@ -58,11 +61,31 @@ def _number(value, where: str) -> float:
     return x
 
 
-def _point_from_pair(pair, where: str) -> Point:
+def _numbers(values: list) -> Optional[np.ndarray]:
+    """The values as a float64 array when each is a finite JSON number by
+    ``_number``'s rule, else None."""
+    if not {float, int}.issuperset(map(type, values)):
+        return None
+    try:
+        x = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int beyond float range
+        return None
+    return x if np.isfinite(x).all() else None
+
+
+def _flat_pairs(raw: list) -> list:
+    """The items of ``raw`` flattened when each is a two-element JSON array,
+    else [None], which no value check accepts."""
+    if {list}.issuperset(map(type, raw)) and {2}.issuperset(map(len, raw)):
+        return list(itertools.chain.from_iterable(raw))
+    return [None]
+
+
+def _pair(pair, where: str) -> tuple[float, float]:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise InstanceParseError(f"{where}: expected a [x, y] pair, got {pair!r}")
     where += ": coordinates"
-    return Point(_number(pair[0], where), _number(pair[1], where))
+    return _number(pair[0], where), _number(pair[1], where)
 
 
 def _load_json(text: str):
@@ -93,12 +116,14 @@ def parse_instance(text: str) -> Instance:
         raw = obj["points"]
         if not isinstance(raw, list):
             raise InstanceParseError('"points" must be an array')
-        points = [_point_from_pair(pair, f"points[{i}]") for i, pair in enumerate(raw)]
+        xy = _numbers(_flat_pairs(raw))
+        if xy is None:  # a bad pair: the per-pair rule names the first
+            xy = [_pair(pair, f"points[{i}]") for i, pair in enumerate(raw)]
         meta = obj.get("meta", {})
         if not isinstance(meta, dict):
             raise InstanceParseError('"meta" must be an object')
     else:
-        points = []
+        xy = []
         meta = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -115,7 +140,8 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceParseError(f"bad number: {exc}", lineno) from exc
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InstanceParseError("coordinates must be finite", lineno)
-            points.append(Point(x, y))
+            xy.append((x, y))
+    points = PointArray(np.array(xy, dtype=np.float64).reshape(-1, 2))
     check_distinct(points)
     return Instance(points=points, meta=meta)
 
@@ -130,24 +156,18 @@ def emit_instance(instance: Instance, *, fmt: str = "json") -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-# A result file's wedge: (bisector_deg, aperture_deg, radius), radius None
-# when unbounded. The apex is the instance point at the same position.
-WedgeTuple = tuple[float, float, Optional[float]]
-
-
 @dataclass
 class ResultDoc:
-    """Solver output: per-point wedges, chosen edges, and a summary block."""
+    """Solver output: per-point wedges, chosen edges, and a summary block.
 
-    wedges: Sequence[WedgeTuple]
+    Point k's wedge is row k of ``wedges``: bisector_deg, aperture_deg and a
+    radius that is unbounded when not finite (inf, or None before parsing).
+    """
+
+    wedges: Union[np.ndarray, Sequence[tuple[float, float, Optional[float]]]]
     edges: Sequence[tuple[int, int]]
     summary: dict
     verification: Optional[dict] = None
-
-    def wedges_at(self, points: PointSet) -> list[Wedge]:
-        if len(points) != len(self.wedges):
-            raise ValueError(f"{len(points)} points but {len(self.wedges)} wedge records")
-        return [Wedge(p, Direction(b), a, r) for (b, a, r), p in zip(self.wedges, points)]
 
 
 def emit_result(doc: ResultDoc) -> str:
@@ -156,9 +176,9 @@ def emit_result(doc: ResultDoc) -> str:
             {
                 "bisector_deg": round_sig(b),
                 "aperture_deg": round_sig(a),
-                **({"radius": round_sig(r)} if r is not None else {}),
+                **({"radius": round_sig(r)} if math.isfinite(r) else {}),
             }
-            for b, a, r in doc.wedges
+            for b, a, r in np.asarray(doc.wedges, dtype=np.float64).reshape(-1, 3).tolist()
         ],
         "edges": [[u, v] for u, v in doc.edges],
         "summary": _canon_value(doc.summary),
@@ -168,7 +188,20 @@ def emit_result(doc: ResultDoc) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _wedge_tuple(rec, where: str) -> WedgeTuple:
+def _wedge_columns(recs: list) -> Optional[np.ndarray]:
+    """The records' bisector, aperture and radius (inf when absent) as an
+    (n, 3) array when each record is good, else None."""
+    try:
+        values = [rec[key] for key in ("bisector_deg", "aperture_deg") for rec in recs]
+    except (KeyError, TypeError):  # a record that is no object, or lacks an angle
+        return None
+    if _numbers(values + [rec["radius"] for rec in recs if "radius" in rec]) is None:
+        return None
+    values += [rec.get("radius", math.inf) for rec in recs]
+    return np.array(values, dtype=np.float64).reshape(3, -1).T
+
+
+def _wedge_record(rec, where: str) -> tuple[float, float, float]:
     if not (isinstance(rec, dict) and "bisector_deg" in rec and "aperture_deg" in rec):
         raise InstanceParseError(
             f"{where}: expected an object with bisector_deg and aperture_deg, got {rec!r}"
@@ -176,7 +209,7 @@ def _wedge_tuple(rec, where: str) -> WedgeTuple:
     return (
         _number(rec["bisector_deg"], where + ".bisector_deg: wedge values"),
         _number(rec["aperture_deg"], where + ".aperture_deg: wedge values"),
-        _number(rec["radius"], where + ".radius: wedge values") if "radius" in rec else None,
+        _number(rec["radius"], where + ".radius: wedge values") if "radius" in rec else math.inf,
     )
 
 
@@ -184,6 +217,13 @@ def _edge(pair, where: str) -> tuple[int, int]:
     if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
         raise InstanceParseError(f"{where}: expected a pair of integer indices, got {pair!r}")
     return pair[0], pair[1]
+
+
+def _edges(raw: list) -> list[tuple[int, int]]:
+    flat = _flat_pairs(raw)
+    if {int}.issuperset(map(type, flat)):
+        return list(zip(flat[::2], flat[1::2]))
+    return [_edge(pair, f"edges[{k}]") for k, pair in enumerate(raw)]  # names the first bad pair
 
 
 def parse_result(text: str) -> ResultDoc:
@@ -196,9 +236,12 @@ def parse_result(text: str) -> ResultDoc:
     for key, kind in (("wedges", list), ("edges", list), ("summary", dict)):
         if not isinstance(obj.get(key), kind):
             raise InstanceParseError(f'"{key}" must be an {"array" if kind is list else "object"}')
+    wedges = _wedge_columns(obj["wedges"])
+    if wedges is None:  # a bad record: the per-record rule names the first
+        wedges = np.array([_wedge_record(rec, f"wedges[{k}]") for k, rec in enumerate(obj["wedges"])])
     return ResultDoc(
-        wedges=[_wedge_tuple(rec, f"wedges[{k}]") for k, rec in enumerate(obj["wedges"])],
-        edges=[_edge(pair, f"edges[{k}]") for k, pair in enumerate(obj["edges"])],
+        wedges=wedges.reshape(-1, 3),
+        edges=_edges(obj["edges"]),
         summary=obj["summary"],
         verification=obj.get("verification"),
     )

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     ComponentClaimViolation,
     DisconnectedUDGError,
@@ -22,7 +24,7 @@ from .errors import (
 )
 from .gadget import aim_leftovers, orient_pair, orient_triplet
 from .geom import ANGLE_TOL_DEG, Direction, PointSet, REL_TOL, Wedge, angular_spread, check_distinct
-from .graph import CommGraph, euclidean_mst, hop_distances_from, induced_graph, unit_disk_graph
+from .graph import CommGraph, euclidean_mst, hop_distances_from, induced_graph, sum_left, unit_disk_graph
 
 SPANNER_APERTURE = 120.0
 SPANNER_RANGE = 7.0
@@ -275,7 +277,7 @@ def check_spanner(
     failures = []
     if not graph.is_connected():
         failures.append("antenna graph is disconnected")
-    spread, worst = angular_spread(points, list(zip(graph.u.tolist(), graph.v.tolist())))
+    spread, worst = angular_spread(points, np.column_stack((graph.u, graph.v)))
     if spread > SPANNER_APERTURE + ANGLE_TOL_DEG:
         failures.append(f"vertex {worst} has spread {spread} > alpha {SPANNER_APERTURE}")
     lengths = graph.w.tolist()
@@ -284,7 +286,7 @@ def check_spanner(
         failures.append(f"edge of length {max_len} exceeds range {SPANNER_RANGE}")
     report = verify_hop_spanner(graph, udg, SPANNER_HOPS, partition)
     failures.extend(report.failures)
-    weight = sum(lengths)  # left to right, as the result files' weights were summed
+    weight = sum_left(lengths)
     mst_weight = euclidean_mst(points).weight
     summary = {
         "alpha": SPANNER_APERTURE,

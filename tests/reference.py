@@ -1,0 +1,293 @@
+"""Test-side references, kept apart from the code they check.
+
+* Exhaustive and exact oracles: dense Prim's Euclidean MST, Hamiltonicity by
+  subset dynamic programming (capped at 14 vertices), the hexagonal-grid
+  reduction, and the per-vertex spread filter of an alpha-tree.
+* The per-record parsers that ``wedgespan.io`` used before it checked a
+  file's values all at once (instance points, result wedges and edges); the
+  columnar parser must accept and reject exactly what they do, with the
+  same messages.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable, Union
+
+import numpy as np
+
+from wedgespan.errors import GridLayoutError, InstanceParseError, TooFewPointsError, TooManyPointsError
+from wedgespan.geom import ANGLE_TOL_DEG, Point, PointSet, check_distinct, spanning_arc
+from wedgespan.graph import CommGraph, SpanningTree
+from wedgespan.oracle import _HEX_OFFSETS, GridGraph, hex_grid_graph
+
+_HAMILTON_CAP = 14
+
+
+def signed_angle_delta(from_deg: float, to_deg: float) -> float:
+    """Signed difference to_deg - from_deg folded into [-180, 180)."""
+    return (to_deg - from_deg + 180.0) % 360.0 - 180.0
+
+
+def tree_max_spread(points: PointSet, edges: Iterable[tuple[int, int]]) -> float:
+    """Largest per-vertex angular spread of the given tree (0 for isolated vertices)."""
+    n = len(points)
+    dirs: list[list[float]] = [[] for _ in range(n)]
+    for u, v in edges:
+        d = math.degrees(math.atan2(points[v].y - points[u].y, points[v].x - points[u].x))
+        dirs[u].append(d % 360.0)
+        dirs[v].append((d + 180.0) % 360.0)
+    worst = 0.0
+    for v in range(n):
+        if len(dirs[v]) >= 2:
+            _, extent = spanning_arc(dirs[v])
+            worst = max(worst, extent)
+    return worst
+
+
+def is_valid_alpha_tree(points: PointSet, edges: Iterable[tuple[int, int]], alpha_deg: float) -> bool:
+    """The oracle's validity filter: every vertex spread at most alpha."""
+    return tree_max_spread(points, edges) <= alpha_deg + ANGLE_TOL_DEG
+
+
+def dense_prim_mst(points: PointSet) -> SpanningTree:
+    """Minimum spanning tree of the complete Euclidean graph (dense Prim, O(n^2)).
+
+    The reference ``graph.euclidean_mst`` must reproduce edge for edge and
+    bit for bit.
+    """
+    n = len(points)
+    if n < 1:
+        raise TooFewPointsError("euclidean_mst requires at least one point")
+    check_distinct(points)
+    if n == 1:
+        return SpanningTree((), 0.0)
+    xs = np.array([p.x for p in points])
+    ys = np.array([p.y for p in points])
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    parent = np.zeros(n, dtype=np.int64)
+    in_tree[0] = True
+    best[0] = np.inf
+    d0 = np.hypot(xs - xs[0], ys - ys[0])
+    mask = d0 < best
+    best[mask] = d0[mask]
+    parent[mask] = 0
+    best[0] = np.inf
+    edges = []
+    for _ in range(n - 1):
+        k = int(np.argmin(best))
+        u = int(parent[k])
+        edges.append((u, k) if u < k else (k, u))
+        in_tree[k] = True
+        best[k] = np.inf
+        dk = np.hypot(xs - xs[k], ys - ys[k])
+        upd = (dk < best) & ~in_tree
+        best[upd] = dk[upd]
+        parent[upd] = k
+    weight = 0.0  # left to right, in join order
+    for u, v in edges:
+        weight += points[u].distance_to(points[v])
+    return SpanningTree(tuple(sorted(edges)), weight)
+
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonicity (subset DP)
+# ---------------------------------------------------------------------------
+
+def _hamilton_adjacency(g: Union[CommGraph, GridGraph]) -> list[int]:
+    """Neighbour bitmask of every vertex, after the vertex-count cap check."""
+    graph = g.graph if isinstance(g, GridGraph) else g
+    n = graph.n
+    if n > _HAMILTON_CAP:
+        raise TooManyPointsError(f"Hamiltonicity capped at {_HAMILTON_CAP} vertices, got {n}")
+    return [sum(1 << v for v in graph.neighbors(u)) for u in range(n)]
+
+
+def _hamiltonian_ends(adj: list[int], seeds: Iterable[int]) -> int:
+    """Bitmask of the vertices where a Hamiltonian path starting at a seed can end.
+
+    Subset DP: ``ends[mask]`` holds every vertex at which some path from a
+    seed through exactly the vertices of ``mask`` ends.
+    """
+    full = (1 << len(adj)) - 1
+    ends = [0] * (full + 1)
+    for v in seeds:
+        ends[1 << v] = 1 << v
+    for mask in range(1, full + 1):
+        rest = ends[mask]
+        while rest:
+            vbit = rest & -rest
+            rest ^= vbit
+            nxt = adj[vbit.bit_length() - 1] & ~mask
+            while nxt:
+                ubit = nxt & -nxt
+                nxt ^= ubit
+                ends[mask | ubit] |= ubit
+    return ends[full]
+
+
+def hamiltonian_path_exists(g: Union[CommGraph, GridGraph]) -> bool:
+    """Exact Hamiltonian-path decision via bitmask reachability from every vertex."""
+    adj = _hamilton_adjacency(g)
+    return len(adj) <= 1 or _hamiltonian_ends(adj, range(len(adj))) != 0
+
+
+def hamiltonian_cycle_exists(g: Union[CommGraph, GridGraph]) -> bool:
+    """Exact Hamiltonian-cycle decision (paths from vertex 0, closing edge back)."""
+    adj = _hamilton_adjacency(g)
+    return len(adj) >= 3 and bool(_hamiltonian_ends(adj, [0]) & adj[0] & ~1)
+
+
+# ---------------------------------------------------------------------------
+# Hexagonal-grid reduction
+# ---------------------------------------------------------------------------
+
+def _hex_free_slots(occupied: set, coord: tuple[int, int]) -> list[tuple[int, int]]:
+    a, b = coord
+    if a % 3 == 1:
+        slots = ((a + 1, b + 1), (a + 1, b - 1), (a - 2, b))
+    else:
+        slots = ((a - 1, b + 1), (a - 1, b - 1), (a + 2, b))
+    return [s for s in slots if s not in occupied]
+
+
+def _hex_neighbor_count(occupied: set, coord: tuple[int, int]) -> int:
+    a, b = coord
+    return sum((a + da, b + db) in occupied for da, db in _HEX_OFFSETS)
+
+
+def hex_grid_reduction(g: GridGraph) -> GridGraph:
+    """Augment a hexagonal grid so Hamiltonian cycles become Hamiltonian paths.
+
+    Takes u as the highest vertex (leftmost among ties). With deg(u)=0 the
+    graph is returned unchanged; with deg(u)=1 three dead-end points s, t, w
+    are added with w adjacent to u only and s, t adjacent to w only; with
+    deg(u)=2 two pendant points s, t are attached to u and its horizontal
+    neighbor. The construction asserts that exactly the advertised unit
+    pairs appear.
+    """
+    if g.kind != "hex":
+        raise GridLayoutError(f"hex-grid reduction needs a hex grid, got {g.kind}")
+    if not g.lattice:
+        return g
+    occupied = set(g.lattice)
+    u = max(g.lattice, key=lambda c: (c[1], -c[0]))
+    ua, ub = u
+    deg = _hex_neighbor_count(occupied, u)
+    if deg == 0:
+        return g
+
+    if deg == 2:
+        # The top vertex of a degree-2 corner keeps its horizontal edge to the
+        # right: a left horizontal neighbor would contradict u being the
+        # leftmost among the highest vertices.
+        if ua % 3 != 2:
+            raise GridLayoutError(
+                f"degree-2 top vertex {u} has no rightward horizontal slot"
+            )
+        v = (ua + 2, ub)
+        if v not in occupied:
+            raise GridLayoutError(f"degree-2 top vertex {u} lacks its horizontal edge")
+        s = (ua - 1, ub + 1)
+        t = (v[0] + 1, v[1] + 1)
+        candidates = [((s, t), {frozenset((s, u)), frozenset((t, v))})]
+    else:
+        if ua % 3 == 2:
+            w = (ua - 1, ub + 1)
+        else:
+            w = (ua + 1, ub + 1)
+        options = []
+        slots_w = [c for c in _hex_free_slots(occupied, w) if c != u]
+        if len(slots_w) >= 2:
+            options.append((w, slots_w[0], slots_w[1]))
+        if ua % 3 == 1:
+            w2 = (ua - 2, ub)
+            slots_w2 = [c for c in _hex_free_slots(occupied, w2) if c != u]
+            if w2 not in occupied and len(slots_w2) >= 2:
+                options.append((w2, slots_w2[0], slots_w2[1]))
+        candidates = [
+            ((w_, s_, t_), {frozenset((u, w_)), frozenset((s_, w_)), frozenset((t_, w_))})
+            for w_, s_, t_ in options
+        ]
+
+    for new_coords, expected in candidates:
+        if any(c in occupied for c in new_coords):
+            continue
+        if len(set(new_coords)) != len(new_coords):
+            continue
+        all_coords = list(g.lattice) + list(new_coords)
+        all_set = set(all_coords)
+        formed = set()
+        for c in new_coords:
+            a, b = c
+            for da, db in _HEX_OFFSETS:
+                nb = (a + da, b + db)
+                if nb in all_set:
+                    formed.add(frozenset((c, nb)))
+        if formed == expected:
+            return hex_grid_graph(all_coords)
+    raise GridLayoutError(
+        f"no valid augmentation placement found at top vertex {u} (degree {deg})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Per-record parsers
+# ---------------------------------------------------------------------------
+
+def _number(value, where: str) -> float:
+    if type(value) is float:
+        x = value
+    elif type(value) is int:
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+    else:
+        raise InstanceParseError(f"{where} must be numbers")
+    if not math.isfinite(x):
+        raise InstanceParseError(f"{where} must be finite")
+    return x
+
+
+def _point_from_pair(pair, where: str) -> Point:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise InstanceParseError(f"{where}: expected a [x, y] pair, got {pair!r}")
+    where += ": coordinates"
+    return Point(_number(pair[0], where), _number(pair[1], where))
+
+
+def points_of(raw: list) -> list[Point]:
+    """A JSON instance's "points" array, pair by pair."""
+    return [_point_from_pair(pair, f"points[{i}]") for i, pair in enumerate(raw)]
+
+
+def _wedge_tuple(rec, where: str):
+    if not (isinstance(rec, dict) and "bisector_deg" in rec and "aperture_deg" in rec):
+        raise InstanceParseError(
+            f"{where}: expected an object with bisector_deg and aperture_deg, got {rec!r}"
+        )
+    return (
+        _number(rec["bisector_deg"], where + ".bisector_deg: wedge values"),
+        _number(rec["aperture_deg"], where + ".aperture_deg: wedge values"),
+        _number(rec["radius"], where + ".radius: wedge values") if "radius" in rec else None,
+    )
+
+
+def wedges_of(recs: list) -> list[tuple]:
+    """A result file's "wedges" array, record by record: (bisector, aperture,
+    radius), radius None when absent."""
+    return [_wedge_tuple(rec, f"wedges[{k}]") for k, rec in enumerate(recs)]
+
+
+def _edge(pair, where: str) -> tuple[int, int]:
+    if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+        raise InstanceParseError(f"{where}: expected a pair of integer indices, got {pair!r}")
+    return pair[0], pair[1]
+
+
+def edges_of(raw: list) -> list[tuple[int, int]]:
+    """A result file's "edges" array, pair by pair."""
+    return [_edge(pair, f"edges[{k}]") for k, pair in enumerate(raw)]

@@ -14,22 +14,26 @@ from wedgespan.approx import build_tree, verify_alpha_tree
 from wedgespan.errors import SeparationConnectivityViolation
 from wedgespan.gadget import orient_triplet, verify_coverage
 from wedgespan.generators import collinear, equilateral, equilateral_with_center, uniform_square
-from wedgespan.geom import Direction, Point, Wedge, signed_angle_delta
+from wedgespan.geom import Direction, Point, Wedge
 from wedgespan.graph import cross_edge, euclidean_mst, induced_graph, unit_disk_graph
 from wedgespan.oracle import (
     brute_force_alpha_mst,
     brute_force_alpha_mst_multi,
-    hamiltonian_cycle_exists,
-    hamiltonian_path_exists,
     hex_cell_corners,
     hex_grid_graph,
     hex_grid_of_cells,
-    hex_grid_reduction,
-    is_valid_alpha_tree,
     square_grid_graph,
     square_grid_reduction,
 )
 from wedgespan.spanner import CASE_BOUNDS, build_spanner, verify_hop_spanner
+
+from reference import (
+    hamiltonian_cycle_exists,
+    hamiltonian_path_exists,
+    hex_grid_reduction,
+    is_valid_alpha_tree,
+    signed_angle_delta,
+)
 
 REL = 1e-9
 ANG = 1e-9

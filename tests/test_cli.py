@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 from collections import deque
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ import pytest
 from wedgespan import cli
 from wedgespan.cli import main
 from wedgespan.errors import TheoremViolation
-from wedgespan.geom import angular_spread
+from wedgespan.geom import Direction, Wedge, angular_spread
 from wedgespan.io import parse_instance, parse_result
 
 
@@ -340,6 +339,35 @@ class TestVerify:
         assert self._tamper(tmp_path, gen, 120, edit) == 1
         assert "witness wedge 0 has aperture 360.0, not alpha 120.0" in capsys.readouterr().err
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: verify trusts the stored mst_weight")
+    def test_zigzag_with_forged_mst_weight_fails(self, tmp_path, capsys):
+        # Ten collinear points and the alpha=180 path 0-9-1-8-...-5: every
+        # spread is 0, but the tree weighs 45 against an EMST of 9, a ratio of
+        # 5 against the bound 2, hidden by a stored mst_weight of 45.
+        inst = tmp_path / "i.json"
+        res = tmp_path / "r.json"
+        inst.write_text(json.dumps({"points": [[i, 0] for i in range(10)]}))
+        path = [0, 9, 1, 8, 2, 7, 3, 6, 4, 5]
+        summary = {"alpha": 180.0, "weight": 45.0, "mst_weight": 45.0, "ratio": 1.0, "max_spread_deg": 0.0}
+        res.write_text(json.dumps({
+            "wedges": [{"bisector_deg": 90.0, "aperture_deg": 180.0}] * 10,
+            "edges": [list(e) for e in zip(path, path[1:])],
+            "summary": summary,
+        }))
+        assert run("verify", "--in", str(inst), "--result", str(res)) == 1
+        assert "mst_weight" in capsys.readouterr().err
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: verify trusts the stored mst_weight")
+    def test_mst_weight_off_in_tenth_digit_fails(self, tmp_path, capsys):
+        def edit(obj, points):
+            summary = obj["summary"]
+            summary["mst_weight"] *= 1.0 + 1e-10
+            summary["ratio"] = summary["weight"] / summary["mst_weight"]
+
+        gen = ("--generator", "uniform-square", "--n", "12", "--seed", "5")
+        assert self._tamper(tmp_path, gen, 120, edit) == 1
+        assert "stored mst_weight" in capsys.readouterr().err
+
     @staticmethod
     def _tamper_network(tmp_path, instance, edit):
         """Convert an instance (coordinates, or ``gen`` arguments), let ``edit``
@@ -490,8 +518,8 @@ class TestVerify:
         # On a line of twelve unit-spaced points some pair more than 7 apart
         # faces each other; with both radii enlarged its edge is mutual.
         def edit(obj, points):
-            wedges = parse_result(json.dumps(obj)).wedges_at(points)
-            unbounded = [replace(w, radius=None) for w in wedges]
+            wedges = parse_result(json.dumps(obj)).wedges.tolist()
+            unbounded = [Wedge(p, Direction(bis), aperture) for p, (bis, aperture, _) in zip(points, wedges)]
             u, v = next(
                 (u, v)
                 for u in range(len(points))

@@ -16,8 +16,10 @@ from wedgespan.gadget import (
     verify_coverage,
 )
 from wedgespan.generators import uniform_square
-from wedgespan.geom import ANGLE_TOL_DEG, Direction, Point, Wedge, direction, signed_angle_delta
+from wedgespan.geom import ANGLE_TOL_DEG, Direction, Point, Wedge, direction
 from wedgespan.graph import DisjointSets, induced_graph
+
+from reference import signed_angle_delta
 
 
 def rand_points(rng, k, lo=0.0, hi=1.0):

@@ -23,9 +23,10 @@ from wedgespan.geom import (
     direction,
     grid_pairs,
     points_coincide,
-    signed_angle_delta,
     spanning_arc,
 )
+
+from reference import signed_angle_delta
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 

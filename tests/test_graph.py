@@ -19,6 +19,7 @@ from wedgespan.graph import (
     euclidean_mst,
     hop_distances_from,
     induced_graph,
+    sum_left,
     tree_from_edges,
     tsp_tour,
     unit_disk_graph,
@@ -30,8 +31,10 @@ from wedgespan.generators import (
     square_grid_reduction_points,
     uniform_square,
 )
-from wedgespan.oracle import brute_force_alpha_mst, dense_prim_mst
+from wedgespan.oracle import brute_force_alpha_mst
 from wedgespan.spanner import greedy_components, orient_components
+
+from reference import dense_prim_mst
 
 
 def graph_of(n, triples):
@@ -593,3 +596,28 @@ class TestCrossEdge:
         g = graph_of(3, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             cross_edge(g, [0, 1], [1, 2])
+
+
+class TestSumLeft:
+    """Weights are float sums taken left to right on every interpreter;
+    builtin ``sum`` compensates the rounding from Python 3.12 on."""
+
+    @staticmethod
+    def left(weights):
+        total = 0.0
+        for w in weights:
+            total += w
+        return total
+
+    def test_adds_in_order(self):
+        assert sum_left([1e16, 1.0, -1e16]) == 0.0  # a compensated sum gives 1.0
+        assert sum_left(iter([0.1] * 10)) == 0.9999999999999999
+        assert sum_left([]) == 0.0
+
+    def test_tour_and_tree_weights(self):
+        pts = uniform_square(300, seed=3)
+        mst = euclidean_mst(pts)
+        tour = tsp_tour(pts, mst)
+        assert tour.weight == self.left(tour.edge_weights)
+        lengths = [pts[u].distance_to(pts[v]) for u, v in mst.edges]
+        assert tree_from_edges(pts, mst.edges).weight == self.left(lengths)

@@ -1,13 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedgespan.errors import DuplicatePointError, InstanceParseError, TooFewPointsError
 from wedgespan.gadget import orient_triplet
-from wedgespan.geom import Direction, Point, Wedge
+from wedgespan.geom import Direction, Point, Wedge, check_distinct, coordinates
 from wedgespan.io import (
     Instance,
     ResultDoc,
@@ -18,15 +19,25 @@ from wedgespan.io import (
     parse_result,
 )
 
+from reference import edges_of, points_of, wedges_of
+
 
 class TestParseInstance:
     def test_json(self):
         inst = parse_instance('{"points": [[0, 0], [1, 0]]}')
-        assert inst.points == [Point(0, 0), Point(1, 0)]
+        assert list(inst.points) == [Point(0, 0), Point(1, 0)]
 
     def test_csv(self):
         inst = parse_instance("0,0\n1,0\n")
-        assert inst.points == [Point(0, 0), Point(1, 0)]
+        assert list(inst.points) == [Point(0, 0), Point(1, 0)]
+
+    def test_points_are_one_read_only_array(self):
+        points = parse_instance('{"points": [[0, 0], [1, 0.5]]}').points
+        xy = coordinates(points)
+        assert coordinates(points) is xy
+        assert not xy.flags.writeable
+        assert xy.dtype == np.float64 and xy.tolist() == [[0.0, 0.0], [1.0, 0.5]]
+        assert points[1] == Point(1.0, 0.5) and points[1] is points[1]
 
     def test_duplicate_rejected_by_default(self):
         with pytest.raises(DuplicatePointError):
@@ -67,6 +78,10 @@ class TestParseInstance:
             ([10**400, 1], "points[1]: coordinates must be finite"),
             ([1, -(10**400)], "points[1]: coordinates must be finite"),
             ([1, 2, 3], "points[1]: expected a [x, y] pair, got [1, 2, 3]"),
+            ([math.nan, 1], "points[1]: coordinates must be finite"),
+            ([1, -math.inf], "points[1]: coordinates must be finite"),
+            ({"x": 0, "y": 1}, "points[1]: expected a [x, y] pair, got {'x': 0, 'y': 1}"),
+            ("0,1", "points[1]: expected a [x, y] pair, got '0,1'"),
         ],
     )
     def test_coordinate_messages(self, pair, message):
@@ -86,7 +101,7 @@ class TestInstanceRoundTrip:
     def test_csv_round_trip(self):
         inst = Instance(points=[Point(0.25, -1.5), Point(3.0, 4.0)])
         back = parse_instance(emit_instance(inst, fmt="csv"))
-        assert back.points == inst.points
+        assert list(back.points) == inst.points
 
     def test_byte_stability(self):
         inst = Instance(points=[Point(math.pi, math.e)])
@@ -113,7 +128,7 @@ class TestResultRoundTrip:
     def test_parse_emit_identity_on_canonical(self):
         text = emit_result(_result_doc())
         doc = parse_result(text)
-        assert doc.wedges == [(0.123456789012, 120.0, None), (240.0, 120.0, 7.0)]
+        assert doc.wedges.tolist() == [[0.123456789012, 120.0, math.inf], [240.0, 120.0, 7.0]]
         assert doc.edges == [(0, 1)]
         assert emit_result(doc) == text
 
@@ -142,11 +157,11 @@ class TestResultRoundTrip:
         doc = _result_doc()
         assert emit_result(doc) == emit_result(doc)
 
-    def test_wedges_at_points(self):
-        doc = _result_doc()
-        wedges = doc.wedges_at([Point(0, 0), Point(1, 1)])
-        assert wedges[1].radius == 7.0
-        assert wedges[0].apex == Point(0, 0)
+    def test_wedges_are_three_float_columns(self):
+        doc = parse_result(emit_result(_result_doc()))
+        assert doc.wedges.dtype == np.float64 and doc.wedges.shape == (2, 3)
+        assert doc.wedges[:, 2].tolist() == [math.inf, 7.0]
+        assert parse_result(emit_result(ResultDoc([], [], {}))).wedges.shape == (0, 3)
 
     def test_malformed_result(self):
         with pytest.raises(InstanceParseError):
@@ -181,8 +196,12 @@ class TestStrictResultValues:
             ("aperture_deg", 10**400, "finite"),
             ("bisector_deg", math.inf, "finite"),
             ("radius", math.nan, "finite"),
+            ("radius", -math.inf, "finite"),
+            ("bisector_deg", -(10**400), "finite"),
+            ("aperture_deg", {"deg": 120}, "numbers"),
         ],
-        ids=["string", "true", "null", "array", "huge-int", "inf", "nan"],
+        ids=["string", "true", "null", "array", "huge-int", "inf", "nan", "minus-inf", "huge-negative-int",
+             "object"],
     )
     def test_wedge_values_must_be_finite_numbers(self, key, value, problem):
         with pytest.raises(InstanceParseError) as err:
@@ -191,8 +210,8 @@ class TestStrictResultValues:
 
     def test_integer_wedge_values_become_floats(self):
         doc = parse_result(self._text(wedge={"bisector_deg": 240, "aperture_deg": 120, "radius": 7}))
-        assert doc.wedges[1] == (240.0, 120.0, 7.0)
-        assert all(type(x) is float for x in doc.wedges[1])
+        assert doc.wedges.dtype == np.float64
+        assert doc.wedges[1].tolist() == [240.0, 120.0, 7.0]
 
     def test_wedge_record_needs_its_angles(self):
         obj = json.loads(self._text())
@@ -210,6 +229,89 @@ class TestStrictResultValues:
     def test_integer_past_digit_limit(self):
         with pytest.raises(InstanceParseError, match="digits"):
             parse_result(self._text().replace("240.0", "1" * 5000))
+
+
+# Values the per-record parsers (tests/reference.py) accept: JSON floats and
+# ints, ints above 2**53 among them; and what they reject in place of a value
+# or of a whole [x, y] pair or wedge record.
+_GOOD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**53, 2**64),
+)
+_BAD = st.sampled_from([True, False, "1.5", None, 10**400, -(10**400), math.nan, math.inf, -math.inf])
+_BAD_RECORD = st.sampled_from([[1.0, 2.0, 3.0], {"x": 1.0, "y": 2.0}, "1,2", None, 5, [1.0]])
+
+
+def _outcome(parse):
+    """The parse's rows, floats in exact hex, or its error's type and message."""
+    try:
+        return [[x.hex() if type(x) is float else x for x in row] for row in parse()]
+    except (InstanceParseError, DuplicatePointError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_points(text):
+    points = points_of(json.loads(text)["points"])
+    check_distinct(points)
+    return [(p.x, p.y) for p in points]
+
+
+def _reference_wedges(text):
+    return [(b, a, math.inf if r is None else r) for b, a, r in wedges_of(json.loads(text)["wedges"])]
+
+
+@st.composite
+def _with_bad(draw, good, bad):
+    """A list of ``good`` items, up to two of them replaced by ``bad`` ones."""
+    items = draw(st.lists(good, max_size=12))
+    for _ in range(draw(st.integers(0, 2)) if items else 0):
+        items[draw(st.integers(0, len(items) - 1))] = draw(bad)
+    return items
+
+
+_PAIR = st.tuples(_GOOD, _GOOD).map(list)
+_BAD_PAIR = st.one_of(st.tuples(_GOOD, _BAD).map(list), st.tuples(_BAD, _GOOD).map(list), _BAD_RECORD)
+_WEDGE = st.fixed_dictionaries({"bisector_deg": _GOOD, "aperture_deg": _GOOD}, optional={"radius": _GOOD})
+_BAD_WEDGE = st.one_of(
+    st.fixed_dictionaries({"bisector_deg": _BAD, "aperture_deg": _GOOD}),
+    st.fixed_dictionaries({"bisector_deg": _GOOD, "aperture_deg": _BAD}),
+    st.fixed_dictionaries({"bisector_deg": _GOOD, "aperture_deg": _GOOD, "radius": _BAD}),
+    st.fixed_dictionaries({"bisector_deg": _GOOD, "radius": _GOOD}),
+    _BAD_RECORD,
+)
+
+
+class TestColumnarParseMatchesReference:
+    """``parse_instance`` and ``parse_result`` read every value at once; on
+    any input they must give the per-record parsers' values bit for bit, or
+    raise their error with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_with_bad(_PAIR, _BAD_PAIR))
+    def test_instance_points(self, raw):
+        text = json.dumps({"points": raw})
+        want = _outcome(lambda: _reference_points(text))
+        assert _outcome(lambda: coordinates(parse_instance(text).points).tolist()) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _with_bad(
+            st.tuples(st.integers(-(2**64), 2**64), st.integers(0, 2**64)).map(list),
+            st.sampled_from([[True, 1], [0, 1.0], ["0", 1], [0, None], [0, 1, 2], [0], {"u": 0}, "0-1"]),
+        )
+    )
+    def test_result_edges(self, raw):
+        text = json.dumps({"wedges": [], "edges": raw, "summary": {}})
+        want = _outcome(lambda: edges_of(json.loads(text)["edges"]))
+        assert _outcome(lambda: parse_result(text).edges) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_with_bad(_WEDGE, _BAD_WEDGE))
+    def test_result_wedges(self, recs):
+        text = json.dumps({"wedges": recs, "edges": [], "summary": {}})
+        want = _outcome(lambda: _reference_wedges(text))
+        assert _outcome(lambda: parse_result(text).wedges.tolist()) == want
 
 
 class TestSvg:

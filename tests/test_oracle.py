@@ -9,16 +9,19 @@ from wedgespan.graph import CommGraph, euclidean_mst
 from wedgespan.oracle import (
     brute_force_alpha_mst,
     brute_force_alpha_mst_multi,
-    hamiltonian_cycle_exists,
-    hamiltonian_path_exists,
     hex_cell_corners,
     hex_grid_graph,
     hex_grid_of_cells,
-    hex_grid_reduction,
-    is_valid_alpha_tree,
     iter_spanning_trees,
     square_grid_graph,
     square_grid_reduction,
+)
+
+from reference import (
+    hamiltonian_cycle_exists,
+    hamiltonian_path_exists,
+    hex_grid_reduction,
+    is_valid_alpha_tree,
     tree_max_spread,
 )
 
