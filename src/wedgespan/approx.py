@@ -353,13 +353,14 @@ def check_alpha_tree(
     Checks edge count, span, acyclicity, per-vertex spread against alpha,
     that every witness wedge has aperture alpha and every edge is mutual
     under them, that the reference MST weight is positive and at most the
-    tree's, and the ratio. The weight is computed from the edges, summed in
-    their order; comparing it with a stored one is left to the caller.
+    tree's, and the ratio. Wedge k is taken to have its apex at ``points[k]``.
+    The weight is computed from the edges, summed in their order; comparing
+    it with a stored one is left to the caller.
     The ratio bound (2 / 6 / 16) is enforced only where the charging argument
     applies: always for 180, and when the group size divides n for 120 and 90.
     """
     n = len(points)
-    ends = edge_array(edges)
+    ends, cols = edge_array(edges), wedge_columns(wedges)
     failures: list[str] = []
     edge_count_ok = len(ends) == n - 1
     if not edge_count_ok:
@@ -379,13 +380,10 @@ def check_alpha_tree(
     if spread > alpha_deg + ANGLE_TOL_DEG:
         failures.append(f"vertex {worst} has spread {spread} > alpha {alpha_deg}")
 
-    aperture = wedge_columns(wedges)[:, 1]
-    off = (np.abs(aperture - alpha_deg) > ANGLE_TOL_DEG).nonzero()[0]
-    if len(off):
-        k = int(off[0])
-        failures.append(f"witness wedge {k} has aperture {aperture.item(k)}, not alpha {alpha_deg}")
+    for k in (np.abs(cols[:, 1] - alpha_deg) > ANGLE_TOL_DEG).nonzero()[0][:1].tolist():
+        failures.append(f"witness wedge {k} has aperture {cols.item(k, 1)}, not alpha {alpha_deg}")
 
-    missed = non_mutual_edges(points, wedges, ends)
+    missed = non_mutual_edges(points, cols, ends)
     witness_ok = not missed
     if missed:
         failures.append("edge ({},{}) is not mutual under the witness wedges".format(*missed[0]))

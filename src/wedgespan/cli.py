@@ -16,7 +16,7 @@ import numpy as np
 from . import generators
 from .approx import build_tree, check_alpha_tree, verify_alpha_tree
 from .errors import GuaranteeViolation, WedgespanError
-from .geom import ANGLE_TOL_DEG, column_wedge, coordinates, edge_array, wedge_columns
+from .geom import ANGLE_TOL_DEG, bad_wedge_rows, column_wedge, coordinates, edge_array, wedge_columns
 from .graph import CommGraph, edge_lengths, euclidean_mst, non_mutual_edges, unit_disk_graph
 from .io import (
     Instance,
@@ -119,12 +119,11 @@ def _is_finite(x) -> bool:
 
 def _wedge_failure(points, wedges: np.ndarray) -> Optional[str]:
     """Why the wedge records do not give the points their wedges (a count
-    mismatch, or the first record ``column_wedge`` rejects), or None."""
+    mismatch, or the first of the ``bad_wedge_rows``), or None."""
     if len(wedges) != len(points):
         return f"{len(points)} points but {len(wedges)} wedge records"
-    _, aperture, radius = wedges.T
     try:
-        for k in (~((aperture > 0.0) & (aperture <= 360.0) & (radius > 0.0))).nonzero()[0][:1].tolist():
+        for k in bad_wedge_rows(wedges)[:1].tolist():
             column_wedge(points[k], *wedges[k].tolist())
     except ValueError as exc:
         return str(exc)
@@ -137,9 +136,9 @@ def _antenna_failures(points, wedges: np.ndarray, edges) -> list[str]:
     _, aperture, radius = wedges.T
     off = (np.abs(aperture - SPANNER_APERTURE) > ANGLE_TOL_DEG) | (radius != SPANNER_RANGE)
     for k in off.nonzero()[0][:1].tolist():
-        r = radius.item(k)
+        w = column_wedge(points[k], *wedges[k].tolist())
         failures.append(
-            f"wedge {k} has aperture {aperture.item(k)} and radius {r if r < math.inf else None}, "
+            f"wedge {k} has aperture {w.aperture_deg} and radius {w.radius}, "
             f"not {SPANNER_APERTURE} and {SPANNER_RANGE}"
         )
     failures += [

@@ -298,12 +298,13 @@ class Wedge:
         return abs(delta) <= self.aperture_deg / 2.0 + ANGLE_TOL_DEG
 
 
-# Wedge objects, or ``wedge_columns`` rows whose apexes are the points.
+# Wedge objects, or their ``wedge_columns`` rows.
 Wedges = Union[Sequence[Wedge], np.ndarray]
 
 
 def wedge_columns(wedges: Wedges) -> np.ndarray:
-    """The wedges as an (n, 3) float array of bisector, aperture and radius (inf when unbounded)."""
+    """The wedges as an (n, 3) float array of bisector, aperture and radius
+    (inf when unbounded); an array is taken to be such rows already."""
     if isinstance(wedges, np.ndarray):
         return wedges
     radius = [math.inf if w.radius is None else w.radius for w in wedges]
@@ -311,10 +312,25 @@ def wedge_columns(wedges: Wedges) -> np.ndarray:
     return np.array(cols, dtype=np.float64).T
 
 
+def bad_wedge_rows(wedges: np.ndarray) -> np.ndarray:
+    """The indices of the ``wedge_columns`` rows that ``Wedge`` rejects: an
+    aperture outside (0, 360] or a radius that is not positive."""
+    _, aperture, radius = wedges.T
+    return (~((aperture > 0.0) & (aperture <= 360.0) & (radius > 0.0))).nonzero()[0]
+
+
 def column_wedge(apex: Point, bisector: float, aperture: float, radius: float) -> Wedge:
     """The Wedge of a ``wedge_columns`` row; ValueError, naming the value, for
-    an aperture outside (0, 360] or a radius that is not positive."""
+    a row in ``bad_wedge_rows``."""
     return Wedge(apex, Direction(bisector), aperture, radius if radius < math.inf else None)
+
+
+def normalize_degrees(degrees: np.ndarray) -> np.ndarray:
+    """``Direction``'s normalisation of each angle, in place: into [0, 360),
+    with the 360 that a tiny negative rounds to taken to 0."""
+    degrees %= 360.0
+    degrees[degrees == 360.0] = 0.0
+    return degrees
 
 
 def spanning_arc(direction_degs: Sequence[float]) -> tuple[float, float]:
@@ -404,10 +420,7 @@ def _end_angles(points: PointSet, edges: Edges) -> tuple[np.ndarray, np.ndarray]
     np.negative(dx, out=dx)
     np.negative(dy, out=dy)
     angle[m:] = np.fromiter(map(math.atan2, memoryview(dy), memoryview(dx)), float, m)
-    np.degrees(angle, out=angle)
-    angle %= 360.0
-    angle[angle == 360.0] = 0.0
-    return np.concatenate((u, v)), angle
+    return np.concatenate((u, v)), normalize_degrees(np.degrees(angle, out=angle))
 
 
 def covering_wedge(center: Point, neighbors: PointSet, aperture_deg: float) -> Wedge:

@@ -19,15 +19,14 @@ from .geom import (
     REL_TOL,
     Edges,
     Point,
-    PointArray,
     PointSet,
     Wedge,
-    Wedges,
     check_distinct,
     column_wedge,
     coordinates,
     edge_array,
     grid_pairs,
+    normalize_degrees,
     points_coincide,
     wedge_columns,
 )
@@ -115,17 +114,14 @@ class _Rows(NamedTuple):
     rad: np.ndarray
 
 
-def _vertex_arrays(points: PointSet, wedges: Wedges) -> _Rows:
-    """The ``_Rows`` of the points and their wedges."""
-    qx, qy = coordinates(points).T
-    q_scale = np.maximum(np.maximum(np.abs(qx), np.abs(qy)), 1.0)
-    if isinstance(wedges, np.ndarray):
-        ax, ay, a_scale = qx, qy, q_scale
-    else:
-        ax = np.array([w.apex.x for w in wedges], dtype=np.float64)
-        ay = np.array([w.apex.y for w in wedges], dtype=np.float64)
-        a_scale = np.maximum(np.maximum(np.abs(ax), np.abs(ay)), 1.0)
-    return _Rows(qx, qy, q_scale, ax, ay, a_scale, *wedge_columns(wedges).T)
+def _vertex_arrays(xy: np.ndarray, wedges: np.ndarray, apexes: Optional[np.ndarray] = None) -> _Rows:
+    """The ``_Rows`` of the points ``xy`` and their ``wedge_columns`` rows,
+    whose apexes are ``apexes``, or the points themselves. The bisectors are
+    normalised as ``Direction`` does, which ``_covers``' angle band assumes."""
+    apexes = xy if apexes is None else apexes
+    q_scale, a_scale = (np.abs(at).max(axis=1, initial=1.0) for at in (xy, apexes))
+    bis, aperture, rad = wedges.T
+    return _Rows(*xy.T, q_scale, *apexes.T, a_scale, normalize_degrees(bis.copy()), aperture, rad)
 
 
 def _check_apexes(rows: _Rows, points: PointSet, wedges: Sequence[Wedge], ids: Sequence[int]) -> None:
@@ -178,14 +174,15 @@ def _covers(rows: _Rows, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return covers
 
 
-def non_mutual_edges(points: PointSet, wedges: Wedges, edges: Edges) -> list[tuple[int, int]]:
-    """The edges (u, v), in order, for which ``wedges[u]`` does not contain
-    ``points[v]`` or ``wedges[v]`` does not contain ``points[u]``.
+def non_mutual_edges(points: PointSet, wedges: np.ndarray, edges: Edges) -> list[tuple[int, int]]:
+    """The edges (u, v), in order, for which wedge u does not contain
+    ``points[v]`` or wedge v does not contain ``points[u]``; wedge k is row k
+    of ``wedge_columns`` with its apex at ``points[k]``.
 
     Every edge is evaluated both ways by ``_covers``, ``_EDGE_BLOCK`` edges
     at a time.
     """
-    rows = _vertex_arrays(points, wedges)
+    rows = _vertex_arrays(coordinates(points), wedges)
     ends = edge_array(edges)
     failed = [ends[:0]]
     for start in range(0, len(ends), _EDGE_BLOCK):
@@ -232,11 +229,7 @@ def induced_graph(
     if pairs is None:
         if n != len(wedges):
             raise ApexMismatchError(f"{n} points but {len(wedges)} wedges")
-        at = np.arange(n)
-        rows = _vertex_arrays(points, wedges)  # type: ignore[arg-type]
-        _check_apexes(rows, points, wedges, range(n))  # type: ignore[arg-type]
-        pad = 2.0 * REL_TOL * max(rows.q_scale.max(initial=1.0), rows.a_scale.max(initial=1.0))
-        blocks = _candidate_pairs(xy, rows.rad.max(initial=0.0) * (1.0 + REL_TOL), pad)
+        at, ids = np.arange(n), range(n)
     else:
         a, b = (np.asarray(side, dtype=np.intp) for side in pairs)
         in_pair = np.zeros(n, dtype=bool)
@@ -244,8 +237,13 @@ def induced_graph(
         ids = in_pair.nonzero()[0].tolist()
         at = in_pair.cumsum() - 1  # each vertex's row in rows; np.unique would import numpy.ma
         xy = xy[ids]
-        rows = _vertex_arrays(PointArray(xy), [wedges[i] for i in ids])  # type: ignore[misc]
-        _check_apexes(rows, points, wedges, ids)  # type: ignore[arg-type]
+    own: list[Wedge] = [wedges[i] for i in ids]  # type: ignore[misc]
+    rows = _vertex_arrays(xy, wedge_columns(own), coordinates([w.apex for w in own]))
+    _check_apexes(rows, points, wedges, ids)  # type: ignore[arg-type]
+    if pairs is None:
+        pad = 2.0 * REL_TOL * max(rows.q_scale.max(initial=1.0), rows.a_scale.max(initial=1.0))
+        blocks = _candidate_pairs(xy, rows.rad.max(initial=0.0) * (1.0 + REL_TOL), pad)
+    else:
         blocks = [(a, b)]
     kept = [(np.empty(0, np.intp), np.empty(0, np.intp))]
     for a, b in blocks:

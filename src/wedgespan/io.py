@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -160,11 +160,11 @@ def emit_instance(instance: Instance, *, fmt: str = "json") -> str:
 class ResultDoc:
     """Solver output: per-point wedges, chosen edges, and a summary block.
 
-    Point k's wedge is row k of ``wedges``: bisector_deg, aperture_deg and a
-    radius that is unbounded when not finite (inf, or None before parsing).
+    Point k's wedge is row k of the (n, 3) float array ``wedges``:
+    bisector_deg, aperture_deg and radius, inf when unbounded.
     """
 
-    wedges: Union[np.ndarray, Sequence[tuple[float, float, Optional[float]]]]
+    wedges: np.ndarray
     edges: Sequence[tuple[int, int]]
     summary: dict
     verification: Optional[dict] = None
@@ -176,9 +176,9 @@ def emit_result(doc: ResultDoc) -> str:
             {
                 "bisector_deg": round_sig(b),
                 "aperture_deg": round_sig(a),
-                **({"radius": round_sig(r)} if math.isfinite(r) else {}),
+                **({"radius": round_sig(r)} if r != math.inf else {}),
             }
-            for b, a, r in np.asarray(doc.wedges, dtype=np.float64).reshape(-1, 3).tolist()
+            for b, a, r in doc.wedges.tolist()
         ],
         "edges": [[u, v] for u, v in doc.edges],
         "summary": _canon_value(doc.summary),

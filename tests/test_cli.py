@@ -339,6 +339,29 @@ class TestVerify:
         assert self._tamper(tmp_path, gen, 120, edit) == 1
         assert "witness wedge 0 has aperture 360.0, not alpha 120.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "second, alpha, bisectors, err",
+        [
+            # 1e20 and -1e20 are 280 and 80 degrees: the wedges face each other.
+            ([0, -1], 120.0, [1e20, -1e20], ""),
+            # 2**71 is 248 degrees: at alpha 180 the first wedge faces away from (1, 0).
+            ([1, 0], 180.0, [2.0**71] * 2, "verification FAILED: edge (0,1) is not mutual under the witness wedges\n"),
+        ],
+        ids=["facing", "facing-away"],
+    )
+    def test_tree_bisectors_count_modulo_360(self, tmp_path, capsys, second, alpha, bisectors, err):
+        inst = tmp_path / "i.json"
+        res = tmp_path / "r.json"
+        inst.write_text(json.dumps({"points": [[0, 0], second]}))
+        summary = {"alpha": alpha, "weight": 1.0, "mst_weight": 1.0, "ratio": 1.0, "max_spread_deg": 0.0}
+        res.write_text(json.dumps({
+            "wedges": [{"bisector_deg": b, "aperture_deg": alpha} for b in bisectors],
+            "edges": [[0, 1]],
+            "summary": summary,
+        }))
+        assert run("verify", "--in", str(inst), "--result", str(res)) == (1 if err else 0)
+        assert capsys.readouterr().err == err
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: verify trusts the stored mst_weight")
     def test_zigzag_with_forged_mst_weight_fails(self, tmp_path, capsys):
         # Ten collinear points and the alpha=180 path 0-9-1-8-...-5: every
@@ -513,6 +536,24 @@ class TestVerify:
 
         assert self._tamper_network(tmp_path, self._CHAIN, edit) == 1
         assert "is not mutual under the recorded wedges" in capsys.readouterr().err
+
+    def test_network_bisectors_count_modulo_360(self, tmp_path, capsys):
+        # 3e19 is 120 degrees, so no edge has both ends inside the wedges.
+        missed = []
+
+        def edit(obj, points):
+            wedges = []
+            for p, rec in zip(points, obj["wedges"]):
+                rec["bisector_deg"] = 3e19
+                wedges.append(Wedge(p, Direction(3e19), rec["aperture_deg"], rec["radius"]))
+            missed.extend(
+                f"edge ({u},{v}) is not mutual under the recorded wedges"
+                for u, v in obj["edges"]
+                if not (wedges[u].contains(points[v]) and wedges[v].contains(points[u]))
+            )
+
+        assert self._tamper_network(tmp_path, self._CHAIN, edit) == 1
+        assert missed and capsys.readouterr().err == "verification FAILED: " + "; ".join(missed) + "\n"
 
     def test_network_edge_beyond_range_fails(self, tmp_path, capsys):
         # On a line of twelve unit-spaced points some pair more than 7 apart

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wedgespan.errors import ApexMismatchError, DuplicatePointError, TooFewPointsError
 from wedgespan.gadget import orient_pair, orient_triplet
 from wedgespan import graph
-from wedgespan.geom import ANGLE_TOL_DEG, REL_TOL, Direction, Point, Wedge, coordinates
+from wedgespan.geom import ANGLE_TOL_DEG, REL_TOL, Direction, Point, Wedge, column_wedge, coordinates, wedge_columns
 from wedgespan.graph import (
     CommGraph,
     DisjointSets,
@@ -293,8 +293,34 @@ class TestCoversMatchesContains:
             probes += near
             wedges += [w] * len(near)
         at = np.arange(len(probes))
-        got = graph._covers(graph._vertex_arrays(probes, wedges), at, at)
+        rows = graph._vertex_arrays(coordinates(probes), wedge_columns(wedges), coordinates([w.apex for w in wedges]))
+        got = graph._covers(rows, at, at)
         want = np.array([w.contains(q) for w, q in zip(wedges, probes)])
+        assert 0 < want.sum() < len(want)
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_column_rows_with_bisectors_many_turns_off(self, seed):
+        # A result file's bisector may be any finite number; the wedge it
+        # records is Direction's, whatever the count of whole turns in it.
+        rng = random.Random(seed)
+        apexes, cols, probes, owner = [], [], [], []
+        for k in range(30):
+            apex = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            bisector = rng.choice([-1, 1]) * rng.uniform(1, 2) * 2.0 ** rng.randint(8, 80)
+            row = [bisector, rng.choice([90.0, 120.0, 180.0]), rng.choice([math.inf, 7.0])]
+            w = column_wedge(apex, *row)
+            widened = w.aperture_deg / 2.0 + ANGLE_TOL_DEG
+            for heading in (w.bisector.degrees + widened, w.bisector.degrees - widened, rng.uniform(0, 360)):
+                near = _straddling(w, heading, rng.uniform(0.1, 1.0) * min(row[2], 10.0))
+                probes += near
+                owner += [k] * len(near)
+            apexes.append(apex)
+            cols.append(row)
+        xy = coordinates(apexes + probes)
+        rows = graph._vertex_arrays(xy, np.array(cols + [[0.0, 90.0, math.inf]] * len(probes)))
+        got = graph._covers(rows, np.array(owner), len(apexes) + np.arange(len(probes)))
+        want = np.array([column_wedge(apexes[k], *cols[k]).contains(q) for k, q in zip(owner, probes)])
         assert 0 < want.sum() < len(want)
         assert (got == want).all()
 

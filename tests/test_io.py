@@ -110,7 +110,7 @@ class TestInstanceRoundTrip:
 
 def _result_doc():
     return ResultDoc(
-        wedges=[(0.123456789012345, 120.0, None), (240.0, 120.0, 7.0)],
+        wedges=np.array([[0.123456789012345, 120.0, math.inf], [240.0, 120.0, 7.0]]),
         edges=[(0, 1)],
         summary={
             "alpha": 120.0,
@@ -138,14 +138,14 @@ class TestResultRoundTrip:
             st.tuples(
                 st.floats(0.0, 360.0, exclude_max=True),
                 st.floats(1e-6, 360.0),
-                st.one_of(st.none(), st.floats(1e-9, 1e9)),
+                st.one_of(st.just(math.inf), st.floats(1e-9, 1e9)),
             ),
             max_size=8,
         ),
         st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=8),
     )
     def test_emit_parse_emit_is_identity(self, wedges, edges):
-        text = emit_result(ResultDoc(wedges, edges, {"alpha": 120.0}))
+        text = emit_result(ResultDoc(np.array(wedges).reshape(-1, 3), edges, {"alpha": 120.0}))
         assert emit_result(parse_result(text)) == text
 
     def test_radius_omitted_when_absent(self):
@@ -161,7 +161,7 @@ class TestResultRoundTrip:
         doc = parse_result(emit_result(_result_doc()))
         assert doc.wedges.dtype == np.float64 and doc.wedges.shape == (2, 3)
         assert doc.wedges[:, 2].tolist() == [math.inf, 7.0]
-        assert parse_result(emit_result(ResultDoc([], [], {}))).wedges.shape == (0, 3)
+        assert parse_result(emit_result(ResultDoc(np.empty((0, 3)), [], {}))).wedges.shape == (0, 3)
 
     def test_malformed_result(self):
         with pytest.raises(InstanceParseError):
