@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,11 +33,13 @@ from .oracle import brute_force_alpha_mst
 from .spanner import SPANNER_APERTURE, SPANNER_HOPS, SPANNER_RANGE, build_spanner, check_spanner
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _write(content: Union[str, ResultDoc], path: Optional[str]) -> None:
+    """Write text, or a result document in chunks, to the file at ``path`` (stdout for None or "-")."""
+    with contextlib.nullcontext(sys.stdout) if path is None or path == "-" else open(path, "w") as out:
+        if isinstance(content, ResultDoc):
+            emit_result(content, out)
+        else:
+            out.write(content)
 
 
 def _read_instance(path: str) -> Instance:
@@ -74,10 +77,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_result(wedges, edges, summary: dict, verification: dict) -> str:
-    return emit_result(ResultDoc(wedge_columns(wedges), edges, summary, verification))
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     points = instance.points
@@ -86,7 +85,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     result = build_tree(points, float(args.alpha))
     report = verify_alpha_tree(points, result)
     verification = dataclasses.asdict(report)
-    _write(_emit_result(result.wedges, result.tree.edges, report.summary, verification), args.out)
+    _write(ResultDoc(wedge_columns(result.wedges), result.tree.edges, report.summary, verification), args.out)
     if args.svg:
         _write(emit_svg(points, result.wedges, result.tree.edges), args.svg)
     if not report.passed:
@@ -99,9 +98,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     points = instance.points
     result = build_spanner(points)
-    edges = list(zip(result.graph.u.tolist(), result.graph.v.tolist()))
+    edges = np.column_stack((result.graph.u, result.graph.v))
     verification = {"hop_cap": SPANNER_HOPS, "range": SPANNER_RANGE, "runtime_stats": result.runtime_stats}
-    _write(_emit_result(result.wedges, edges, result.summary, verification), args.out)
+    _write(ResultDoc(wedge_columns(result.wedges), edges, result.summary, verification), args.out)
     if args.svg:
         _write(emit_svg(points, result.wedges, edges), args.svg)
     return 0

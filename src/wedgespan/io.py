@@ -11,30 +11,18 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
 from .errors import InstanceParseError, TooFewPointsError
-from .geom import Point, PointArray, PointSet, Wedge, check_distinct
+from .geom import Edges, Point, PointArray, PointSet, Wedge, check_distinct, coordinates, edge_array
 
-_SIG_DIGITS = 12
+_SIG_SPEC = ".12g"
 
 
 def round_sig(x: float) -> float:
-    return float(f"{x:.{_SIG_DIGITS}g}")
-
-
-def _canon_value(v):
-    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
-        return v
-    if isinstance(v, float):
-        return round_sig(v)
-    if isinstance(v, dict):
-        return {k: _canon_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_canon_value(x) for x in v]
-    raise TypeError(f"cannot serialize value of type {type(v)!r}")
+    return float(format(x, _SIG_SPEC))
 
 
 @dataclass
@@ -146,14 +134,36 @@ def parse_instance(text: str) -> Instance:
     return Instance(points=points, meta=meta)
 
 
+# json.dumps(indent=2)'s items one level inside a top-level array.
+_PAIR = "    [\n      %r,\n      %r\n    ]"
+_WEDGE = '    {\n      "bisector_deg": %r,\n      "aperture_deg": %r,\n      "radius": %r\n    }'
+_UNBOUNDED_WEDGE = '    {\n      "bisector_deg": %r,\n      "aperture_deg": %r\n    }'
+_CHUNK_ITEMS = 4096
+
+
+def _fill(obj: dict, *arrays: Iterator[str]) -> Iterator[str]:
+    """``obj`` with its floats canonicalised, as json.dumps(indent=2) writes it, in
+    chunks. Its first top-level values, empty lists, are filled by ``arrays``' item texts."""
+    canonical = json.loads(json.dumps(obj), parse_float=lambda text: round_sig(float(text)))
+    texts = json.dumps(canonical, indent=2).split("[]", len(arrays))
+    for text, items in zip(texts, arrays):
+        yield text
+        sep = "[\n"
+        while chunk := ",\n".join(itertools.islice(items, _CHUNK_ITEMS)):
+            yield sep + chunk
+            sep = ",\n"
+        yield "[]" if sep == "[\n" else "\n  ]"
+    yield texts[-1] + "\n"
+
+
 def emit_instance(instance: Instance, *, fmt: str = "json") -> str:
-    """Serialize an instance as canonical JSON or headerless CSV."""
+    """Serialize an instance as canonical JSON (laid out as by json.dumps(indent=2)) or headerless CSV."""
+    xy = map(round_sig, coordinates(instance.points).ravel().tolist())
+    pairs = zip(xy, xy)
     if fmt == "csv":
-        return "".join(f"{round_sig(p.x)!r},{round_sig(p.y)!r}\n" for p in instance.points)
-    obj: dict = {"points": [[round_sig(p.x), round_sig(p.y)] for p in instance.points]}
-    if instance.meta:
-        obj["meta"] = _canon_value(instance.meta)
-    return json.dumps(obj, indent=2) + "\n"
+        return "".join(map("%r,%r\n".__mod__, pairs))
+    obj = {"points": [], "meta": instance.meta} if instance.meta else {"points": []}
+    return "".join(_fill(obj, map(_PAIR.__mod__, pairs)))
 
 
 @dataclass
@@ -161,31 +171,42 @@ class ResultDoc:
     """Solver output: per-point wedges, chosen edges, and a summary block.
 
     Point k's wedge is row k of the (n, 3) float array ``wedges``:
-    bisector_deg, aperture_deg and radius, inf when unbounded.
+    bisector_deg, aperture_deg and radius, inf when unbounded. ``edges`` are
+    (u, v) pairs or an (m, 2) int array.
     """
 
     wedges: np.ndarray
-    edges: Sequence[tuple[int, int]]
+    edges: Edges
     summary: dict
     verification: Optional[dict] = None
 
 
-def emit_result(doc: ResultDoc) -> str:
-    obj: dict = {
-        "wedges": [
-            {
-                "bisector_deg": round_sig(b),
-                "aperture_deg": round_sig(a),
-                **({"radius": round_sig(r)} if r != math.inf else {}),
-            }
-            for b, a, r in doc.wedges.tolist()
-        ],
-        "edges": [[u, v] for u, v in doc.edges],
-        "summary": _canon_value(doc.summary),
-    }
+def _edge_pairs(edges: Edges) -> Iterator[tuple[int, int]]:
+    """The edges as (u, v) tuples of ints, taken from their array a chunk at a time."""
+    rows = edge_array(edges)
+    for i in range(0, len(rows), _CHUNK_ITEMS):
+        yield from zip(*rows[i : i + _CHUNK_ITEMS].T.tolist())
+
+
+def emit_result(doc: ResultDoc, out: Optional[TextIO] = None) -> Optional[str]:
+    """The document as json.dumps(indent=2) writes it, floats canonicalised and
+    an inf radius left out: returned, or written to ``out`` in chunks. A wedge
+    value JSON cannot hold, not finite save an inf radius, raises ValueError."""
+    # NaN equals nothing, so of the values that are not finite only an inf radius passes.
+    bad = ~np.isfinite(doc.wedges) & (doc.wedges != (math.nan, math.nan, math.inf))
+    for k, j in np.argwhere(bad)[:1].tolist():
+        key = ("bisector_deg", "aperture_deg", "radius")[j]
+        raise ValueError(f"wedges[{k}].{key} is {doc.wedges[k, j].item()!r}; wedge values must be finite")
+    values = map(round_sig, doc.wedges.ravel().tolist())
+    rows = zip(values, values, values)
+    records = (_WEDGE % row if row[2] != math.inf else _UNBOUNDED_WEDGE % row[:2] for row in rows)
+    obj = {"wedges": [], "edges": [], "summary": doc.summary}
     if doc.verification is not None:
-        obj["verification"] = _canon_value(doc.verification)
-    return json.dumps(obj, indent=2) + "\n"
+        obj["verification"] = doc.verification
+    chunks = _fill(obj, records, map(_PAIR.__mod__, _edge_pairs(doc.edges)))
+    if out is None:
+        return "".join(chunks)
+    out.writelines(chunks)
 
 
 def _wedge_columns(recs: list) -> Optional[np.ndarray]:
@@ -263,7 +284,7 @@ def _fmt(v: float) -> str:
 def emit_svg(
     points: PointSet,
     wedges: Optional[Sequence[Wedge]] = None,
-    edges: Optional[Sequence[tuple[int, int]]] = None,
+    edges: Optional[Edges] = None,
 ) -> str:
     """Draw points, edges, and wedge sectors as standalone SVG 1.1.
 
@@ -318,7 +339,7 @@ def emit_svg(
                 f'A {_fmt(r)} {_fmt(r)} 0 {large} 0 {_fmt(x2)} {_fmt(y2)} Z" '
                 f'fill="{color}" fill-opacity="0.15" stroke="{color}" stroke-width="1"/>'
             )
-    if edges:
+    if edges is not None:
         for u, v in edges:
             x1, y1 = to_px(points[u])
             x2, y2 = to_px(points[v])

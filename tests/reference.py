@@ -7,10 +7,14 @@
   file's values all at once (instance points, result wedges and edges); the
   columnar parser must accept and reject exactly what they do, with the
   same messages.
+* The ``json.dumps(indent=2)`` emitters of instances and results that
+  ``wedgespan.io`` used before it wrote its fixed layout directly; the
+  writer must give their bytes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Iterable, Union
 
@@ -19,6 +23,7 @@ import numpy as np
 from wedgespan.errors import GridLayoutError, InstanceParseError, TooFewPointsError, TooManyPointsError
 from wedgespan.geom import ANGLE_TOL_DEG, Point, PointSet, check_distinct, spanning_arc
 from wedgespan.graph import CommGraph, SpanningTree
+from wedgespan.io import Instance, ResultDoc
 from wedgespan.oracle import _HEX_OFFSETS, GridGraph, hex_grid_graph
 
 _HAMILTON_CAP = 14
@@ -291,3 +296,52 @@ def _edge(pair, where: str) -> tuple[int, int]:
 def edges_of(raw: list) -> list[tuple[int, int]]:
     """A result file's "edges" array, pair by pair."""
     return [_edge(pair, f"edges[{k}]") for k, pair in enumerate(raw)]
+
+
+# ---------------------------------------------------------------------------
+# json.dumps emitters
+# ---------------------------------------------------------------------------
+
+def _round_sig(x: float) -> float:
+    return float(f"{x:.12g}")
+
+
+def _canon_value(v):
+    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
+        return v
+    if isinstance(v, float):
+        return _round_sig(v)
+    if isinstance(v, dict):
+        return {k: _canon_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_canon_value(x) for x in v]
+    raise TypeError(f"cannot serialize value of type {type(v)!r}")
+
+
+def emit_instance_json(instance: Instance) -> str:
+    """An instance's JSON form, through json.dumps(indent=2)."""
+    obj: dict = {"points": [[_round_sig(p.x), _round_sig(p.y)] for p in instance.points]}
+    if instance.meta:
+        obj["meta"] = _canon_value(instance.meta)
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def emit_result_json(doc: ResultDoc) -> str:
+    """A result document through json.dumps(indent=2); an (m, 2) edge array
+    is taken as its rows."""
+    edges = doc.edges.tolist() if isinstance(doc.edges, np.ndarray) else doc.edges
+    obj: dict = {
+        "wedges": [
+            {
+                "bisector_deg": _round_sig(b),
+                "aperture_deg": _round_sig(a),
+                **({"radius": _round_sig(r)} if r != math.inf else {}),
+            }
+            for b, a, r in doc.wedges.tolist()
+        ],
+        "edges": [[u, v] for u, v in edges],
+        "summary": _canon_value(doc.summary),
+    }
+    if doc.verification is not None:
+        obj["verification"] = _canon_value(doc.verification)
+    return json.dumps(obj, indent=2) + "\n"

@@ -96,6 +96,16 @@ class TestSolve:
                    "--svg", str(svg)) == 0
         assert svg.read_text().startswith("<?xml")
 
+    def test_stdout_gets_the_file_bytes(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        res = tmp_path / "r.json"
+        run("gen", "--generator", "uniform-square", "--n", "9", "--seed", "1", "--out", str(inst))
+        assert run("solve", "--in", str(inst), "--alpha", "120", "--out", str(res)) == 0
+        capsys.readouterr()
+        for out in (["--out", "-"], []):
+            assert run("solve", "--in", str(inst), "--alpha", "120", *out) == 0
+            assert capsys.readouterr().out == res.read_text()
+
 
 class TestConvert:
     def test_three_close_points(self, tmp_path):
@@ -110,6 +120,14 @@ class TestConvert:
         ]
         assert doc.summary["hop_stretch"] <= 2
         assert doc.summary["max_edge_len"] <= 7.0 + 1e-9
+
+    def test_svg_draws_every_edge(self, tmp_path):
+        inst = tmp_path / "i.json"
+        res = tmp_path / "r.json"
+        svg = tmp_path / "r.svg"
+        inst.write_text('{"points": [[0, 0], [0.6, 0], [0.3, 0.5], [1.2, 0.1]]}')
+        assert run("convert", "--in", str(inst), "--out", str(res), "--svg", str(svg)) == 0
+        assert svg.read_text().count("<line") == len(parse_result(res.read_text()).edges) > 0
 
     def test_disconnected_exit_code(self, tmp_path):
         inst = tmp_path / "i.json"

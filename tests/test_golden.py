@@ -18,7 +18,13 @@ import io
 import json
 import math
 
+import pytest
+
+from wedgespan import cli
 from wedgespan.cli import main
+from wedgespan.io import emit_instance, emit_result
+
+from reference import emit_instance_json, emit_result_json
 
 # (name, gen arguments); every instance has a connected unit disk graph.
 CORPUS = [
@@ -33,6 +39,25 @@ CORPUS = [
 ALPHAS = ("90", "120", "180")
 
 GOLDEN_SHA256 = "07a8bd218ddfd0c6dda94b4d9b8b31cdea5d34d4b8ea4faedb4c7596ac4c3375"
+
+
+@pytest.fixture(autouse=True)
+def writer_matches_json_dumps(monkeypatch):
+    """Every instance and result the corpora write must be json.dumps(indent=2)'s
+    bytes for the same document (``tests/reference.py``); convert results keep
+    their runtime_stats here."""
+
+    def checked_instance(instance, *, fmt):
+        text = emit_instance(instance, fmt=fmt)
+        assert fmt != "json" or text == emit_instance_json(instance)
+        return text
+
+    def checked_result(doc, out):
+        assert emit_result(doc) == emit_result_json(doc)
+        emit_result(doc, out)
+
+    monkeypatch.setattr(cli, "emit_instance", checked_instance)
+    monkeypatch.setattr(cli, "emit_result", checked_result)
 
 
 def _run(*argv):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -19,7 +20,7 @@ from wedgespan.io import (
     parse_result,
 )
 
-from reference import edges_of, points_of, wedges_of
+from reference import edges_of, emit_instance_json, emit_result_json, points_of, wedges_of
 
 
 class TestParseInstance:
@@ -90,6 +91,15 @@ class TestParseInstance:
         assert str(err.value) == message
 
 
+_FINITE = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+# Any value json.dumps writes, NaN and infinities among the floats.
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=4)),
+    lambda items: st.one_of(st.lists(items, max_size=3), st.dictionaries(st.text(max_size=4), items, max_size=3)),
+    max_leaves=8,
+)
+
+
 class TestInstanceRoundTrip:
     def test_json_round_trip(self):
         inst = Instance(points=[Point(0.1, 0.2), Point(1 / 3, 2 / 3)], meta={"k": 1})
@@ -106,6 +116,12 @@ class TestInstanceRoundTrip:
     def test_byte_stability(self):
         inst = Instance(points=[Point(math.pi, math.e)])
         assert emit_instance(inst) == emit_instance(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_FINITE, _FINITE), max_size=8), st.dictionaries(st.text(max_size=4), _JSON))
+    def test_json_matches_json_dumps(self, xy, meta):
+        inst = Instance(points=[Point(x, y) for x, y in xy], meta=meta)
+        assert emit_instance(inst) == emit_instance_json(inst)
 
 
 def _result_doc():
@@ -166,6 +182,58 @@ class TestResultRoundTrip:
     def test_malformed_result(self):
         with pytest.raises(InstanceParseError):
             parse_result('{"edges": []}')
+
+
+class TestResultWriter:
+    """``emit_result`` writes json.dumps(indent=2)'s bytes (``emit_result_json``)
+    and refuses a wedge value that JSON cannot hold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_FINITE, _FINITE, st.one_of(st.just(math.inf), _FINITE)), max_size=8),
+        st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), max_size=8),
+        st.booleans(),
+        st.dictionaries(st.text(max_size=6), _JSON, max_size=5),
+        st.one_of(st.none(), st.dictionaries(st.text(max_size=6), _JSON, max_size=5)),
+    )
+    def test_matches_json_dumps(self, wedges, edges, edge_array, summary, verification):
+        doc = ResultDoc(np.array(wedges).reshape(-1, 3), edges, summary, verification)
+        want = emit_result_json(doc)
+        if edge_array:
+            doc.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        assert emit_result(doc) == want
+        out = io.StringIO()
+        assert emit_result(doc, out) is None
+        assert out.getvalue() == want
+
+    def test_large_result_is_written_in_chunks(self):
+        class Writes(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sizes = []
+        edges = np.arange(40000).reshape(-1, 2)
+        doc = ResultDoc(np.tile([10.0, 120.0, math.inf], (20000, 1)), edges, {"alpha": 120.0})
+        out = Writes()
+        emit_result(doc, out)
+        assert out.getvalue() == emit_result_json(doc)
+        assert len(sizes) > 4 and max(sizes) < len(out.getvalue()) / 4
+
+    @pytest.mark.parametrize(
+        "row, column, value, key",
+        [
+            (1, 0, math.nan, "bisector_deg"),
+            (0, 1, math.inf, "aperture_deg"),
+            (1, 2, math.nan, "radius"),
+            (0, 2, -math.inf, "radius"),
+        ],
+    )
+    def test_non_finite_wedge_value_is_refused(self, row, column, value, key):
+        doc = _result_doc()
+        doc.wedges[row, column] = value
+        with pytest.raises(ValueError, match=rf"^wedges\[{row}\]\.{key} is {value!r}; wedge values must be finite$"):
+            emit_result(doc, io.StringIO())
 
 
 class TestStrictResultValues:
