@@ -61,7 +61,6 @@ from .oracle import (
     GridGraph,
     ReductionInstance,
     brute_force_alpha_mst,
-    brute_force_alpha_mst_multi,
     hex_grid_graph,
     hex_grid_of_cells,
     square_grid_graph,

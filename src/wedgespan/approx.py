@@ -31,7 +31,6 @@ from .geom import (
     Wedge,
     Wedges,
     angular_spread,
-    check_distinct,
     coordinates,
     covering_wedge,
     direction,
@@ -46,7 +45,6 @@ from .graph import (
     cross_edge,
     edge_lengths,
     euclidean_mst,
-    euclidean_mst_unchecked,
     induced_graph,
     non_mutual_edges,
     sum_left,
@@ -287,14 +285,13 @@ def build_tree(points: PointSet, alpha_deg: float) -> AlphaTree:
     n = len(points)
     if n < 2:
         raise TooFewPointsError("build_tree requires at least two points")
-    check_distinct(points)
+    mst = euclidean_mst(points)
     # Two points need no gadget; at 180 the path step covers them, with its
     # covering wedges in place of facing ones.
     if n == 2 and key != 180:
-        w = points[0].distance_to(points[1])
+        w = mst.weight
         tree = tree_from_edges(points, [(0, 1)])
         return AlphaTree(alpha, tree, orient_pair(points, alpha), mst_weight=w, tour_weight=2.0 * w)
-    mst = euclidean_mst_unchecked(points)
     tour = tsp_tour(points, mst)
     edges, wedges = step(points, tour)
     tree = tree_from_edges(points, edges)

@@ -28,13 +28,21 @@ from .io import (
     parse_instance,
     parse_result,
     round_sig,
+    wedge_value_fault,
 )
 from .oracle import brute_force_alpha_mst
 from .spanner import SPANNER_APERTURE, SPANNER_HOPS, SPANNER_RANGE, build_spanner, check_spanner
 
 
 def _write(content: Union[str, ResultDoc], path: Optional[str]) -> None:
-    """Write text, or a result document in chunks, to the file at ``path`` (stdout for None or "-")."""
+    """Write text, or a result document in chunks, to the file at ``path`` (stdout for None or "-").
+
+    A result's wedges come from a solver, so a ``wedge_value_fault`` is a
+    broken guarantee; it is raised before the file is opened, which keeps
+    its bytes.
+    """
+    if isinstance(content, ResultDoc) and (fault := wedge_value_fault(content.wedges)):
+        raise GuaranteeViolation(fault)
     with contextlib.nullcontext(sys.stdout) if path is None or path == "-" else open(path, "w") as out:
         if isinstance(content, ResultDoc):
             emit_result(content, out)

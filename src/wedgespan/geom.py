@@ -26,10 +26,6 @@ _PAIR_BLOCK = 1 << 12
 # Most candidate pairs per point the duplicate check takes from one grid
 # before it splits points of widely different scales.
 _CLOSE_PAIRS_PER_POINT = 8
-# Up to this many points, the callers of grid_pairs take every pair as a
-# candidate instead: at that size the grid's fixed numpy calls cost more
-# than the pairs do.
-ALL_PAIRS_N = 64
 # Most cells a side of grid_pairs' grid; it keeps the int64 cell keys exact
 # and sets the narrowest cell, span / GRID_SIDE_CELLS.
 GRID_SIDE_CELLS = 2**30
@@ -54,14 +50,17 @@ Edges = Union[Sequence[tuple[int, int]], np.ndarray]
 
 
 class PointArray(Sequence[Point]):
-    """A read-only point set backed by an (n, 2) float64 array of (x, y) rows,
-    which ``coordinates`` returns; ``points[k]`` is from a Point list built on first use."""
+    """A read-only set of distinct points backed by an (n, 2) float64 array of
+    (x, y) rows, which ``coordinates`` returns; ``points[k]`` is from a Point
+    list built on first use. Building one runs the duplicate scan, which
+    raises DuplicatePointError, so ``check_distinct`` passes it at once."""
 
     __slots__ = ("xy", "_points")
 
     def __init__(self, xy: np.ndarray):
         xy.flags.writeable = False
         self.xy, self._points = xy, None
+        _scan_distinct(self)
 
     def __len__(self) -> int:
         return len(self.xy)
@@ -137,7 +136,8 @@ def grid_pairs(
     The pairs come as int32 arrays (i, j) in blocks of about
     ``_PAIR_BLOCK``, so memory stays O(n + block); callers apply their own
     distance rule to each block. Returns None, before building any pair,
-    when there would be more than ``max_pairs``. ``radius`` must be positive.
+    when there would be more than ``max_pairs``. ``radius`` must be positive
+    unless every point is the same, which makes one cell.
     """
     n = len(xy)
     low = xy.min(axis=0)
@@ -147,7 +147,7 @@ def grid_pairs(
         return grid_pairs(xy * 0.5, radius * 0.5, max_pairs)
     # Rounding moves (x - x0) / width by a few ulps of span / width at most,
     # which the 4 eps span margin absorbs.
-    width = max(radius * (1.0 + REL_TOL) + 4.0 * _EPS * span, span / GRID_SIDE_CELLS)
+    width = max(radius * (1.0 + REL_TOL) + 4.0 * _EPS * span, span / GRID_SIDE_CELLS) or 1.0
     stride = int((y1 - y0) / width) + 2
     cell = ((xy - low) / width).astype(np.int64)
     key = cell[:, 0] * stride + cell[:, 1]
@@ -184,40 +184,31 @@ def _pair_blocks(
 
 
 def check_distinct(points: PointSet) -> None:
-    """Raise DuplicatePointError if any two points coincide.
+    """Raise DuplicatePointError if any two points coincide; a ``PointArray``
+    was checked when it was built."""
+    if not isinstance(points, PointArray):
+        _scan_distinct(points)
 
-    Each point is compared, by ``points_coincide``, only with the points in
-    its tolerance cell and the neighbouring ones (``_close_pairs``), or with
-    every point when there are at most ``ALL_PAIRS_N``; the lowest
-    coinciding pair is reported.
-    """
+
+def _scan_distinct(points: PointSet) -> None:
+    """``check_distinct``'s scan: each point is compared, by
+    ``points_coincide``, only with the points in its tolerance cell and the
+    neighbouring ones (``_close_pairs``); the lowest coinciding pair is
+    reported."""
     n = len(points)
     if n < 2:
         return
     xy = coordinates(points)
     scale = np.maximum(np.abs(xy).max(axis=1), 1.0)
-    blocks = _all_close_pairs(xy, scale) if n <= ALL_PAIRS_N else _close_pairs(xy, scale, np.arange(n))
     clashes = [
         (i, j) if i < j else (j, i)
-        for first, second in blocks
+        for first, second in _close_pairs(xy, scale, np.arange(n))
         for i, j in zip(first.tolist(), second.tolist())
         if points_coincide(points[i], points[j])
     ]
     if clashes:
         i, j = min(clashes)
         raise DuplicatePointError(f"points {i} and {j} coincide: {points[i]}")
-
-
-def _all_close_pairs(xy: np.ndarray, scale: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``_close_pairs`` of every point, tested all at once."""
-    tol = REL_TOL * np.maximum(scale[:, None], scale)
-    with np.errstate(over="ignore"):  # a gap that overflows is no near one
-        near = (np.abs(xy[:, None, 0] - xy[:, 0]) <= tol) & (np.abs(xy[:, None, 1] - xy[:, 1]) <= tol)
-    if near.sum() == len(xy):  # the diagonal alone
-        return []
-    first, second = near.nonzero()
-    upper = first < second
-    return [(first[upper], second[upper])]
 
 
 def _close_pairs(

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import ApexMismatchError, GuaranteeViolation, TooFewPointsError
 from .geom import (
-    ALL_PAIRS_N,
     ANGLE_TOL_DEG,
     GRID_SIDE_CELLS,
     REL_TOL,
@@ -196,13 +195,11 @@ def _candidate_pairs(
     xy: np.ndarray, radius: float, pad: float = 0.0
 ) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """Index pairs (i, j), in blocks, holding every two points within ``radius``
-    + ``pad``: up to ``ALL_PAIRS_N`` points every pair (i < j) in one block,
-    above that ``grid_pairs`` blocks at ``radius`` capped at the bounding
-    box's diagonal (so an unbounded radius still gives every pair), plus
-    ``pad``. The radius so taken must be positive."""
-    n = len(xy)
-    if n <= ALL_PAIRS_N:
-        return [(~np.tri(n, dtype=bool)).nonzero()]
+    + ``pad``: ``grid_pairs`` blocks at ``radius`` capped at the bounding box's
+    diagonal (so an unbounded radius still gives every pair), plus ``pad``;
+    none for fewer than two points."""
+    if len(xy) < 2:
+        return ()
     width, height = np.ptp(xy, axis=0).tolist()
     return grid_pairs(xy, min(radius, math.hypot(width, height)) + pad)
 
@@ -368,6 +365,10 @@ def tree_from_edges(points: PointSet, edges: Iterable[tuple[int, int]]) -> Spann
     return SpanningTree(norm, weight)
 
 
+# Up to this many points euclidean_mst runs Prim over the full distance
+# matrix: at that size the grid's fixed numpy calls cost more than the
+# matrix does.
+ALL_PAIRS_N = 64
 # Most candidate pairs per point that euclidean_mst gathers before it
 # halves its radius.
 _PAIRS_PER_POINT = 32
@@ -406,11 +407,6 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
     dense steps and never changes the tree.
     """
     check_distinct(points)
-    return euclidean_mst_unchecked(points)
-
-
-def euclidean_mst_unchecked(points: PointSet) -> SpanningTree:
-    """``euclidean_mst`` of points already known to be distinct (``check_distinct``)."""
     n = len(points)
     if n < 1:
         raise TooFewPointsError("euclidean_mst requires at least one point")

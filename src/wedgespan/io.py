@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from .errors import InstanceParseError, TooFewPointsError
-from .geom import Edges, Point, PointArray, PointSet, Wedge, check_distinct, coordinates, edge_array
+from .geom import Edges, Point, PointArray, PointSet, Wedge, coordinates, edge_array
 
 _SIG_SPEC = ".12g"
 
@@ -90,7 +90,7 @@ def _load_json(text: str):
 def parse_instance(text: str) -> Instance:
     """Parse an instance from JSON ({"points": [[x,y],...]}) or headerless CSV.
 
-    Exact or near-duplicate points are rejected.
+    Exact or near-duplicate points are rejected, when the ``PointArray`` is built.
     """
     stripped = text.lstrip()
     if not stripped:
@@ -129,9 +129,7 @@ def parse_instance(text: str) -> Instance:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InstanceParseError("coordinates must be finite", lineno)
             xy.append((x, y))
-    points = PointArray(np.array(xy, dtype=np.float64).reshape(-1, 2))
-    check_distinct(points)
-    return Instance(points=points, meta=meta)
+    return Instance(points=PointArray(np.array(xy, dtype=np.float64).reshape(-1, 2)), meta=meta)
 
 
 # json.dumps(indent=2)'s items one level inside a top-level array.
@@ -188,15 +186,23 @@ def _edge_pairs(edges: Edges) -> Iterator[tuple[int, int]]:
         yield from zip(*rows[i : i + _CHUNK_ITEMS].T.tolist())
 
 
-def emit_result(doc: ResultDoc, out: Optional[TextIO] = None) -> Optional[str]:
-    """The document as json.dumps(indent=2) writes it, floats canonicalised and
-    an inf radius left out: returned, or written to ``out`` in chunks. A wedge
-    value JSON cannot hold, not finite save an inf radius, raises ValueError."""
+def wedge_value_fault(wedges: np.ndarray) -> Optional[str]:
+    """What is wrong with the first of the (n, 3) ``wedges`` values that JSON
+    cannot hold, one that is not finite save an inf radius, or None."""
     # NaN equals nothing, so of the values that are not finite only an inf radius passes.
-    bad = ~np.isfinite(doc.wedges) & (doc.wedges != (math.nan, math.nan, math.inf))
+    bad = ~np.isfinite(wedges) & (wedges != (math.nan, math.nan, math.inf))
     for k, j in np.argwhere(bad)[:1].tolist():
         key = ("bisector_deg", "aperture_deg", "radius")[j]
-        raise ValueError(f"wedges[{k}].{key} is {doc.wedges[k, j].item()!r}; wedge values must be finite")
+        return f"wedges[{k}].{key} is {wedges[k, j].item()!r}; wedge values must be finite"
+    return None
+
+
+def emit_result(doc: ResultDoc, out: Optional[TextIO] = None) -> Optional[str]:
+    """The document as json.dumps(indent=2) writes it, floats canonicalised and
+    an inf radius left out: returned, or written to ``out`` in chunks. A
+    ``wedge_value_fault`` raises ValueError before anything is written."""
+    if fault := wedge_value_fault(doc.wedges):
+        raise ValueError(fault)
     values = map(round_sig, doc.wedges.ravel().tolist())
     rows = zip(values, values, values)
     records = (_WEDGE % row if row[2] != math.inf else _UNBOUNDED_WEDGE % row[:2] for row in rows)

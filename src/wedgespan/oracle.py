@@ -153,13 +153,12 @@ def iter_spanning_trees(n: int) -> Iterator[list[tuple[int, int]]]:
         yield _prufer_edges(seq, n)
 
 
-def brute_force_alpha_mst_multi(
-    points: PointSet, alphas: Sequence[float]
-) -> dict[float, Optional[SpanningTree]]:
-    """Exhaustive minimum-weight angle-bounded spanning tree, several alphas at once.
+def brute_force_alpha_mst(points: PointSet, alpha_deg: float) -> Optional[SpanningTree]:
+    """Minimum-weight spanning tree with every vertex spread at most alpha,
+    or None when no spanning tree satisfies the bound.
 
-    One pass over all labeled trees serves every requested alpha, since the
-    per-tree maximum spread decides validity for each of them.
+    Exhaustive over all labeled trees; of equal weights, the first tree in
+    Prufer order wins.
     """
     n = len(points)
     if n < 1:
@@ -168,7 +167,7 @@ def brute_force_alpha_mst_multi(
         raise TooManyPointsError(f"tree enumeration capped at {_TREE_CAP} points, got {n}")
     check_distinct(points)
     if n == 1:
-        return {a: SpanningTree((), 0.0) for a in alphas}
+        return SpanningTree((), 0.0)
 
     dist = [[0.0] * n for _ in range(n)]
     ddeg = [[0.0] * n for _ in range(n)]
@@ -179,11 +178,11 @@ def brute_force_alpha_mst_multi(
             ddeg[i][j] = d % 360.0
             ddeg[j][i] = (d + 180.0) % 360.0
 
-    best: dict[float, tuple[float, list[tuple[int, int]]]] = {}
-    alpha_cutoff = max(alphas) + ANGLE_TOL_DEG
+    best: Optional[tuple[float, list[tuple[int, int]]]] = None
+    cutoff = alpha_deg + ANGLE_TOL_DEG
     for edges in iter_spanning_trees(n):
         weight = sum(dist[u][v] for u, v in edges)
-        if len(best) == len(alphas) and all(weight >= w for w, _ in best.values()):
+        if best is not None and weight >= best[0]:
             continue
         incident: list[list[float]] = [[] for _ in range(n)]
         for u, v in edges:
@@ -194,28 +193,13 @@ def brute_force_alpha_mst_multi(
             if len(incident[v]) >= 2:
                 _, extent = spanning_arc(incident[v])
                 spread = max(spread, extent)
-                if spread > alpha_cutoff:
+                if spread > cutoff:
                     break
-        for alpha in alphas:
-            if spread <= alpha + ANGLE_TOL_DEG:
-                cur = best.get(alpha)
-                if cur is None or weight < cur[0]:
-                    best[alpha] = (weight, edges)
-    out: dict[float, Optional[SpanningTree]] = {}
-    for alpha in alphas:
-        hit = best.get(alpha)
-        if hit is None:
-            out[alpha] = None
-        else:
-            norm = tuple(sorted((u, v) if u < v else (v, u) for u, v in hit[1]))
-            out[alpha] = SpanningTree(norm, hit[0])
-    return out
-
-
-def brute_force_alpha_mst(points: PointSet, alpha_deg: float) -> Optional[SpanningTree]:
-    """Minimum-weight spanning tree with every vertex spread at most alpha,
-    or None when no spanning tree satisfies the bound."""
-    return brute_force_alpha_mst_multi(points, [alpha_deg])[alpha_deg]
+        if spread <= cutoff:
+            best = (weight, edges)
+    if best is None:
+        return None
+    return SpanningTree(tuple(sorted((u, v) if u < v else (v, u) for u, v in best[1])), best[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from wedgespan.geom import Direction, Point, Wedge
 from wedgespan.graph import cross_edge, euclidean_mst, induced_graph, unit_disk_graph
 from wedgespan.oracle import (
     brute_force_alpha_mst,
-    brute_force_alpha_mst_multi,
     hex_cell_corners,
     hex_grid_graph,
     hex_grid_of_cells,
@@ -164,7 +163,7 @@ def test_c06_oracle_cross_check():
     for k in range(500):
         n = 4 + k % 4
         pts = uniform_square(n, seed=10_000 + k)
-        exact = brute_force_alpha_mst_multi(pts, [90.0, 120.0, 180.0, 360.0])
+        exact = {alpha: brute_force_alpha_mst(pts, alpha) for alpha in (90.0, 120.0, 180.0, 360.0)}
         assert exact[360.0].weight == pytest.approx(
             euclidean_mst(pts).weight, rel=REL
         ), f"set {k}: MST mismatch"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wedgespan import cli
+from wedgespan import cli, geom
 from wedgespan.cli import main
 from wedgespan.errors import TheoremViolation
 from wedgespan.geom import Direction, Wedge, angular_spread
@@ -144,6 +144,50 @@ def test_guarantee_violation_exits_3(tmp_path, monkeypatch, capsys):
     run("gen", "--generator", "uniform-square", "--n", "6", "--out", str(inst))
     assert run("solve", "--in", str(inst), "--alpha", "120") == 3
     assert "guarantee violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve", "--alpha", "120"], ["convert"]], ids=["solve", "convert"])
+def test_writer_fault_exits_3_and_keeps_the_file(tmp_path, monkeypatch, capsys, command):
+    inst, out = tmp_path / "i.json", tmp_path / "r.json"
+    run("gen", "--generator", "uniform-square", "--n", "15", "--side", "1.2", "--seed", "1", "--out", str(inst))
+    out.write_text("earlier bytes\n")
+    real = cli.wedge_columns
+
+    def nan_bisector(wedges):
+        rows = real(wedges).copy()
+        rows[0, 0] = math.nan
+        return rows
+
+    monkeypatch.setattr(cli, "wedge_columns", nan_bisector)
+    capsys.readouterr()
+    assert run(*command, "--in", str(inst), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: guarantee violated: wedges[0].bisector_deg is nan; wedge values must be finite\n"
+    assert out.read_text() == "earlier bytes\n"
+
+
+def test_each_command_scans_for_duplicates_once(tmp_path, monkeypatch):
+    def instance(name, *gen_args):
+        path = str(tmp_path / f"{name}.json")
+        assert run("gen", "--generator", "uniform-square", *gen_args, "--out", path) == 0
+        return path, str(tmp_path / f"{name}.out.json")
+
+    tree = instance("tree", "--n", "80", "--seed", "3")
+    net = instance("net", "--n", "15", "--side", "1.2", "--seed", "1")
+    small = instance("small", "--n", "6", "--seed", "2")
+    real = geom._scan_distinct
+    scans = []
+    monkeypatch.setattr(geom, "_scan_distinct", lambda points: scans.append(len(points)) or real(points))
+    for argv, n in [
+        (["solve", "--in", tree[0], "--alpha", "120", "--out", tree[1]], 80),
+        (["verify", "--in", tree[0], "--result", tree[1]], 80),
+        (["convert", "--in", net[0], "--out", net[1]], 15),
+        (["verify", "--in", net[0], "--result", net[1]], 15),
+        (["oracle", "--in", small[0], "--alpha", "120", "--out", small[1]], 6),
+    ]:
+        scans.clear()
+        assert run(*argv) == 0
+        assert scans == [n], argv
 
 
 def test_package_has_no_bare_asserts():

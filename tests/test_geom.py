@@ -15,6 +15,7 @@ from wedgespan.geom import (
     REL_TOL,
     Direction,
     Point,
+    PointArray,
     Wedge,
     angular_spread,
     check_distinct,
@@ -261,8 +262,11 @@ class TestSpanningArc:
 
 @pytest.fixture(params=["grid", "all-pairs"])
 def pair_source(request, monkeypatch):
-    """Run check_distinct on the grid's candidates, or on every pair."""
-    monkeypatch.setattr(geom, "ALL_PAIRS_N", 0 if request.param == "grid" else 1000)
+    """Run check_distinct on the grid's candidates, or on every pair: a grid
+    of unbounded radius puts all points in one cell."""
+    if request.param == "all-pairs":
+        real = geom.grid_pairs
+        monkeypatch.setattr(geom, "grid_pairs", lambda xy, radius, max_pairs=None: real(xy, math.inf, max_pairs))
 
 
 class TestDistinct:
@@ -272,6 +276,16 @@ class TestDistinct:
 
     def test_distinct_ok(self):
         check_distinct([pt(0, 0), pt(1e-6, 0), pt(0, 1e-6)])
+
+    def test_point_array_checks_when_built(self, monkeypatch):
+        xy = np.array([[0.0, 0.0], [1.0, 1.0], [1e-12, -1e-12]])
+        with pytest.raises(DuplicatePointError, match=r"^points 0 and 2 coincide: Point\(x=0\.0, y=0\.0\)$"):
+            PointArray(xy.copy())
+        points = PointArray(xy[:2].copy())
+        scans = []
+        monkeypatch.setattr(geom, "_scan_distinct", scans.append)
+        check_distinct(points)
+        assert scans == []
 
     @staticmethod
     def _planted(rng, offset):
@@ -328,10 +342,9 @@ class TestDistinct:
             self._assert_matches_all_pairs_scan(self._plant_near_duplicates(rng, pts))
 
     @pytest.mark.parametrize("pair", [(1024.0, 1024.0 + 5e-7), (1024.0 + 3.5e-6, 1024.0 + 4.5e-6)])
-    def test_duplicates_straddling_a_scale_split(self, pair, monkeypatch):
+    def test_duplicates_straddling_a_scale_split(self, pair):
         # Scales run from 1 (the blob) to 2^20, so the grid's first split is
         # at 2^10 exactly; each planted pair coincides across it.
-        monkeypatch.setattr(geom, "ALL_PAIRS_N", 0)
         pts = [pt(i * 1e-8, j * 1e-8) for i in range(6) for j in range(6)] + [pt(2.0**20, 0.0)]
         check_distinct(pts + [pt(pair[0], 0.0)])
         with pytest.raises(DuplicatePointError, match=r"points 37 and 38 coincide"):

@@ -159,9 +159,9 @@ def test_small_n_solve_outputs_match_golden_digest(tmp_path):
     assert digest.hexdigest() == SMALL_GOLDEN_SHA256
 
 
-# A uniform instance above ALL_PAIRS_N: unit_disk_graph, induced_graph and
-# euclidean_mst take their grid-pair paths here, which the corpora above
-# (at most 64 points each) never reach. Side sqrt(60) puts about 16 points
+# A uniform instance above graph.ALL_PAIRS_N: euclidean_mst takes its
+# grid-pair path here, which the corpora above (at most 64 points each)
+# never reach. Side sqrt(60) puts about 16 points
 # in each unit disk; the unit disk graph is connected.
 ABOVE_ALL_PAIRS = ["--generator", "uniform-square", "--n", "300", "--seed", "0",
                    "--side", str(math.sqrt(60))]

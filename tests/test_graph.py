@@ -189,9 +189,9 @@ class TestInducedGraph:
 
     @pytest.mark.parametrize("radii", [(1.5, 3.0), (None, 1.5, 3.0)], ids=["finite", "mixed"])
     def test_grid_candidates_match_brute_force(self, radii):
-        # 150 points near (1000, 1000), where the apex tolerance is 1e-6:
-        # above ALL_PAIRS_N, so the candidates come from the grid (a single
-        # cell's worth when some wedge is unbounded).
+        # 150 points near (1000, 1000), where the apex tolerance is 1e-6;
+        # the grid's candidates are a single cell's worth when some wedge is
+        # unbounded.
         rng = random.Random(len(radii))
         pts = [Point(1000.0, 1006.0)] + [
             Point(1000.0 + rng.uniform(0, 12), 1000.0 + rng.uniform(0, 12)) for _ in range(145)
@@ -365,20 +365,27 @@ class TestUnitDiskGraph:
         assert not unit_disk_graph([Point(0, 0), Point(1.000001, 0)]).has_edge(0, 1)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_grid_and_all_pairs_agree(self, seed, monkeypatch):
-        # Up to ALL_PAIRS_N points every pair is a candidate; both sources
-        # give the same graph, tolerant boundaries two cells apart included.
+    def test_grid_and_all_pairs_agree(self, seed):
+        # The grid's graph is a scan of every pair under the closed tolerant
+        # rule, tolerant boundaries two cells apart included.
         rng = random.Random(seed)
         pts = [Point(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(50)]
         pts += [Point(0.9999999999, 7.0), Point(2.0000000005, 7.0), Point(9.0, 9.0), Point(10.000001, 9.0)]
-        graphs = []
-        for all_pairs_n in (0, 1000):
-            monkeypatch.setattr(graph, "ALL_PAIRS_N", all_pairs_n)
-            graphs.append(unit_disk_graph(pts))
-        grid, every = graphs
-        assert grid.edges() == every.edges()
-        assert all(grid.neighbors(i) == every.neighbors(i) for i in range(len(pts)))
+        every = [
+            (i, j, pts[i].distance_to(pts[j]))
+            for i in range(len(pts))
+            for j in range(i + 1, len(pts))
+            if pts[i].distance_to(pts[j]) <= 1.0 + REL_TOL
+        ]
+        grid = unit_disk_graph(pts)
+        assert grid.edges() == every
         assert grid.has_edge(50, 51) and not grid.has_edge(52, 53)
+
+    @pytest.mark.parametrize("n", [2, 65])
+    def test_coincident_points_give_complete_graph(self, n):
+        # Span and radius 0 make a grid of one cell, not a zero-width one.
+        g = unit_disk_graph([Point(0.5, 0.5)] * n)
+        assert g.edges() == [(i, j, 0.0) for i in range(n) for j in range(i + 1, n)]
 
 
 class TestHopDistance:

@@ -8,7 +8,6 @@ from wedgespan.geom import Point
 from wedgespan.graph import CommGraph, euclidean_mst
 from wedgespan.oracle import (
     brute_force_alpha_mst,
-    brute_force_alpha_mst_multi,
     hex_cell_corners,
     hex_grid_graph,
     hex_grid_of_cells,
@@ -68,11 +67,8 @@ class TestBruteForce:
 
     def test_multi_alpha_consistent(self):
         pts = uniform_square(6, seed=8)
-        multi = brute_force_alpha_mst_multi(pts, [90.0, 120.0, 180.0, 360.0])
-        for alpha, tree in multi.items():
-            solo = brute_force_alpha_mst(pts, alpha)
-            assert tree.weight == pytest.approx(solo.weight, rel=1e-12)
-        assert multi[90.0].weight >= multi[120.0].weight >= multi[360.0].weight
+        weights = [brute_force_alpha_mst(pts, alpha).weight for alpha in (90.0, 120.0, 180.0, 360.0)]
+        assert weights == sorted(weights, reverse=True)
 
     def test_unrestricted_equals_euclidean_mst(self):
         for seed in range(10):
