@@ -79,13 +79,17 @@ def collinear(n: int, gap: float = 1.0) -> list[Point]:
 
 
 def equilateral(side: float = 1.0) -> list[Point]:
+    """Equilateral triangle corners, the apex at height side / 2 * sqrt(3).
+    Halving first cannot overflow for any finite side, and halving is exact,
+    so the heights equal ``side * sqrt(3) / 2`` (and ``/ 6``) bit for bit
+    whenever side / 2 is a normal float."""
     _check(side=side)
-    return _points([(0.0, 0.0), (side, 0.0), (side / 2.0, side * math.sqrt(3.0) / 2.0)])
+    return _points([(0.0, 0.0), (side, 0.0), (side / 2.0, side / 2.0 * math.sqrt(3.0))])
 
 
 def equilateral_with_center(side: float = 1.0) -> list[Point]:
     """Equilateral triangle corners plus the center of their circumscribed circle."""
-    return equilateral(side) + [Point(side / 2.0, side * math.sqrt(3.0) / 6.0)]
+    return equilateral(side) + [Point(side / 2.0, side / 2.0 * math.sqrt(3.0) / 3.0)]
 
 
 def square_grid_reduction_points(width: int = 2, height: int = 3) -> list[Point]:

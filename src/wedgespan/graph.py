@@ -375,29 +375,29 @@ _PAIRS_PER_POINT = 32
 # Distances a dense step computes per block of tree rows.
 _DENSE_BLOCK = 1 << 13
 
+# The pairs (a[i], b[i]) at distance d[i] that ``_near_pairs`` returns.
+_Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def euclidean_mst(points: PointSet) -> SpanningTree:
     """Minimum spanning tree of the complete Euclidean graph.
 
-    Above ``ALL_PAIRS_N`` points, Prim's algorithm over the pairs within a
-    radius ``r`` (``grid_pairs``), finishing a step densely when no such pair
-    leaves the tree; up to it, Prim over the full distance matrix. The result
-    is the tree dense Prim (``dense_prim_mst`` in ``tests/reference.py``)
-    returns, edge for edge and with the same weight bits, because each of its
-    rules is kept:
+    The result is the tree dense Prim (``dense_prim_mst`` in
+    ``tests/reference.py``) returns, edge for edge and with the same weight
+    bits: distances are ``np.hypot(x_j - x_k, y_j - y_k)``, the floats dense
+    Prim compares (``hypot`` is exact under negation), and the weight is
+    summed in dense Prim's join order. Up to ``ALL_PAIRS_N`` points, Prim
+    runs over the full distance matrix. Above it, two routes share the pairs
+    within a radius ``r`` (``_near_pairs``):
 
-    * distances are ``np.hypot(x_j - x_k, y_j - y_k)``, the floats dense Prim
-      compares (``hypot`` is exact under negation);
-    * it joins the lowest-index vertex at the minimum distance from the tree,
-      attached to the earliest-joined tree vertex at that distance: a heap
-      keyed ``(d, j)`` over the pairs within ``r``, relaxed with strict ``<``
-      in join order. While the heap holds a live entry, every pair at the
-      minimum distance is within ``r`` and so on the heap;
-    * when it holds none, every tree-to-outside pair is longer than ``r``.
-      The rows of the tree vertices joined since the last such step are
-      folded, in join order, into a running (minimum, first parent) over the
-      outside vertices, and the lowest-index minimum joins;
-    * the weight is summed in join order.
+    * ``_boruvka_prim``, when there are pairs and no two are equally long.
+      Borůvka's rounds over the pairs, then Prim over the components they
+      leave, take each edge as the strictly shortest one between some vertex
+      set and the rest, so the edge lies in every minimum spanning tree.
+      The tree is then the only one, and so dense Prim's, whose join order
+      a replay over its n - 1 edges recovers;
+    * ``_grid_prim`` otherwise, or on a tie in a Prim step: Prim step by
+      step, with dense Prim's tie rules.
 
     ``r`` comes from the bounding box: the radius at which a uniform sample
     has ``ln n + 4`` neighbours, or two mean gaps for flat inputs, halved
@@ -413,7 +413,13 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
     if n == 1:
         return SpanningTree((), 0.0)
     xy = coordinates(points)
-    edges = _matrix_prim(xy) if n <= ALL_PAIRS_N else _grid_prim(xy)
+    if n <= ALL_PAIRS_N:
+        edges = _matrix_prim(xy)
+    else:
+        pairs = _near_pairs(xy)
+        edges = _boruvka_prim(xy, pairs)
+        if edges is None:  # a tie, or no pairs
+            edges = _grid_prim(xy, pairs)
     xs, ys = xy.T.tolist()
     weight = sum_left(math.hypot(xs[v] - xs[u], ys[v] - ys[u]) for u, v in edges)  # Point.distance_to
     return SpanningTree(tuple(sorted(edges)), weight)
@@ -440,13 +446,24 @@ def _matrix_prim(xy: np.ndarray) -> list[tuple[int, int]]:
     return edges
 
 
-def _grid_prim(xy: np.ndarray) -> list[tuple[int, int]]:
-    """Dense Prim's edges, in join order, from the pairs within ``r``."""
+def _grid_prim(xy: np.ndarray, pairs: _Pairs) -> list[tuple[int, int]]:
+    """Dense Prim's edges, in join order, from ``_near_pairs``' pairs within
+    ``r``, keeping each of its rules:
+
+    * it joins the lowest-index vertex at the minimum distance from the tree,
+      attached to the earliest-joined tree vertex at that distance: a heap
+      keyed ``(d, j)`` over the pairs, relaxed with strict ``<`` in join
+      order. While the heap holds a live entry, every pair at the minimum
+      distance is within ``r`` and so on the heap;
+    * when it holds none, every tree-to-outside pair is longer than ``r``.
+      The rows of the tree vertices joined since the last such step are
+      folded, in join order, into a running (minimum, first parent) over the
+      outside vertices, and the lowest-index minimum joins.
+    """
     n = len(xy)
     xs, ys = xy[:, 0], xy[:, 1]
-    w, h = (xy.max(axis=0) - xy.min(axis=0)).tolist()
-    r = max(math.sqrt(w * h * (math.log(n) + 4.0) / (math.pi * n)), 2.0 * max(w, h) / n)
-    ptr, nbr, nbr_d = _near_pairs(xy, r)
+    ptr, nbr, nbr_d = _adjacency(n, *pairs)
+    ptr = ptr.tolist()  # list items index faster than numpy scalars
 
     in_tree = [False] * n
     best = [math.inf] * n
@@ -494,15 +511,128 @@ def _grid_prim(xy: np.ndarray) -> list[tuple[int, int]]:
         edges.append((u, k) if u < k else (k, u))
 
 
-def _near_pairs(xy: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjacency of the pairs at ``np.hypot`` distance <= r, both directions:
-    vertex k's neighbours are ``nbr[ptr[k]:ptr[k + 1]]`` at distances
-    ``nbr_d[ptr[k]:ptr[k + 1]]``. ``r`` is halved until ``grid_pairs`` holds
-    at most ``_PAIRS_PER_POINT`` candidates per point. Once its cells reach
-    their narrowest (more points packed in one cell than the budget allows),
-    halving cannot help and the adjacency is empty: ``r = 0``, dense Prim."""
+def _boruvka_prim(xy: np.ndarray, pairs: _Pairs) -> Optional[list[tuple[int, int]]]:
+    """Dense Prim's edges, in join order, from ``_near_pairs``' pairs within
+    ``r``; None when two of the pairs are equally long, when there are none
+    (``r = 0``: ``_grid_prim`` is then plain dense Prim, with less to keep
+    per step), or when a Prim step below ties.
+
+    * Borůvka: each round, every component takes its shortest pair to
+      another, the first such in distance order, and the components merge
+      along the taken pairs by pointer jumping. With no two pairs equally
+      long, the taken pairs close no cycle.
+    * A component left with no pair out is more than ``r`` from every other
+      point. Prim joins these components: each joined component's rows are
+      folded once (``_fold_rows``) into the running minimum of the outside
+      vertices, and the shortest pair across joins, unless another pair
+      across is just as short.
+    * Every edge so taken is the strictly shortest between some vertex set
+      and the rest, so the tree is the only minimum spanning tree, and
+      ``_prim_order`` replays dense Prim's join order over its edges.
+    """
     n = len(xy)
-    narrowest = float(np.ptp(xy, axis=0).max()) / GRID_SIDE_CELLS
+    xs, ys = xy[:, 0], xy[:, 1]
+    a, b, d = pairs
+    if not len(d) or (d[1:] == d[:-1]).any():
+        return None
+    comp = np.arange(n, dtype=np.int32)  # each vertex's component, named by one of its vertices
+    taken = np.zeros(len(d), dtype=bool)
+    ids = np.arange(len(d), dtype=np.int32)
+    while True:
+        ca, cb = comp[a], comp[b]
+        apart = ca != cb
+        a, b, ids, ca, cb = a[apart], b[apart], ids[apart], ca[apart], cb[apart]
+        if not len(ids):
+            break
+        first = np.full(n, len(ids), dtype=np.int32)  # each component's shortest pair out
+        at = np.arange(len(ids), dtype=np.int32)
+        np.minimum.at(first, ca, at)
+        np.minimum.at(first, cb, at)
+        c = (first < len(ids)).nonzero()[0]
+        e = first[c]
+        taken[ids[e]] = True
+        link = np.arange(n, dtype=np.int32)
+        link[c] = to = np.where(ca[e] == c, cb[e], ca[e])
+        mutual = (link[to] == c) & (c < to)  # both took the same pair: the lower one roots
+        link[c[mutual]] = c[mutual]
+        while not np.array_equal(jump := link[link], link):
+            link = jump
+        comp = link[comp]
+
+    tree_u, tree_v, tree_d = (side[taken] for side in pairs)
+    if len(tree_d) < n - 1:
+        # Prim over the components, from vertex 0's.
+        by_comp = comp.argsort(kind="stable")
+        start = comp[by_comp].searchsorted(np.arange(n + 1, dtype=comp.dtype)).tolist()
+        cols = np.arange(n)
+        col_d = np.full(n, np.inf)
+        col_parent = np.zeros(n, dtype=np.int64)
+        col_tie = np.zeros(n, dtype=bool)
+        cross: list[tuple[int, int, float]] = []
+        k = 0
+        for _ in range(n - 1 - len(tree_d)):
+            c = comp[k]
+            out = comp[cols] != c
+            cols, col_d, col_parent, col_tie = cols[out], col_d[out], col_parent[out], col_tie[out]
+            _fold_rows(xs, ys, by_comp[start[c] : start[c + 1]], cols, col_d, col_parent, col_tie)
+            pick = int(col_d.argmin())
+            if col_tie[pick] or np.count_nonzero(col_d == col_d[pick]) > 1:
+                return None
+            k = int(cols[pick])
+            cross.append((int(col_parent[pick]), k, col_d.item(pick)))
+        cu, cv, cd = zip(*cross)
+        tree_u, tree_v, tree_d = (np.concatenate(part) for part in zip((tree_u, tree_v, tree_d), (cu, cv, cd)))
+    return _prim_order(n, tree_u, tree_v, tree_d)
+
+
+def _prim_order(n: int, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
+    """The edges (u[i], v[i]) of the only minimum spanning tree, d[i] long,
+    in dense Prim's join order from vertex 0.
+
+    Dense Prim joins the lowest-index vertex j at the minimum distance m from
+    the part built so far. Every pair across at distance m lies in the only
+    minimum spanning tree, which has one edge from j into that part, so a
+    heap keyed ``(d, j)`` over the tree edges leaving the part picks the
+    same vertex and edge. Raises GuaranteeViolation unless the edges span
+    the n vertices.
+    """
+    ptr, nbr, nbr_d = (part.tolist() for part in _adjacency(n, u, v, d))
+    joined = [False] * n
+    parent = [0] * n
+    heap: list[tuple[float, int]] = []
+    edges = []
+    k = 0
+    while True:
+        joined[k] = True
+        for i in range(ptr[k], ptr[k + 1]):
+            j = nbr[i]
+            if not joined[j]:
+                parent[j] = k
+                heapq.heappush(heap, (nbr_d[i], j))
+        while heap and joined[heap[0][1]]:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        k = heapq.heappop(heap)[1]
+        j = parent[k]
+        edges.append((j, k) if j < k else (k, j))
+    if len(edges) != n - 1:
+        raise GuaranteeViolation(f"{len(u)} tree edges reach {len(edges) + 1} of {n} points from point 0")
+    return edges
+
+
+def _near_pairs(xy: np.ndarray) -> _Pairs:
+    """The pairs (a[i], b[i]), a[i] != b[i], at ``np.hypot`` distance
+    d[i] <= r, each once, in ascending d (int32, int32, float64). ``r``
+    starts at the bounding box's estimate (``euclidean_mst``) and is halved
+    until ``grid_pairs`` holds at most ``_PAIRS_PER_POINT`` candidates per
+    point. Once its cells reach their narrowest (more points packed in one
+    cell than the budget allows), halving cannot help and there are no
+    pairs: ``r = 0``."""
+    n = len(xy)
+    w, h = np.ptp(xy, axis=0).tolist()
+    r = max(math.sqrt(w * h * (math.log(n) + 4.0) / (math.pi * n)), 2.0 * max(w, h) / n)
+    narrowest = max(w, h) / GRID_SIDE_CELLS
     while narrowest < r * (1.0 + REL_TOL) < math.inf:  # False for nan, too
         if (blocks := grid_pairs(xy, r, _PAIRS_PER_POINT * n)) is not None:
             break
@@ -517,12 +647,19 @@ def _near_pairs(xy: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.nd
         kept.append((a[near], b[near], d[near]))
     a, b, d = (np.concatenate(part) for part in zip(*kept))
     del kept
+    order = d.argsort()
+    return a[order], b[order], d[order]
+
+
+def _adjacency(n: int, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (a[i], b[i]) at distance d[i] in both directions: vertex
+    k's neighbours are ``nbr[ptr[k]:ptr[k + 1]]`` at distances
+    ``nbr_d[ptr[k]:ptr[k + 1]]``."""
     src = np.concatenate((a, b))
-    by_vertex = src.argsort(kind="stable")
+    by_vertex = src.astype(np.min_scalar_type(n)).argsort(kind="stable")  # radix, for 16-bit keys
     ptr = src[by_vertex].searchsorted(np.arange(n + 1, dtype=src.dtype))
     del src
     nbr = np.concatenate((b, a))[by_vertex]
-    del a, b
     return ptr, nbr, d.take(by_vertex, mode="wrap")
 
 
@@ -533,19 +670,27 @@ def _fold_rows(
     cols: np.ndarray,
     col_d: np.ndarray,
     col_parent: np.ndarray,
+    col_tie: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold the distances from the tree vertices ``rows``, in join order, into
     the running minimum ``col_d`` of the vertices ``cols`` and the first tree
-    vertex ``col_parent`` attaining it (strict ``<``, as dense Prim)."""
+    vertex ``col_parent`` attaining it (strict ``<``, as dense Prim). Given
+    ``col_tie``, keep in it whether a second tree vertex attains each
+    column's minimum."""
     cx, cy = xs[cols], ys[cols]
     step = max(1, _DENSE_BLOCK // len(cols))
     for s in range(0, len(rows), step):
         block = rows[s : s + step]
         dist = np.hypot(cx - xs[block, None], cy - ys[block, None])
         low = dist.min(axis=0)
-        better = low < col_d
-        col_d[better] = low[better]
-        col_parent[better] = block[dist.argmin(axis=0)[better]]
+        if col_tie is not None:
+            col_tie |= low == col_d
+        better = (low < col_d).nonzero()[0]
+        dist = dist[:, better]
+        col_d[better] = low = low[better]
+        col_parent[better] = block[dist.argmin(axis=0)]
+        if col_tie is not None:
+            col_tie[better] = np.count_nonzero(dist == low, axis=0) > 1
     return col_d, col_parent
 
 

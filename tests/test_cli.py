@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import pytest
 from wedgespan import cli, geom
 from wedgespan.cli import main
 from wedgespan.errors import TheoremViolation
-from wedgespan.geom import Direction, Wedge, angular_spread
+from wedgespan.generators import equilateral, equilateral_with_center
+from wedgespan.geom import Direction, Point, Wedge, angular_spread
 from wedgespan.io import parse_instance, parse_result
 
 
@@ -39,6 +41,28 @@ class TestGen:
         out = tmp_path / "e.json"
         assert run("gen", "--generator", "equilateral-center", "--out", str(out)) == 0
         assert len(json.loads(out.read_text())["points"]) == 4
+
+    def test_equilateral_heights_match_the_product_first_formulas(self):
+        # side / 2 * sqrt(3) (and / 3) against side * sqrt(3) / 2 (and / 6),
+        # the forms that overflowed above side ~1.04e308: bit-equal across
+        # ordinary sides.
+        rng = random.Random(5)
+        sides = [10.0**e for e in range(-300, 301, 7)] + [rng.uniform(1e-3, 1e3) for _ in range(500)]
+        sides += [1.0, 2.0, 0.1, 3.0, math.pi, 1e308]
+        for side in sides:
+            (_, _, apex, center) = equilateral_with_center(side)
+            assert (apex.x, apex.y) == (side / 2.0, side * math.sqrt(3.0) / 2.0), side
+            assert (center.x, center.y) == (side / 2.0, side * math.sqrt(3.0) / 6.0), side
+            assert equilateral(side) == [Point(0.0, 0.0), Point(side, 0.0), apex]
+
+    def test_equilateral_center_side_near_float_max(self, tmp_path):
+        # Every corner is representable, so the largest sides succeed; the
+        # file holds the apex to 12 significant digits.
+        assert equilateral_with_center(1.7e308)[2] == Point(8.5e307, 1.4722431864335455e308)
+        out = tmp_path / "e.json"
+        assert run("gen", "--generator", "equilateral-center", "--side", "1.7e308", "--out", str(out)) == 0
+        points = json.loads(out.read_text())["points"]
+        assert points[2] == [8.5e307, 1.47224318643e308]
 
     def test_unknown_generator(self):
         with pytest.raises(SystemExit):
@@ -791,7 +815,6 @@ class TestRender:
         ["gen", "--generator", "clustered", "--n", "5", "--seed", "-1"],
         ["gen", "--generator", "collinear", "--n", "3", "--gap", "1e308"],
         ["gen", "--generator", "clustered", "--n", "5", "--spread", "1e308"],
-        ["gen", "--generator", "equilateral-center", "--side", "1.7e308"],
         ["render", "--in", "EMPTY"],
         ["oracle", "--in", "EMPTY", "--alpha", "90"],
         ["oracle", "--in", "THREE", "--alpha", "nan"],
@@ -799,7 +822,7 @@ class TestRender:
     ],
     ids=["n-minus-1", "collinear-n-minus-2", "clusters-0", "side-nan", "side-minus-1",
          "spread-minus-1", "rows-0", "width-0", "seed-minus-1", "clustered-seed-minus-1",
-         "gap-overflow", "spread-overflow", "side-overflow", "render-empty", "oracle-empty",
+         "gap-overflow", "spread-overflow", "render-empty", "oracle-empty",
          "oracle-alpha-nan", "oracle-alpha-inf"],
 )
 def test_bad_parameters_and_empty_instances_exit_2(tmp_path, capsys, argv):

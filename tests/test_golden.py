@@ -17,6 +17,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +186,38 @@ def test_above_all_pairs_outputs_match_golden_digest(tmp_path):
     del doc["verification"]["runtime_stats"]
     digest.update(json.dumps(doc, indent=2, sort_keys=True).encode())
     assert digest.hexdigest() == ABOVE_ALL_PAIRS_SHA256
+
+
+# Clustered points above graph.ALL_PAIRS_N whose pairs within euclidean_mst's
+# radius leave several components apart: its Borůvka route joins them with
+# Prim steps over the full distances.
+CLUSTERED_300 = ["--generator", "clustered", "--n", "300", "--seed", "0"]
+
+CLUSTERED_300_SHA256 = "a5b8a3b4aa1748741f0571072a81f21e812aae0cfb560d899fd02a2272b87217"
+
+
+def test_clustered_above_all_pairs_solve_outputs_match_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    inst = tmp_path / "clustered-300.json"
+    assert _run("gen", *CLUSTERED_300, "--out", inst) == 0
+    for alpha in ALPHAS:
+        digest.update(_solve(inst, alpha, tmp_path / f"clustered-300.solve{alpha}.json"))
+    assert digest.hexdigest() == CLUSTERED_300_SHA256
+
+
+def test_clustered_above_all_pairs_solve_is_the_same_under_python_O(tmp_path):
+    # The guarantees the solvers check must not rest on assert statements.
+    inst = tmp_path / "clustered-300.json"
+    assert _run("gen", *CLUSTERED_300, "--out", inst) == 0
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for alpha in ALPHAS:
+        plain, optimised = tmp_path / f"plain{alpha}.json", tmp_path / f"optimised{alpha}.json"
+        assert _run("solve", "--in", inst, "--alpha", alpha, "--out", plain) == 0
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "wedgespan.cli", "solve", "--in", str(inst), "--alpha", alpha,
+             "--out", str(optimised)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert optimised.read_bytes() == plain.read_bytes()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedgespan.errors import ApexMismatchError, DuplicatePointError, TooFewPointsError
+from wedgespan.errors import ApexMismatchError, DuplicatePointError, GuaranteeViolation, TooFewPointsError
 from wedgespan.gadget import orient_pair, orient_triplet
 from wedgespan import graph
 from wedgespan.geom import ANGLE_TOL_DEG, REL_TOL, Direction, Point, Wedge, column_wedge, coordinates, wedge_columns
@@ -452,17 +452,27 @@ def assert_same_as_dense_prim(pts):
     got, ref = euclidean_mst(pts), dense_prim_mst(pts)
     assert got.edges == ref.edges
     assert got.weight == ref.weight
-    # euclidean_mst picks one of two paths by n; each must give dense Prim's
-    # edges in its join order, which the weight's summation order shows.
-    paths = [graph._grid_prim] + ([graph._matrix_prim] if len(pts) <= 400 else [])
-    for path in paths if len(pts) > 1 else ():
-        edges = path(coordinates(pts))
-        assert tuple(sorted(edges)) == ref.edges
-        assert sum(pts[u].distance_to(pts[v]) for u, v in edges) == ref.weight
+    # euclidean_mst picks one of three routes by n and by ties; each must
+    # give dense Prim's edges in its join order, which the weight's summation
+    # order shows. The Borůvka route declines (None) on a tie or no pairs.
+    if len(pts) < 2:
+        return
+    xy = coordinates(pts)
+    pairs = graph._near_pairs(xy)
+    joins = [graph._grid_prim(xy, pairs), graph._boruvka_prim(xy, pairs)]
+    joins += [graph._matrix_prim(xy)] if len(pts) <= 400 else []
+    for edges in joins:
+        if edges is not None:
+            assert tuple(sorted(edges)) == ref.edges
+            assert sum(pts[u].distance_to(pts[v]) for u, v in edges) == ref.weight
+
+
+def _refuse(*args):
+    raise AssertionError("the step-by-step route ran")
 
 
 class TestEuclideanMSTMatchesDensePrim:
-    """The grid-pruned Prim returns dense Prim's tree: same edges, same weight bits."""
+    """Each route returns dense Prim's tree: same edges, same weight bits."""
 
     @pytest.mark.parametrize("pts", [
         [Point(0.3, -2.0)],
@@ -523,6 +533,57 @@ class TestEuclideanMSTMatchesDensePrim:
     @settings(max_examples=150, deadline=None)
     def test_integer_lattice_ties(self, cells):
         assert_same_as_dense_prim([Point(float(x), float(y)) for x, y in cells])
+
+    @pytest.mark.parametrize("n, seed", [(300, 0), (2000, 2)])
+    def test_isolated_points_join_by_prim_steps_in_the_boruvka_route(self, monkeypatch, n, seed):
+        # Some points have no other within the radius: the Borůvka route
+        # itself joins them, folding rows, and hands nothing over.
+        pts = uniform_square(n, seed=seed)
+        folds = []
+        fold_rows = graph._fold_rows
+        monkeypatch.setattr(graph, "_fold_rows", lambda *args: folds.append(1) or fold_rows(*args))
+        monkeypatch.setattr(graph, "_grid_prim", _refuse)
+        xy = coordinates(pts)
+        assert graph._boruvka_prim(xy, graph._near_pairs(xy)) is not None
+        assert folds
+        got, ref = euclidean_mst(pts), dense_prim_mst(pts)
+        assert (got.edges, got.weight) == (ref.edges, ref.weight)
+
+    def test_uniform_points_never_take_the_step_by_step_route(self, monkeypatch):
+        pts = uniform_square(2000, seed=0)
+        monkeypatch.setattr(graph, "_grid_prim", _refuse)
+        got, ref = euclidean_mst(pts), dense_prim_mst(pts)
+        assert (got.edges, got.weight) == (ref.edges, ref.weight)
+
+    def test_two_equal_pairs_take_the_tie_route(self):
+        # Two pairs exactly 2**-10 apart among uniform points.
+        pts = uniform_square(300, seed=1) + [
+            Point(0.5, 0.5), Point(0.5 + 2**-10, 0.5), Point(0.25, 0.75), Point(0.25, 0.75 + 2**-10),
+        ]
+        xy = coordinates(pts)
+        assert graph._boruvka_prim(xy, graph._near_pairs(xy)) is None
+        assert_same_as_dense_prim(pts)
+
+    @pytest.mark.parametrize("far", [
+        # A far point at exactly the same distance from two tree points.
+        [Point(1.0, 0.5 - 2**-12), Point(1.0, 0.5 + 2**-12), Point(4.0, 0.5)],
+        # The same, the second tree point joining in a later Prim step.
+        [Point(1.0, 1.0), Point(3.0, 1.0), Point(2.0, 3.0)],
+        # Two far points, each exactly 3 from its nearest tree point.
+        [Point(1.0, 0.25), Point(1.0, 0.75), Point(4.0, 0.25), Point(4.0, 0.75)],
+    ], ids=["one-point-two-parents", "one-point-two-parents-joined-apart", "two-points"])
+    def test_tie_across_components_takes_the_tie_route(self, far):
+        pts = uniform_square(300, seed=3) + far
+        xy = coordinates(pts)
+        assert graph._boruvka_prim(xy, graph._near_pairs(xy)) is None
+        assert_same_as_dense_prim(pts)
+
+    def test_replay_over_edges_that_do_not_span_raises(self):
+        # Four edges on five points: a cycle 0-1-2 and 3-4, apart from it.
+        u, v, d = np.array([0, 1, 0, 3]), np.array([1, 2, 2, 4]), np.array([1.0, 2.0, 3.0, 1.0])
+        with pytest.raises(GuaranteeViolation, match="reach 3 of 5 points"):
+            graph._prim_order(5, u, v, d)
+        assert graph._prim_order(3, u[:2], v[:2], d[:2]) == [(0, 1), (1, 2)]
 
     def test_memory_bound(self):
         # Dense Prim peaks near 0.9 MB here, a layout with per-pair Python
