@@ -44,7 +44,6 @@ from .geom import (
     PointSet,
     Wedge,
     angular_spread,
-    covering_wedge,
     direction,
 )
 from .graph import (

@@ -31,10 +31,11 @@ from .geom import (
     Wedge,
     Wedges,
     angular_spread,
+    column_wedge,
     coordinates,
-    covering_wedge,
-    direction,
     edge_array,
+    normalize_degrees,
+    spanning_arcs,
     wedge_columns,
 )
 from .graph import (
@@ -53,19 +54,25 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaTree:
     """A spanning tree whose edges at every vertex fit in an aperture-alpha wedge.
 
-    ``wedges`` are per-point witnesses: every tree edge is an edge of the
-    graph induced by them.
+    ``wedge_rows`` holds per-point witness wedges, as the (n, 3)
+    ``wedge_columns`` rows of ``points``: every tree edge is an edge of the
+    graph induced by them. ``wedges`` builds them as Wedge objects.
     """
 
     alpha_deg: float
     tree: SpanningTree
-    wedges: tuple[Wedge, ...]
+    points: PointSet
+    wedge_rows: np.ndarray
     mst_weight: float
     tour_weight: float
+
+    @property
+    def wedges(self) -> tuple[Wedge, ...]:
+        return tuple(column_wedge(p, *row) for p, row in zip(self.points, self.wedge_rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -108,8 +115,18 @@ def partition_tour(tour: Tour, group_size: int) -> TourPartition:
     return TourPartition(groups=groups, connecting_class=best, class_weights=tuple(weights))
 
 
-# What a gadget step returns: the tree edges and one witness wedge per point.
-_Gadgets = tuple[list[tuple[int, int]], list[Optional[Wedge]]]
+# What a gadget step returns: the tree edges and the (n, 3) wedge_columns
+# rows of one witness wedge per point, unbounded, with NaN bisectors unset.
+_Gadgets = tuple[list, np.ndarray]
+
+
+def _covering_rows(points: PointSet, edges: Edges, alpha: float) -> np.ndarray:
+    """Aperture-alpha wedges, each bisecting the smallest arc of its vertex's
+    edges (``spanning_arcs``): every edge is induced if no spread exceeds alpha."""
+    wedges = np.full((len(points), 3), (np.nan, alpha, np.inf))
+    vertices, start, extent = spanning_arcs(points, edges)
+    wedges[vertices, 0] = normalize_degrees(start + extent / 2.0)
+    return wedges
 
 
 def _path_step(points: PointSet, tour: Tour) -> _Gadgets:
@@ -121,12 +138,7 @@ def _path_step(points: PointSet, tour: Tour) -> _Gadgets:
     n = tour.n
     drop = max(range(n), key=lambda i: (tour.edge_weights[i], -i))
     edges = [tuple(sorted(tour.edge(i))) for i in range(n) if i != drop]
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    wedges = [covering_wedge(points[v], [points[u] for u in adjacency[v]], 180.0) for v in range(n)]
-    return edges, wedges
+    return edges, _covering_rows(points, edges, 180.0)
 
 
 def _cross_pairs(sides: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[list[int], list[int]]:
@@ -158,18 +170,16 @@ def _triplet_step(points: PointSet, tour: Tour) -> _Gadgets:
     part = partition_tour(tour, 3)
     full = [g for g in part.groups if len(g) == 3]
     leftovers = [p for g in part.groups if len(g) < 3 for p in g]
-    wedges: list[Optional[Wedge]] = [None] * len(points)
-    edges: list[tuple[int, int]] = []
-    for g in full:
-        tri = orient_triplet([points[i] for i in g])
-        for i, w in zip(g, tri.wedges):
-            wedges[i] = w
-        edges += [(g[a], g[b]) for a, b in tri.tree_edges]
+    wedges = np.full((len(points), 3), (np.nan, 120.0, np.inf))
+    groups = np.array(full)
+    tri = orient_triplet(points, groups)
+    wedges[groups, 0] = tri.bisectors
+    edges = groups[np.arange(len(full))[:, None, None], tri.tree_edges].reshape(-1, 2).tolist()
     consecutive = list(zip(full, full[1:]))
     induced = induced_graph(points, wedges, _cross_pairs(consecutive))
     edges += _cross_edges(induced, consecutive, lambda k: TheoremViolation(
         "no cross edge between triplet groups {} and {}".format(*consecutive[k])))
-    edges += aim_leftovers(points, wedges, leftovers, full[-1], 120.0)
+    edges += aim_leftovers(points, wedges, leftovers, [full[-1]] * len(leftovers), 120.0)
     return edges, wedges
 
 
@@ -214,8 +224,6 @@ def _quadruplet_step(points: PointSet, tour: Tour) -> _Gadgets:
     seven make one quadruplet of the leftmost four, with the rest aimed at it.
     """
     n = len(points)
-    wedges: list[Optional[Wedge]] = [None] * n
-    edges: list[tuple[int, int]] = []
     if n == 3:
         # Star on the vertex whose two neighbors fit in a quarter wedge; the
         # smallest triangle angle is at most 60, so one always exists.
@@ -224,12 +232,11 @@ def _quadruplet_step(points: PointSet, tour: Tour) -> _Gadgets:
             for v in range(3)
             if angular_spread(points, [(v, u) for u in range(3) if u != v])[0] <= 90.0 + ANGLE_TOL_DEG
         )
-        others = [u for u in range(3) if u != hub]
-        wedges[hub] = covering_wedge(points[hub], [points[u] for u in others], 90.0)
-        for u in others:
-            wedges[u] = Wedge(points[u], direction(points[u], points[hub]), 90.0)
-            edges.append((u, hub))
-        return edges, wedges
+        edges = [(u, hub) for u in range(3) if u != hub]
+        return edges, _covering_rows(points, edges, 90.0)
+
+    wedges = np.full((n, 3), (np.nan, 90.0, np.inf))
+    edges: list[tuple[int, int]] = []
 
     if n < 8:
         host = sorted(range(n), key=lambda i: (points[i].x, points[i].y, i))[:4]
@@ -244,8 +251,7 @@ def _quadruplet_step(points: PointSet, tour: Tour) -> _Gadgets:
         host = full[-1]
     for quad in quads:
         orientation = orient_quadruplet([points[i] for i in quad])
-        for i, w in zip(quad, orientation.wedges):
-            wedges[i] = w
+        wedges[quad, 0] = [w.bisector.degrees for w in orientation.wedges]
     consecutive = list(zip(full, full[1:]))
     quad_a, quad_b = _quad_pairs(quads)
     cross_a, cross_b = _cross_pairs(halves + consecutive)
@@ -256,7 +262,7 @@ def _quadruplet_step(points: PointSet, tour: Tour) -> _Gadgets:
         f"no edge between x-separated quadruplets of section {full[k]}"))
     edges += _cross_edges(induced, consecutive, lambda k: SeparationConnectivityViolation(
         "no edge between consecutive sections {} and {}".format(*consecutive[k])))
-    edges += aim_leftovers(points, wedges, leftovers, host, 90.0)
+    edges += aim_leftovers(points, wedges, leftovers, [host] * len(leftovers), 90.0)
     return edges, wedges
 
 
@@ -291,7 +297,8 @@ def build_tree(points: PointSet, alpha_deg: float) -> AlphaTree:
     if n == 2 and key != 180:
         w = mst.weight
         tree = tree_from_edges(points, [(0, 1)])
-        return AlphaTree(alpha, tree, orient_pair(points, alpha), mst_weight=w, tour_weight=2.0 * w)
+        wedges = wedge_columns(orient_pair(points, alpha))
+        return AlphaTree(alpha, tree, points, wedges, mst_weight=w, tour_weight=2.0 * w)
     tour = tsp_tour(points, mst)
     edges, wedges = step(points, tour)
     tree = tree_from_edges(points, edges)
@@ -302,7 +309,7 @@ def build_tree(points: PointSet, alpha_deg: float) -> AlphaTree:
                     f"tree {tree.edges} weighs {tree.weight}, more than {factor:g}x the {of} "
                     f"weight {reference}"
                 )
-    return AlphaTree(alpha, tree, tuple(wedges), mst_weight=mst.weight, tour_weight=tour.weight)
+    return AlphaTree(alpha, tree, points, wedges, mst_weight=mst.weight, tour_weight=tour.weight)
 
 
 @dataclass(frozen=True)
@@ -420,7 +427,7 @@ def verify_alpha_tree(points: PointSet, result: AlphaTree) -> AlphaTreeReport:
     """Recompute every AlphaTree invariant, the ratio against a fresh Euclidean
     MST, and compare the tree's stored weight with the recomputed one."""
     mst_weight = euclidean_mst(points).weight if points else 0.0
-    report = check_alpha_tree(points, result.alpha_deg, result.tree.edges, result.wedges, mst_weight)
+    report = check_alpha_tree(points, result.alpha_deg, result.tree.edges, result.wedge_rows, mst_weight)
     stored = result.tree.weight
     if abs(report.weight - stored) <= REL_TOL * max(1.0, report.weight):
         return report

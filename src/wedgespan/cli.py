@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 from collections import Counter
@@ -16,7 +15,7 @@ import numpy as np
 from . import generators
 from .approx import build_tree, check_alpha_tree, verify_alpha_tree
 from .errors import GuaranteeViolation, WedgespanError
-from .geom import ANGLE_TOL_DEG, bad_wedge_rows, column_wedge, coordinates, edge_array, wedge_columns
+from .geom import ANGLE_TOL_DEG, bad_wedge_rows, column_wedge, coordinates, edge_array
 from .graph import CommGraph, edge_lengths, euclidean_mst, non_mutual_edges, unit_disk_graph
 from .io import (
     Instance,
@@ -75,10 +74,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise WedgespanError("solve requires at least two points")
     result = build_tree(points, float(args.alpha))
     report = verify_alpha_tree(points, result)
-    verification = dataclasses.asdict(report)
-    _write(ResultDoc(wedge_columns(result.wedges), result.tree.edges, report.summary, verification), args.out)
+    verification = dict(vars(report))  # its fields, all flat values
+    _write(ResultDoc(result.wedge_rows, result.tree.edges, report.summary, verification), args.out)
     if args.svg:
-        _write(emit_svg(points, result.wedges, result.tree.edges), args.svg)
+        _write(emit_svg(points, result.wedge_rows, result.tree.edges), args.svg)
     if not report.passed:
         print("verification FAILED: " + "; ".join(report.failures), file=sys.stderr)
         return 1
@@ -91,9 +90,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     result = build_spanner(points)
     edges = np.column_stack((result.graph.u, result.graph.v))
     verification = {"hop_cap": SPANNER_HOPS, "range": SPANNER_RANGE, "runtime_stats": result.runtime_stats}
-    _write(ResultDoc(wedge_columns(result.wedges), edges, result.summary, verification), args.out)
+    _write(ResultDoc(result.wedge_rows, edges, result.summary, verification), args.out)
     if args.svg:
-        _write(emit_svg(points, result.wedges, edges), args.svg)
+        _write(emit_svg(points, result.wedge_rows, edges), args.svg)
     return 0
 
 
@@ -208,8 +207,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     points = instance.points
-    wedges = None
-    edges = None
+    wedges = edges = None
     if args.result:
         doc = parse_result(Path(args.result).read_text())
         edges = doc.edges
@@ -217,7 +215,7 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise WedgespanError(failures[0])
         if failure := _wedge_failure(points, doc.wedges):
             raise WedgespanError(failure)
-        wedges = [column_wedge(p, *w) for p, w in zip(points, doc.wedges.tolist())]
+        wedges = doc.wedges
     _write(emit_svg(points, wedges, edges), args.out)
     return 0
 

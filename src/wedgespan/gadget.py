@@ -4,7 +4,8 @@ Three recipes live here:
 
 * ``orient_triplet`` — 120-degree wedges for any three points, guaranteeing
   two induced edges (a 2-edge spanning path centered on the smallest-angle
-  vertex) and full plane coverage by the wedge union.
+  vertex) and full plane coverage by the wedge union; every triplet of a
+  solve or convert is oriented in one numpy pass.
 * ``orient_quadruplet`` — 90-degree wedges for any four points, found by a
   deterministic candidate search: all candidates are scored in one numpy
   pass, and the best-ranked one with a connected induced graph whose wedges
@@ -12,7 +13,8 @@ Three recipes live here:
 * ``orient_pair`` — two facing wedges, the trivial case.
 
 ``aim_leftovers`` gives points outside any gadget a wedge aimed at a gadget
-wedge that covers them, which makes the edge between the two mutual.
+wedge that covers them, which makes the edge between the two mutual. Both
+work on ``wedge_columns`` rows.
 
 ``verify_coverage`` decides plane coverage of a wedge family exactly, from
 the wedges' bounding rays: the union covers the plane iff each ray lies in
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +36,12 @@ from .geom import (
     Direction,
     PointSet,
     Wedge,
+    coordinates,
     direction,
-    spanning_arc,
+    edge_directions,
+    normalize_degrees,
 )
+from .graph import _covers, _vertex_arrays, edge_lengths
 
 # Canonical triplet bisectors by role: smallest triangle angle faces along the
 # base, the other two complete an exact 3-way partition of directions.
@@ -45,31 +50,22 @@ _CANON_BASE_RIGHT = 120.0
 _CANON_PEAK = 240.0
 
 
-def _dir_in_half_aperture(dir_deg: float, bis_deg: float, half_deg: float) -> bool:
-    return abs((dir_deg - bis_deg + 180.0) % 360.0 - 180.0) <= half_deg + ANGLE_TOL_DEG
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripletOrientation:
-    """Result of orienting a 3-point group with 120-degree wedges.
+    """k triplets with 120-degree wedges: ``bisectors[r, j]`` is the bisector
+    of triplet r's point j, in degrees; ``roles[r]`` holds the positions of
+    base_left (smallest angle), base_right and peak (largest), whose
+    bisectors are exactly 0 / 120 / 240 in the canonical frame (base
+    horizontal, peak on or above it unless ``reflected[r]``)."""
 
-    Role indices point into the input sequence: ``base_left`` has the
-    smallest triangle angle, ``peak`` the largest. In the canonical frame
-    (base horizontal, base_left at the origin, peak on or above the base
-    line) the bisectors are exactly 0 / 120 / 240 for base_left /
-    base_right / peak.
-    """
-
-    base_left: int
-    base_right: int
-    peak: int
-    reflected: bool
-    wedges: tuple[Wedge, Wedge, Wedge]
+    bisectors: np.ndarray
+    roles: np.ndarray
+    reflected: np.ndarray
 
     @property
-    def tree_edges(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The two induced edges guaranteed by the construction."""
-        return (self.peak, self.base_left), (self.base_left, self.base_right)
+    def tree_edges(self) -> np.ndarray:
+        """The guaranteed edges (peak, base_left), (base_left, base_right): (k, 2, 2) positions."""
+        return self.roles[:, [[2, 0], [0, 1]]]
 
 
 @dataclass(frozen=True)
@@ -79,82 +75,80 @@ class QuadrupletOrientation:
     wedges: tuple[Wedge, Wedge, Wedge, Wedge]
 
 
-def orient_triplet(points: PointSet) -> TripletOrientation:
-    """Orient 120-degree wedges on three points.
+# Triplet side s joins positions _SIDE_A[s] and _SIDE_B[s]; the corner at
+# position c lies between sides _SIDE_A[c] and _SIDE_B[c], opposite _OPP[c].
+_SIDE_A, _SIDE_B, _OPP = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([2, 1, 0])
+_SIDES = np.column_stack((_SIDE_A, _SIDE_B))
+# Column _DIRECTED[i, j] of dirs (sides' directions, then their reverses) runs from i to j.
+_DIRECTED = np.array([[-1, 0, 1], [3, -1, 2], [4, 5, -1]])
+# The guaranteed edges' four ends as (from, to) roles: base_left to peak and
+# back, base_left to base_right (the base line) and back.
+_END_FROM, _END_TO = np.array([0, 2, 0, 1]), np.array([2, 0, 1, 0])
+# Distinct points lie more than 1e-9 apart and a finite side is below
+# 2**1024, so sides scaled by this exact power of two stay normal floats
+# whose squares and products are finite.
+_HUGE_SCALE = 2.0**-520
 
-    Roles are assigned by ascending triangle angle (ties by input index),
-    the rigid motion placing the base horizontal is computed, canonical
-    bisectors are assigned, and the wedges are mapped back through the
-    inverse motion (reflecting when the largest-angle vertex falls below
-    the base line). Collinear triplets are handled by the same formula;
-    the closed wedge boundary keeps both guaranteed edges.
+
+def _cosines(side: np.ndarray) -> np.ndarray:
+    """Each triangle's corner cosines from its (k, 3) sides by the law of cosines, exactly
+    symmetric under symmetric inputs, so that angle ties fall to the index tie-break."""
+    a, b, o = side[:, _SIDE_A], side[:, _SIDE_B], side[:, _OPP]
+    return (a * a + b * b - o * o) / (2.0 * a * b)
+
+
+def orient_triplet(points: PointSet, triplets) -> TripletOrientation:
+    """Orient 120-degree wedges on the k triplets of points named by the
+    rows of the (k, 3) index array ``triplets``, in one numpy pass.
+
+    Roles go by ascending triangle angle (ties by position); the canonical
+    bisectors map back through the rigid motion that places the base
+    horizontal, reflected when the peak lies below the base line (collinear
+    triplets too: the closed boundary keeps both guaranteed edges).
+    ``math.atan2``, ``math.hypot`` and ``math.acos`` run per element, so
+    each row's bits are those of the triplet oriented alone. Where squares
+    overflow (sides above ~1e154), the row's sides and differences are
+    scaled by ``_HUGE_SCALE`` first. Both guarantees, the two gadget edges
+    and plane coverage, are checked on every row; the first failing row
+    raises GuaranteeViolation.
     """
-    if len(points) != 3:
-        raise ValueError(f"orient_triplet requires exactly 3 points, got {len(points)}")
-    p0, p1, p2 = points
-    d01 = direction(p0, p1).degrees
-    d02 = direction(p0, p2).degrees
-    d12 = direction(p1, p2).degrees
-    d10 = (d01 + 180.0) % 360.0
-    d20 = (d02 + 180.0) % 360.0
-    d21 = (d12 + 180.0) % 360.0
-    dirs = ((None, d01, d02), (d10, None, d12), (d20, d21, None))
-
-    # Law of cosines keeps the role angles exactly symmetric under symmetric
-    # inputs, so angle ties genuinely fall through to the index tie-break.
-    s01 = p0.distance_to(p1)
-    s02 = p0.distance_to(p2)
-    s12 = p1.distance_to(p2)
-
-    def _corner(adj_a: float, adj_b: float, opp: float) -> float:
-        cos_v = (adj_a * adj_a + adj_b * adj_b - opp * opp) / (2.0 * adj_a * adj_b)
-        return math.degrees(math.acos(min(1.0, max(-1.0, cos_v))))
-
-    angles = (_corner(s01, s02, s12), _corner(s01, s12, s02), _corner(s02, s12, s01))
-    by_angle = sorted(range(3), key=lambda i: (angles[i], i))
-    bl, br, pk = by_angle
-
-    theta = dirs[bl][br]
-    vx = points[br].x - points[bl].x
-    vy = points[br].y - points[bl].y
-    wx = points[pk].x - points[bl].x
-    wy = points[pk].y - points[bl].y
-    reflected = (vx * wy - vy * wx) < 0.0
-
-    def _back(canon_deg: float) -> Direction:
-        if reflected:
-            return Direction(theta - canon_deg)
-        return Direction(theta + canon_deg)
-
-    bis = [0.0, 0.0, 0.0]
-    bis[bl] = _back(_CANON_BASE_LEFT).degrees
-    bis[br] = _back(_CANON_BASE_RIGHT).degrees
-    bis[pk] = _back(_CANON_PEAK).degrees
-    wedges = tuple(Wedge(points[i], Direction(bis[i]), 120.0) for i in range(3))
-
-    if not (
-        _dir_in_half_aperture(dirs[bl][pk], bis[bl], 60.0)
-        and _dir_in_half_aperture(dirs[pk][bl], bis[pk], 60.0)
-        and _dir_in_half_aperture(dirs[bl][br], bis[bl], 60.0)
-        and _dir_in_half_aperture(dirs[br][bl], bis[br], 60.0)
-    ):
-        raise GuaranteeViolation(
-            f"triplet gadget with bisectors {bis} lost a guaranteed edge on {tuple(points)}"
-        )
+    tri = np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
+    k = len(tri)
+    rows = np.arange(k)[:, None]
+    sides = tri[:, _SIDES].reshape(-1, 2)
+    ahead = edge_directions(points, sides).reshape(k, 3)
+    dirs = np.concatenate((ahead, (ahead + 180.0) % 360.0), axis=1)
+    xy = coordinates(points)
+    side = np.fromiter(map(math.hypot, *(xy[sides[:, 1]] - xy[sides[:, 0]]).T.tolist()), float, 3 * k).reshape(k, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos = _cosines(side)
+        huge = ~np.isfinite(cos).all(axis=1)
+        if huge.any():
+            cos[huge] = _cosines(side[huge] * _HUGE_SCALE)
+        cos = np.minimum(np.maximum(cos, -1.0), 1.0).ravel().tolist()
+        roles = np.degrees(np.fromiter(map(math.acos, cos), float, 3 * k)).reshape(k, 3).argsort(kind="stable")
+        corner = xy[tri[rows, roles]]  # (k, 3, 2): base_left, base_right, peak
+        vw = corner[:, 1:] - corner[:, :1]
+        if huge.any():
+            vw[huge] *= _HUGE_SCALE
+        reflected = vw[:, 0, 0] * vw[:, 1, 1] - vw[:, 0, 1] * vw[:, 1, 0] < 0.0
+    ends = dirs[rows, _DIRECTED[roles[:, _END_FROM], roles[:, _END_TO]]]
+    canon = np.array([_CANON_BASE_LEFT, _CANON_BASE_RIGHT, _CANON_PEAK])
+    by_role = normalize_degrees(ends[:, 2:3] + np.where(reflected[:, None], -canon, canon))
+    offset = (ends - by_role[:, _END_FROM] + 180.0) % 360.0 - 180.0
+    lost = ~(np.abs(offset) <= 60.0 + ANGLE_TOL_DEG).all(axis=1)
     # The wedges cover every direction iff no gap between circularly
-    # consecutive bisectors exceeds the aperture.
-    if 360.0 - spanning_arc(bis)[1] > 120.0 + ANGLE_TOL_DEG:
-        raise GuaranteeViolation(
-            f"triplet gadget with bisectors {bis} leaves a direction uncovered on {tuple(points)}"
-        )
-
-    return TripletOrientation(
-        base_left=bl,
-        base_right=br,
-        peak=pk,
-        reflected=reflected,
-        wedges=wedges,  # type: ignore[arg-type]
-    )
+    # consecutive bisectors exceeds the aperture (spanning_arc's gaps).
+    ring = np.sort(by_role, axis=1)
+    ring = np.concatenate((ring, ring[:, :1] + 360.0), axis=1)
+    uncovered = 360.0 - (360.0 - (ring[:, 1:] - ring[:, :-1]).max(axis=1, initial=0.0)) > 120.0 + ANGLE_TOL_DEG
+    bisectors = np.empty((k, 3))
+    bisectors[rows, roles] = by_role
+    for bad in (lost | uncovered).nonzero()[0][:1].tolist():
+        what = "lost a guaranteed edge" if lost[bad] else "leaves a direction uncovered"
+        group = tuple(points[i] for i in tri[bad].tolist())
+        raise GuaranteeViolation(f"triplet gadget with bisectors {bisectors[bad].tolist()} {what} on {group}")
+    return TripletOrientation(bisectors, roles, reflected)
 
 
 def orient_pair(points: PointSet, aperture_deg: float) -> tuple[Wedge, Wedge]:
@@ -168,28 +162,36 @@ def orient_pair(points: PointSet, aperture_deg: float) -> tuple[Wedge, Wedge]:
 
 def aim_leftovers(
     points: PointSet,
-    wedges: list[Optional[Wedge]],
+    wedges: np.ndarray,
     leftovers: Sequence[int],
-    host: Sequence[int],
+    hosts: Sequence[Sequence[int]],
     aperture_deg: float,
-    radius: Optional[float] = None,
+    radius: float = math.inf,
 ) -> list[tuple[int, int]]:
-    """Aim each leftover's wedge at the apex of the nearest host wedge covering it.
-
-    The host gadget covers the plane, so such a wedge exists and the edge is
-    mutual. Fills ``wedges`` in place and returns the new edges.
-    """
-    edges = []
-    for p in leftovers:
-        covering = [x for x in host if wedges[x] is not None and wedges[x].contains(points[p])]
-        if not covering:
-            raise GuaranteeViolation(
-                f"gadget wedges of group {tuple(host)} do not cover point {p}"
-            )
-        x = min(covering, key=lambda i: (points[p].distance_to(points[i]), i))
-        wedges[p] = Wedge(points[p], direction(points[p], points[x]), aperture_deg, radius)
-        edges.append((p, x))
-    return edges
+    """Aim each leftover's wedge at the apex of the nearest (then lowest)
+    wedge of its host group (``hosts[k]`` for ``leftovers[k]``) that covers
+    it, by ``Wedge.contains``' rules (``graph._covers``), so the edge is
+    mutual; a host gadget covers the plane, so one exists. ``wedges`` holds
+    ``wedge_columns`` rows, apexes at the points; the leftovers' rows are
+    written in place. Returns the new edges."""
+    if not len(leftovers):
+        return []
+    xy = coordinates(points)
+    count = len(leftovers)
+    owner = np.repeat(np.arange(count), [len(h) for h in hosts])
+    p = np.asarray(leftovers, dtype=np.intp)[owner]
+    x = np.fromiter(itertools.chain.from_iterable(hosts), np.intp, len(owner))
+    covers = _covers(_vertex_arrays(xy, wedges), x, p)
+    for k in (np.bincount(owner[covers], minlength=count) == 0).nonzero()[0][:1].tolist():
+        raise GuaranteeViolation(f"gadget wedges of group {tuple(hosts[k])} do not cover point {leftovers[k]}")
+    # Each leftover's covering hosts by (distance, index); the first wins.
+    order = np.lexsort((x, edge_lengths(xy, p, x), owner))
+    order = order[covers[order]]
+    first = order[owner[order].searchsorted(np.arange(count))]
+    p, x = p[first], x[first]
+    wedges[p, 0] = edge_directions(points, np.column_stack((p, x)))
+    wedges[p, 1:] = aperture_deg, radius
+    return list(zip(p.tolist(), x.tolist()))
 
 
 # Bit k of an edge mask stands for the point pair _PAIRS[k]; _CONNECTED[mask]
@@ -217,7 +219,7 @@ def orient_quadruplet(points: PointSet) -> QuadrupletOrientation:
     permutation. All candidates are scored in one numpy pass: an edge is
     induced when each end's direction to the other lies within 45 degrees
     (plus ``ANGLE_TOL_DEG``) of its bisector, the same test as
-    ``_dir_in_half_aperture``. Candidates with a connected induced graph are
+    ``orient_triplet``'s. Candidates with a connected induced graph are
     ranked by (most induced edges, smallest total edge length, enumeration
     order) and the first one whose wedges cover the plane, by the exact
     ``verify_coverage``, wins.

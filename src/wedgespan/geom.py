@@ -353,74 +353,73 @@ def angular_spread(points: PointSet, edges: Edges) -> tuple[float, Optional[int]
     """Largest angular spread over the vertices of the edges, and where.
 
     A vertex's spread is the smallest angle of a cone at it holding every
-    edge's other end: 360 minus the largest circular gap between its sorted
-    edge directions, 0 for a single direction. Returns the largest spread
-    and the lowest vertex attaining it, or (0.0, None) when no vertex has a
-    positive spread.
-
-    One numpy pass over both ends of every edge, with ``direction``'s angles
-    bit for bit (``_end_angles``) and ``spanning_arc``'s gaps. Raises
-    DuplicatePointError, as ``direction`` does, for an edge between
-    coincident points.
+    edge's other end: the extent of its ``spanning_arcs`` arc. Returns the
+    largest spread and the lowest vertex attaining it, or (0.0, None) when
+    no vertex has a positive spread. Raises DuplicatePointError, as
+    ``direction`` does, for an edge between coincident points.
     """
-    at, angle = _end_angles(points, edges)
-    if not len(angle):
+    vertices, _, spread = spanning_arcs(points, edges)
+    if not (len(spread) and spread.max() > 0.0):
         return 0.0, None
-    angle = angle[np.lexsort((angle, at))]
-    counts = np.bincount(at)
-    vertices = counts.nonzero()[0]
-    last = counts.cumsum()[vertices] - 1
-    first = last - counts[vertices] + 1
-    gap = np.empty_like(angle)
-    gap[:-1] = angle[1:] - angle[:-1]
-    gap[last] = angle[first] + 360.0 - angle[last]
-    spread = 360.0 - np.maximum.reduceat(gap, first)
-    spread[first == last] = 0.0
     k = int(spread.argmax())
-    if not spread[k] > 0.0:
-        return 0.0, None
     return float(spread[k]), int(vertices[k])
 
 
-def _end_angles(points: PointSet, edges: Edges) -> tuple[np.ndarray, np.ndarray]:
-    """For m edges ``(u, v)``, the vertex of each edge end, u for the first m
-    and v for the last m, and the ``direction`` from it to the other end in
-    degrees.
+def spanning_arcs(points: PointSet, edges: Edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``spanning_arc`` of every vertex's edge directions, bit for bit: the
+    vertices that end some edge, ascending, and each one's (start, extent).
 
-    The angles are ``direction``'s: ``math.atan2`` (``np.arctan2`` is an ulp
-    off on some vectors), degrees and ``Direction``'s normalisation, with the
-    reverse vector the exact negation of the forward one. A coincident pair
-    raises through ``direction``, at the first such edge in vertex, then
-    edge, order.
+    One numpy pass sorts both ends of every edge by (vertex, angle), with
+    the ``edge_directions`` from each end to the other, and takes each
+    vertex's first largest circular gap; the arc starts after it, and a
+    single direction gives extent 0.
+    """
+    u, v = edge_array(edges).T
+    at = np.concatenate((u, v))
+    angle = edge_directions(points, np.column_stack((at, np.concatenate((v, u)))))
+    if not len(angle):
+        return at, angle, angle
+    order = np.lexsort((angle, at))
+    angle = angle[order]
+    counts = np.bincount(at)
+    vertices = counts.nonzero()[0]
+    counts = counts[vertices]
+    last = counts.cumsum() - 1
+    first = last - counts + 1
+    gap = np.empty_like(angle)
+    gap[:-1] = angle[1:] - angle[:-1]
+    gap[last] = angle[first] + 360.0 - angle[last]
+    widest = np.maximum.reduceat(gap, first)
+    after = np.minimum.reduceat(np.where(gap == widest.repeat(counts), np.arange(len(gap)), len(gap)), first) + 1
+    after = np.where(after > last, first, after)
+    extent = 360.0 - widest
+    extent[first == last] = 0.0
+    return vertices, angle[after], extent
+
+
+def edge_directions(points: PointSet, edges: Edges) -> np.ndarray:
+    """``direction(points[u], points[v]).degrees`` for each edge ``(u, v)``.
+
+    The angles are ``direction``'s bit for bit: ``math.atan2`` per element
+    (``np.arctan2`` is an ulp off on some vectors), degrees and
+    ``Direction``'s normalisation. A coincident pair raises through
+    ``direction``, at the first such edge in vertex, then edge, order; in a
+    ``PointArray`` only an edge from a point to itself can be one.
     """
     u, v = edge_array(edges).T
     xy = coordinates(points)
     with np.errstate(over="ignore"):  # a gap that overflows is no near one
         dx = xy[v, 0] - xy[u, 0]
         dy = xy[v, 1] - xy[u, 1]
-    # points_coincide's first two tests here; its last one in direction.
-    scale = np.abs(xy).max(axis=1, initial=1.0)
-    tol = REL_TOL * np.maximum(scale[u], scale[v])
-    close = ((np.abs(dx) <= tol) & (np.abs(dy) <= tol)).nonzero()[0]
-    low, high = np.minimum(u[close], v[close]), np.maximum(u[close], v[close])
-    for k in np.lexsort((close, low)).tolist():
-        direction(points[low[k]], points[high[k]])
-    m = len(u)
-    angle = np.empty(2 * m)
-    angle[:m] = np.fromiter(map(math.atan2, memoryview(dy), memoryview(dx)), float, m)
-    np.negative(dx, out=dx)
-    np.negative(dy, out=dy)
-    angle[m:] = np.fromiter(map(math.atan2, memoryview(dy), memoryview(dx)), float, m)
-    return np.concatenate((u, v)), normalize_degrees(np.degrees(angle, out=angle))
-
-
-def covering_wedge(center: Point, neighbors: PointSet, aperture_deg: float) -> Wedge:
-    """Witness wedge of the given aperture at center containing all neighbors.
-
-    Bisector sits at the circular midpoint of the spanning arc; only valid
-    when the neighbors' spread at center (``angular_spread``) is at most
-    aperture_deg.
-    """
-    degs = [direction(center, q).degrees for q in neighbors]
-    start, extent = spanning_arc(degs)
-    return Wedge(center, Direction(start + extent / 2.0), aperture_deg)
+    if isinstance(points, PointArray):
+        close = (u == v).nonzero()[0]
+    else:  # points_coincide's first two tests here; its last one in direction
+        scale = np.abs(xy).max(axis=1, initial=1.0)
+        tol = REL_TOL * np.maximum(scale[u], scale[v])
+        close = ((np.abs(dx) <= tol) & (np.abs(dy) <= tol)).nonzero()[0]
+    if len(close):
+        low, high = np.minimum(u[close], v[close]), np.maximum(u[close], v[close])
+        for k in np.lexsort((close, low)).tolist():
+            direction(points[low[k]], points[high[k]])
+    angle = np.fromiter(map(math.atan2, memoryview(dy), memoryview(dx)), float, len(u))
+    return normalize_degrees(np.degrees(angle, out=angle))

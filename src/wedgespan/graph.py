@@ -7,7 +7,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -117,19 +117,11 @@ def _vertex_arrays(xy: np.ndarray, wedges: np.ndarray, apexes: Optional[np.ndarr
     """The ``_Rows`` of the points ``xy`` and their ``wedge_columns`` rows,
     whose apexes are ``apexes``, or the points themselves. The bisectors are
     normalised as ``Direction`` does, which ``_covers``' angle band assumes."""
+    q_scale = np.abs(xy).max(axis=1, initial=1.0)
+    a_scale = q_scale if apexes is None else np.abs(apexes).max(axis=1, initial=1.0)
     apexes = xy if apexes is None else apexes
-    q_scale, a_scale = (np.abs(at).max(axis=1, initial=1.0) for at in (xy, apexes))
     bis, aperture, rad = wedges.T
     return _Rows(*xy.T, q_scale, *apexes.T, a_scale, normalize_degrees(bis.copy()), aperture, rad)
-
-
-def _check_apexes(rows: _Rows, points: PointSet, wedges: Sequence[Wedge], ids: Sequence[int]) -> None:
-    """Raise ApexMismatchError unless each wedge's apex is at its point
-    (``points_coincide``); row k is ``points[ids[k]]`` and ``wedges[ids[k]]``."""
-    for k in ((rows.ax != rows.qx) | (rows.ay != rows.qy)).nonzero()[0].tolist():
-        p, w = points[ids[k]], wedges[ids[k]]
-        if not points_coincide(p, w.apex):
-            raise ApexMismatchError(f"wedge {ids[k]} apex {w.apex} is not at point {p}")
 
 
 # Widths of the bands around _covers' three boundaries inside which it
@@ -206,19 +198,21 @@ def _candidate_pairs(
 
 def induced_graph(
     points: PointSet,
-    wedges: Sequence[Optional[Wedge]],
+    wedges: Union[Sequence[Optional[Wedge]], np.ndarray],
     pairs: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> CommGraph:
     """Symmetric communication graph: edge (u,v) iff each point lies in the
     other's wedge and both range limits (when present) are satisfied.
 
-    Containment is ``Wedge.contains``' rules (``_covers``) evaluated both ways
-    for candidate pairs only, so memory stays O(n + m). Given ``pairs=(a, b)``
-    the candidates are the pairs ``(a[k], b[k])``; then only the wedges of
-    vertices in some pair are read (and their apexes checked), so the others
-    may be None. Otherwise they are ``_candidate_pairs`` at the largest
-    tolerant wedge range, padded by twice the largest apex tolerance (an apex
-    may sit that far from its point, and ranges are measured from the apex).
+    The wedges are Wedge objects, or ``wedge_columns`` rows whose apexes are
+    the points. Containment is ``Wedge.contains``' rules (``_covers``)
+    evaluated both ways for candidate pairs only, so memory stays O(n + m).
+    Given ``pairs=(a, b)`` the candidates are the pairs ``(a[k], b[k])``;
+    then only the wedges of vertices in some pair are read (and the apexes
+    of objects checked), so the others may be None or unset rows. Otherwise
+    they are ``_candidate_pairs`` at the largest tolerant wedge range, padded
+    by twice the largest apex tolerance (an apex may sit that far from its
+    point, and ranges are measured from the apex).
     Each edge is weighted by ``Point.distance_to``.
     """
     n = len(points)
@@ -234,9 +228,14 @@ def induced_graph(
         ids = in_pair.nonzero()[0].tolist()
         at = in_pair.cumsum() - 1  # each vertex's row in rows; np.unique would import numpy.ma
         xy = xy[ids]
-    own: list[Wedge] = [wedges[i] for i in ids]  # type: ignore[misc]
-    rows = _vertex_arrays(xy, wedge_columns(own), coordinates([w.apex for w in own]))
-    _check_apexes(rows, points, wedges, ids)  # type: ignore[arg-type]
+    if isinstance(wedges, np.ndarray):
+        rows = _vertex_arrays(xy, wedges[ids])
+    else:
+        own: list[Wedge] = [wedges[i] for i in ids]  # type: ignore[misc]
+        rows = _vertex_arrays(xy, wedge_columns(own), coordinates([w.apex for w in own]))
+        for k in ((rows.ax != rows.qx) | (rows.ay != rows.qy)).nonzero()[0].tolist():
+            if not points_coincide(points[ids[k]], own[k].apex):  # an apex must be at its point
+                raise ApexMismatchError(f"wedge {ids[k]} apex {own[k].apex} is not at point {points[ids[k]]}")
     if pairs is None:
         pad = 2.0 * REL_TOL * max(rows.q_scale.max(initial=1.0), rows.a_scale.max(initial=1.0))
         blocks = _candidate_pairs(xy, rows.rad.max(initial=0.0) * (1.0 + REL_TOL), pad)

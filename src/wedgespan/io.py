@@ -11,12 +11,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
 from .errors import InstanceParseError, TooFewPointsError
-from .geom import Edges, Point, PointArray, PointSet, Wedge, coordinates, edge_array
+from .geom import Edges, Point, PointArray, PointSet, column_wedge, coordinates, edge_array
 
 _SIG_SPEC = ".12g"
 
@@ -289,20 +289,19 @@ def _fmt(v: float) -> str:
 
 def emit_svg(
     points: PointSet,
-    wedges: Optional[Sequence[Wedge]] = None,
+    wedges: Optional[np.ndarray] = None,
     edges: Optional[Edges] = None,
 ) -> str:
     """Draw points, edges, and wedge sectors as standalone SVG 1.1.
 
-    The drawing is fit to an 800-pixel square with a 5% margin; unbounded
-    wedges are drawn with a quarter of the point-cloud span as radius.
+    Point k's wedge is row k of the ``wedge_columns`` array ``wedges``, which
+    ``Wedge`` must accept (``bad_wedge_rows``). The drawing is fit to an
+    800-pixel square with a 5% margin; unbounded wedges are drawn with a
+    quarter of the point-cloud span as radius.
     """
     if not points:
         raise TooFewPointsError("nothing to draw")
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
+    (min_x, min_y), (max_x, max_y) = coordinates(points).min(axis=0).tolist(), coordinates(points).max(axis=0).tolist()
     span = max(max_x - min_x, max_y - min_y, 1e-9)
     unbounded_radius = span * 0.25
     margin = 0.05 * _SVG_CANVAS
@@ -321,8 +320,8 @@ def emit_svg(
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    if wedges:
-        for k, w in enumerate(wedges):
+    if wedges is not None:
+        for k, w in enumerate(map(column_wedge, points, *wedges.T.tolist())):
             r_world = w.radius if w.radius is not None else unbounded_radius
             r = r_world * scale
             ax, ay = to_px(w.apex)

@@ -23,7 +23,7 @@ from .errors import (
     PartitionError,
 )
 from .gadget import aim_leftovers, orient_pair, orient_triplet
-from .geom import ANGLE_TOL_DEG, Direction, PointSet, REL_TOL, Wedge, angular_spread, check_distinct
+from .geom import ANGLE_TOL_DEG, PointSet, REL_TOL, angular_spread, check_distinct
 from .graph import CommGraph, euclidean_mst, hop_distances_from, induced_graph, sum_left, unit_disk_graph
 
 SPANNER_APERTURE = 120.0
@@ -136,51 +136,46 @@ def greedy_components(points: PointSet, udg: CommGraph) -> ComponentPartition:
     )
 
 
-def orient_components(points: PointSet, partition: ComponentPartition) -> list[Wedge]:
-    """Assign a range-7, aperture-120 wedge to every point.
+def orient_components(points: PointSet, partition: ComponentPartition) -> np.ndarray:
+    """Assign a range-7, aperture-120 wedge to every point, as (n, 3)
+    ``wedge_columns`` rows.
 
-    Size-3 components get the triplet gadget. Each point of a smaller
-    component aims at the apex of the nearest wedge of its anchor's size-3
-    component that covers it (the gadget covers the plane, so one exists).
-    With no size-3 component at all (whole graph of 1 or 2 points) the pair
-    faces each other and a singleton points east.
+    Size-3 components get the triplet gadget, all in one ``orient_triplet``
+    pass. Each point of a smaller component aims at the apex of the nearest
+    wedge of its anchor's size-3 component that covers it (the gadget covers
+    the plane, so one exists). With no size-3 component at all (whole graph
+    of 1 or 2 points) the pair faces each other and a singleton points east.
     """
     n = len(points)
     if len(partition.component_of) != n:
         raise PartitionError("partition does not match the point set")
-    wedges: list[Optional[Wedge]] = [None] * n
-    for comp in partition.components:
-        if len(comp) == 3:
-            tri = orient_triplet([points[i] for i in comp])
-            for local in range(3):
-                w = tri.wedges[local]
-                wedges[comp[local]] = Wedge(w.apex, w.bisector, w.aperture_deg, SPANNER_RANGE)
+    wedges = np.full((n, 3), (np.nan, SPANNER_APERTURE, SPANNER_RANGE))
+    triplets = np.array([c for c in partition.components if len(c) == 3], dtype=np.intp).reshape(-1, 3)
+    wedges[triplets, 0] = orient_triplet(points, triplets).bisectors
+    leftovers, hosts = [], []
     for k, comp in enumerate(partition.components):
         if len(comp) == 3:
             continue
         anchor = partition.anchor[k]
         if anchor is None:
-            if len(comp) == 2:
-                pair = orient_pair([points[comp[0]], points[comp[1]]], SPANNER_APERTURE)
-                for local in range(2):
-                    w = pair[local]
-                    wedges[comp[local]] = Wedge(w.apex, w.bisector, SPANNER_APERTURE, SPANNER_RANGE)
-            else:
-                wedges[comp[0]] = Wedge(points[comp[0]], Direction(0.0), SPANNER_APERTURE, SPANNER_RANGE)
+            pair = orient_pair([points[i] for i in comp], SPANNER_APERTURE) if len(comp) == 2 else ()
+            wedges[list(comp), 0] = [w.bisector.degrees for w in pair] or [0.0]
             continue
-        host = partition.components[partition.component_of[anchor]]
-        aim_leftovers(points, wedges, comp, host, SPANNER_APERTURE, SPANNER_RANGE)
-    missing = [i for i, w in enumerate(wedges) if w is None]
+        leftovers += comp
+        hosts += [partition.components[partition.component_of[anchor]]] * len(comp)
+    aim_leftovers(points, wedges, leftovers, hosts, SPANNER_APERTURE, SPANNER_RANGE)
+    missing = np.isnan(wedges[:, 0]).nonzero()[0].tolist()
     if missing:
         raise GuaranteeViolation(f"points {missing} received no wedge from {partition.components}")
-    return wedges  # type: ignore[return-value]
+    return wedges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpannerResult:
-    """Oriented wedges, the range-filtered graph, and its ``check_spanner`` summary."""
+    """Oriented wedges, as (n, 3) ``wedge_columns`` rows, the range-filtered
+    graph, and its ``check_spanner`` summary."""
 
-    wedges: tuple[Wedge, ...]
+    wedge_rows: np.ndarray
     graph: CommGraph
     summary: dict
     partition: ComponentPartition
@@ -337,7 +332,7 @@ def build_spanner(points: PointSet) -> SpannerResult:
         }
     )
     return SpannerResult(
-        wedges=tuple(wedges),
+        wedge_rows=wedges,
         graph=graph,
         summary=summary,
         partition=partition,

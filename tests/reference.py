@@ -10,18 +10,31 @@
 * The ``json.dumps(indent=2)`` emitters of instances and results that
   ``wedgespan.io`` used before it wrote its fixed layout directly; the
   writer must give their bytes.
+* The per-group gadget recipes the builders used before they oriented
+  every group in one numpy pass: the scalar triplet gadget, the per-point
+  covering wedge and leftover aiming by ``Wedge.contains``; the batch code
+  must give their bits. ``batch_triplets`` views the batch gadget's rows in
+  the scalar one's shape, so the same checks read both.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from wedgespan.errors import GridLayoutError, InstanceParseError, TooFewPointsError, TooManyPointsError
-from wedgespan.geom import ANGLE_TOL_DEG, Point, PointSet, check_distinct, spanning_arc
+from wedgespan.errors import (
+    GridLayoutError,
+    GuaranteeViolation,
+    InstanceParseError,
+    TooFewPointsError,
+    TooManyPointsError,
+)
+from wedgespan.geom import ANGLE_TOL_DEG, Direction, Point, PointSet, Wedge, check_distinct, direction, spanning_arc
+from wedgespan.gadget import orient_triplet
 from wedgespan.graph import CommGraph, SpanningTree
 from wedgespan.io import Instance, ResultDoc
 from wedgespan.oracle import _HEX_OFFSETS, GridGraph, hex_grid_graph
@@ -345,3 +358,112 @@ def emit_result_json(doc: ResultDoc) -> str:
     if doc.verification is not None:
         obj["verification"] = _canon_value(doc.verification)
     return json.dumps(obj, indent=2) + "\n"
+
+
+@dataclass(frozen=True)
+class ScalarTriplet:
+    """One triplet oriented alone: role positions, reflection, and its wedges."""
+
+    base_left: int
+    base_right: int
+    peak: int
+    reflected: bool
+    wedges: tuple[Wedge, Wedge, Wedge]
+
+    @property
+    def tree_edges(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The two induced edges guaranteed by the construction."""
+        return (self.peak, self.base_left), (self.base_left, self.base_right)
+
+
+def in_half_aperture(dir_deg: float, bis_deg: float, half_deg: float) -> bool:
+    """Whether a direction lies within ``half_deg`` (plus ``ANGLE_TOL_DEG``) of a bisector."""
+    return abs((dir_deg - bis_deg + 180.0) % 360.0 - 180.0) <= half_deg + ANGLE_TOL_DEG
+
+
+def orient_triplet_scalar(points: PointSet) -> ScalarTriplet:
+    """The triplet gadget on three points, one Python call per triplet: roles
+    by ascending law-of-cosines angle (ties by index), the base line's
+    direction, canonical bisectors 0 / 120 / 240 mapped back (reflected when
+    the peak lies below the base), and both guarantees checked."""
+    if len(points) != 3:
+        raise ValueError(f"orient_triplet requires exactly 3 points, got {len(points)}")
+    p0, p1, p2 = points
+    d01 = direction(p0, p1).degrees
+    d02 = direction(p0, p2).degrees
+    d12 = direction(p1, p2).degrees
+    dirs = (
+        (None, d01, d02),
+        ((d01 + 180.0) % 360.0, None, d12),
+        ((d02 + 180.0) % 360.0, (d12 + 180.0) % 360.0, None),
+    )
+    s01, s02, s12 = p0.distance_to(p1), p0.distance_to(p2), p1.distance_to(p2)
+
+    def corner(adj_a: float, adj_b: float, opp: float) -> float:
+        cos_v = (adj_a * adj_a + adj_b * adj_b - opp * opp) / (2.0 * adj_a * adj_b)
+        return math.degrees(math.acos(min(1.0, max(-1.0, cos_v))))
+
+    angles = (corner(s01, s02, s12), corner(s01, s12, s02), corner(s02, s12, s01))
+    bl, br, pk = sorted(range(3), key=lambda i: (angles[i], i))
+    theta = dirs[bl][br]
+    vx, vy = points[br].x - points[bl].x, points[br].y - points[bl].y
+    wx, wy = points[pk].x - points[bl].x, points[pk].y - points[bl].y
+    reflected = (vx * wy - vy * wx) < 0.0
+    bis = [0.0, 0.0, 0.0]
+    for role, canon in ((bl, 0.0), (br, 120.0), (pk, 240.0)):
+        bis[role] = Direction(theta - canon if reflected else theta + canon).degrees
+    if not (
+        in_half_aperture(dirs[bl][pk], bis[bl], 60.0)
+        and in_half_aperture(dirs[pk][bl], bis[pk], 60.0)
+        and in_half_aperture(dirs[bl][br], bis[bl], 60.0)
+        and in_half_aperture(dirs[br][bl], bis[br], 60.0)
+    ):
+        raise GuaranteeViolation(f"triplet gadget with bisectors {bis} lost a guaranteed edge on {tuple(points)}")
+    if 360.0 - spanning_arc(bis)[1] > 120.0 + ANGLE_TOL_DEG:
+        raise GuaranteeViolation(
+            f"triplet gadget with bisectors {bis} leaves a direction uncovered on {tuple(points)}"
+        )
+    wedges = tuple(Wedge(points[i], Direction(bis[i]), 120.0) for i in range(3))
+    return ScalarTriplet(bl, br, pk, reflected, wedges)  # type: ignore[arg-type]
+
+
+def batch_triplets(groups: Sequence[PointSet]) -> list[ScalarTriplet]:
+    """``gadget.orient_triplet`` on the groups of three points, all in one
+    call, with each row as a ``ScalarTriplet``."""
+    points = [p for group in groups for p in group]
+    tri = orient_triplet(points, np.arange(len(points)).reshape(-1, 3))
+    return [
+        ScalarTriplet(*roles, reflected, tuple(Wedge(p, Direction(b), 120.0) for p, b in zip(group, bis)))
+        for group, roles, reflected, bis in zip(
+            groups, tri.roles.tolist(), tri.reflected.tolist(), tri.bisectors.tolist()
+        )
+    ]
+
+
+def covering_wedge(center: Point, neighbors: PointSet, aperture_deg: float) -> Wedge:
+    """Wedge of the given aperture at center bisecting the spanning arc of
+    its neighbors' directions (``spanning_arc``)."""
+    start, extent = spanning_arc([direction(center, q).degrees for q in neighbors])
+    return Wedge(center, Direction(start + extent / 2.0), aperture_deg)
+
+
+def aim_leftovers_scalar(
+    points: PointSet,
+    wedges: list[Optional[Wedge]],
+    leftovers: Sequence[int],
+    host: Sequence[int],
+    aperture_deg: float,
+    radius: Optional[float] = None,
+) -> list[tuple[int, int]]:
+    """Aim each leftover's wedge at the apex of the nearest host wedge that
+    contains it (``Wedge.contains``), ties to the lower index; fills
+    ``wedges`` in place and returns the new edges."""
+    edges = []
+    for p in leftovers:
+        covering = [x for x in host if wedges[x] is not None and wedges[x].contains(points[p])]
+        if not covering:
+            raise GuaranteeViolation(f"gadget wedges of group {tuple(host)} do not cover point {p}")
+        x = min(covering, key=lambda i: (points[p].distance_to(points[i]), i))
+        wedges[p] = Wedge(points[p], direction(points[p], points[x]), aperture_deg, radius)
+        edges.append((p, x))
+    return edges

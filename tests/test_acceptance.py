@@ -12,7 +12,7 @@ import pytest
 
 from wedgespan.approx import build_tree, verify_alpha_tree
 from wedgespan.errors import SeparationConnectivityViolation
-from wedgespan.gadget import orient_triplet, verify_coverage
+from wedgespan.gadget import verify_coverage
 from wedgespan.generators import collinear, equilateral, equilateral_with_center, uniform_square
 from wedgespan.geom import Direction, Point, Wedge
 from wedgespan.graph import cross_edge, euclidean_mst, induced_graph, unit_disk_graph
@@ -27,6 +27,7 @@ from wedgespan.oracle import (
 from wedgespan.spanner import CASE_BOUNDS, build_spanner, verify_hop_spanner
 
 from reference import (
+    batch_triplets,
     hamiltonian_cycle_exists,
     hamiltonian_path_exists,
     hex_grid_reduction,
@@ -65,18 +66,21 @@ def _adversarial_triplet(rng):
     return [Point(ox + c * x - s * y, oy + s * x + c * y) for x, y in base]
 
 
+# Triplets (C2) or triplet pairs (C1) oriented per batch.
+_CHUNK = 10_000
+
+
 def test_c01_theorem_cross_edge_always_exists():
     """Any two independently oriented triplet gadgets share a mutual edge."""
     rng = random.Random(20240601)
     start = time.perf_counter()
-    for k in range(100_000):
-        pts1, pts2 = _random_triplet(rng), _random_triplet(rng)
-        t1, t2 = orient_triplet(pts1), orient_triplet(pts2)
-        assert _has_cross_edge(pts1, t1.wedges, pts2, t2.wedges), (pts1, pts2)
-    for k in range(10_000):
-        pts1, pts2 = _adversarial_triplet(rng), _adversarial_triplet(rng)
-        t1, t2 = orient_triplet(pts1), orient_triplet(pts2)
-        assert _has_cross_edge(pts1, t1.wedges, pts2, t2.wedges), (pts1, pts2)
+    # Each chunk of triplet pairs is drawn in order, then oriented in one pass.
+    for draw, chunks in ((_random_triplet, 10), (_adversarial_triplet, 1)):
+        for _ in range(chunks):
+            groups = [draw(rng) for _ in range(2 * _CHUNK)]
+            oriented = batch_triplets(groups)
+            for pts1, pts2, t1, t2 in zip(groups[::2], groups[1::2], oriented[::2], oriented[1::2]):
+                assert _has_cross_edge(pts1, t1.wedges, pts2, t2.wedges), (pts1, pts2)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"theorem sweep took {elapsed:.1f}s"
     _report("C1 theorem-cross-edge", f"(110000 pairs, {elapsed:.1f}s)")
@@ -86,28 +90,28 @@ def test_c02_gadget_invariants_mass():
     """Guaranteed edges, exact bisector/ray structure, and plane coverage."""
     rng = random.Random(20240602)
     start = time.perf_counter()
-    for k in range(100_000):
-        pts = _random_triplet(rng)
-        tri = orient_triplet(pts)
-        w = tri.wedges
-        for a, b in tri.tree_edges:
-            assert w[a].contains(pts[b]) and w[b].contains(pts[a]), (k, pts)
-        # the three bisectors are {theta, theta+120, theta+240} exactly
-        theta = w[tri.base_left].bisector.degrees
-        residues = set()
-        for x in w:
-            d = (x.bisector.degrees - theta) % 360.0
-            third = round(d / 120.0) % 3
-            assert abs(signed_angle_delta(120.0 * third, d)) <= ANG, (k, d)
-            residues.add(third)
-        assert residues == {0, 1, 2}, k
-        # each of theta+-60, theta+180 appears once as a left and once as a right ray
-        lefts = [x.left_ray.degrees for x in w]
-        rights = [x.right_ray.degrees for x in w]
-        for target in (theta + 60.0, theta - 60.0, theta + 180.0):
-            assert sum(abs(signed_angle_delta(target, d)) <= ANG for d in lefts) == 1
-            assert sum(abs(signed_angle_delta(target, d)) <= ANG for d in rights) == 1
-        assert verify_coverage(w), (k, pts)
+    for chunk in range(100_000 // _CHUNK):
+        groups = [_random_triplet(rng) for _ in range(_CHUNK)]
+        for k, (pts, tri) in enumerate(zip(groups, batch_triplets(groups)), chunk * _CHUNK):
+            w = tri.wedges
+            for a, b in tri.tree_edges:
+                assert w[a].contains(pts[b]) and w[b].contains(pts[a]), (k, pts)
+            # the three bisectors are {theta, theta+120, theta+240} exactly
+            theta = w[tri.base_left].bisector.degrees
+            residues = set()
+            for x in w:
+                d = (x.bisector.degrees - theta) % 360.0
+                third = round(d / 120.0) % 3
+                assert abs(signed_angle_delta(120.0 * third, d)) <= ANG, (k, d)
+                residues.add(third)
+            assert residues == {0, 1, 2}, k
+            # each of theta+-60, theta+180 appears once as a left and once as a right ray
+            lefts = [x.left_ray.degrees for x in w]
+            rights = [x.right_ray.degrees for x in w]
+            for target in (theta + 60.0, theta - 60.0, theta + 180.0):
+                assert sum(abs(signed_angle_delta(target, d)) <= ANG for d in lefts) == 1
+                assert sum(abs(signed_angle_delta(target, d)) <= ANG for d in rights) == 1
+            assert verify_coverage(w), (k, pts)
     elapsed = time.perf_counter() - start
     _report("C2 gadget-invariants", f"(100000 triplets, {elapsed:.1f}s)")
 

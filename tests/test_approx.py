@@ -11,7 +11,7 @@ from wedgespan.approx import (
     verify_alpha_tree,
 )
 from wedgespan.errors import TooFewPointsError
-from wedgespan.gadget import aim_leftovers, orient_quadruplet, orient_triplet
+from wedgespan.gadget import orient_quadruplet
 from wedgespan.generators import (
     clustered,
     collinear,
@@ -19,7 +19,7 @@ from wedgespan.generators import (
     square_grid_reduction_points,
     uniform_square,
 )
-from wedgespan.geom import Point, Wedge, Direction, angular_spread
+from wedgespan.geom import Point, Wedge, Direction, angular_spread, wedge_columns
 from wedgespan.graph import (
     DisjointSets,
     Tour,
@@ -28,6 +28,8 @@ from wedgespan.graph import (
     tree_from_edges,
     tsp_tour,
 )
+
+from reference import aim_leftovers_scalar, orient_triplet_scalar
 
 
 class TestPartitionTour:
@@ -217,7 +219,7 @@ class TestVerifier:
         pts = collinear(4)
         tree = tree_from_edges(pts, [(0, 1), (1, 2), (2, 3)])
         wedges = tuple(Wedge(p, Direction(0), 120.0) for p in pts)
-        fake = AlphaTree(120.0, tree, wedges, mst_weight=3.0, tour_weight=6.0)
+        fake = AlphaTree(120.0, tree, pts, wedge_columns(wedges), mst_weight=3.0, tour_weight=6.0)
         report = verify_alpha_tree(pts, fake)
         assert not report.passed
         assert report.worst_vertex in (1, 2)
@@ -229,7 +231,8 @@ class TestVerifier:
         fake = AlphaTree(
             at.alpha_deg,
             type(at.tree)(at.tree.edges, at.tree.weight * 2.0),
-            at.wedges,
+            at.points,
+            at.wedge_rows,
             at.mst_weight,
             at.tour_weight,
         )
@@ -314,7 +317,7 @@ def _per_group_tree(points, alpha):
         host = full[-1]
         if alpha == 120:
             for g in full:
-                tri = orient_triplet([points[i] for i in g])
+                tri = orient_triplet_scalar([points[i] for i in g])
                 for local in range(3):
                     wedges[g[local]] = tri.wedges[local]
                 edges += [(g[a], g[b]) for a, b in tri.tree_edges]
@@ -329,7 +332,7 @@ def _per_group_tree(points, alpha):
                 edges.append(_group_cross_edge(points, wedges, ordered[:4], ordered[4:]))
         for a, b in zip(full, full[1:]):
             edges.append(_group_cross_edge(points, wedges, a, b))
-    edges += aim_leftovers(points, wedges, leftovers, host, float(alpha))
+    edges += aim_leftovers_scalar(points, wedges, leftovers, host, float(alpha))
     return tree_from_edges(points, edges).edges, tuple(wedges)
 
 

@@ -6,7 +6,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from wedgespan.approx import build_tree
 from wedgespan.cli import main
+from wedgespan.generators import uniform_square
+from wedgespan.io import Instance, emit_instance, parse_instance
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -49,3 +54,33 @@ def test_every_traced_layer_has_calls(tmp_path, monkeypatch):
     assert tracer.missing == []
     calls, _ = tracer.take()
     assert [key for key, count in calls.items() if count == 0] == []
+
+
+def test_one_triplet_pass_per_solve_and_convert(tmp_path, monkeypatch):
+    # Every triplet of an alpha 120 solve, and every size-3 component of a
+    # convert, is oriented in one orient_triplet call.
+    tracer = _load("spans", monkeypatch).Tracer("wedgespan", ["gadget.orient_triplet"])
+    tree, net = str(tmp_path / "tree.json"), str(tmp_path / "net.json")
+    assert main(["gen", "--generator", "uniform-square", "--n", "301", "--seed", "3", "--out", tree]) == 0
+    assert main(["gen", "--generator", "uniform-square", "--n", "300", "--side", str(60**0.5), "--seed", "1",
+                 "--out", net]) == 0
+    counts = []
+    for argv in (["solve", "--in", tree, "--alpha", "120"], ["convert", "--in", net]):
+        tracer.install()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        finally:
+            tracer.uninstall()
+        counts.append(tracer.take()[0]["gadget.orient_triplet"])
+    assert counts == [1, 1]
+
+
+@pytest.mark.parametrize("alpha", [120, 180])
+@pytest.mark.parametrize("n", [4800, 4801])
+def test_build_tree_leaves_the_point_list_unbuilt(n, alpha):
+    # At n = 4801 the 120 build aims a leftover too; none of the steps reads
+    # a Point of the parsed instance.
+    points = parse_instance(emit_instance(Instance(points=uniform_square(n, seed=0), meta={}))).points
+    assert points._points is None
+    build_tree(points, alpha)
+    assert points._points is None

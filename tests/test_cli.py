@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -143,6 +144,17 @@ class TestSolve:
                    "--svg", str(svg)) == 0
         assert svg.read_text().startswith("<?xml")
 
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200, 1e300])
+    def test_huge_coordinates_solve_and_verify(self, tmp_path, scale):
+        # Squares of the triplet gadget's sides overflow here; at 120 the
+        # solve once exited 3 with "lost a guaranteed edge".
+        rng = random.Random(0)
+        inst, res = tmp_path / "i.json", tmp_path / "r.json"
+        inst.write_text(json.dumps({"points": [[rng.random() * scale, rng.random() * scale] for _ in range(30)]}))
+        for alpha in ("120", "90", "180"):
+            assert run("solve", "--in", str(inst), "--alpha", alpha, "--out", str(res)) == 0, alpha
+            assert run("verify", "--in", str(inst), "--result", str(res)) == 0, alpha
+
     def test_stdout_gets_the_file_bytes(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         res = tmp_path / "r.json"
@@ -198,14 +210,16 @@ def test_writer_fault_exits_3_and_keeps_the_file(tmp_path, monkeypatch, capsys, 
     inst, out = tmp_path / "i.json", tmp_path / "r.json"
     run("gen", "--generator", "uniform-square", "--n", "15", "--side", "1.2", "--seed", "1", "--out", str(inst))
     out.write_text("earlier bytes\n")
-    real = cli.wedge_columns
+    builder = {"solve": "build_tree", "convert": "build_spanner"}[command[0]]
+    real = getattr(cli, builder)
 
-    def nan_bisector(wedges):
-        rows = real(wedges).copy()
+    def nan_bisector(*args):
+        result = real(*args)
+        rows = result.wedge_rows.copy()
         rows[0, 0] = math.nan
-        return rows
+        return dataclasses.replace(result, wedge_rows=rows)
 
-    monkeypatch.setattr(cli, "wedge_columns", nan_bisector)
+    monkeypatch.setattr(cli, builder, nan_bisector)
     capsys.readouterr()
     assert run(*command, "--in", str(inst), "--out", str(out)) == 3
     err = capsys.readouterr().err

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +17,26 @@ from wedgespan.gadget import (
     verify_coverage,
 )
 from wedgespan.generators import uniform_square
-from wedgespan.geom import ANGLE_TOL_DEG, Direction, Point, Wedge, direction
+from wedgespan.geom import (
+    ANGLE_TOL_DEG,
+    Direction,
+    Point,
+    PointArray,
+    Wedge,
+    column_wedge,
+    direction,
+    points_coincide,
+    wedge_columns,
+)
 from wedgespan.graph import DisjointSets, induced_graph
 
-from reference import signed_angle_delta
+from reference import (
+    aim_leftovers_scalar,
+    batch_triplets,
+    in_half_aperture,
+    orient_triplet_scalar,
+    signed_angle_delta,
+)
 
 
 def rand_points(rng, k, lo=0.0, hi=1.0):
@@ -60,10 +77,14 @@ def rotated(x, y, deg):
     return Point(c * x - s * y, s * x + c * y)
 
 
+def one_triplet(pts):
+    return batch_triplets([pts])[0]
+
+
 class TestOrientTriplet:
     def test_canonical_example(self):
         pts = [Point(0, 0), Point(1, 0), Point(0.5, 0.8)]
-        tri = orient_triplet(pts)
+        tri = one_triplet(pts)
         assert (tri.base_left, tri.base_right, tri.peak) == (0, 1, 2)
         assert tri.wedges[0].bisector.degrees == pytest.approx(0.0)
         assert tri.wedges[1].bisector.degrees == pytest.approx(120.0)
@@ -72,7 +93,7 @@ class TestOrientTriplet:
 
     def test_equilateral_tie_by_index(self):
         pts = [Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2)]
-        tri = orient_triplet(pts)
+        tri = one_triplet(pts)
         # all angles equal: roles fall back to input order
         assert (tri.base_left, tri.base_right, tri.peak) == (0, 1, 2)
         g = induced_graph(pts, list(tri.wedges))
@@ -82,14 +103,14 @@ class TestOrientTriplet:
 
     def test_collinear_middle_takes_peak(self):
         pts = [Point(0, 0), Point(1, 0), Point(2, 0)]
-        tri = orient_triplet(pts)
+        tri = one_triplet(pts)
         assert tri.peak == 1
         g = induced_graph(pts, list(tri.wedges))
         assert g.has_edge(1, 0) and g.has_edge(0, 2)
 
     def test_reflection_case(self):
         pts = [Point(0, 0), Point(1, 0), Point(0.5, -0.8)]
-        tri = orient_triplet(pts)
+        tri = one_triplet(pts)
         assert tri.reflected
         g = induced_graph(pts, list(tri.wedges))
         for a, b in tri.tree_edges:
@@ -98,7 +119,9 @@ class TestOrientTriplet:
 
     def test_duplicate_raises(self):
         with pytest.raises(DuplicatePointError):
-            orient_triplet([Point(0, 0), Point(0, 0), Point(1, 1)])
+            one_triplet([Point(0, 0), Point(0, 0), Point(1, 1)])
+        with pytest.raises(DuplicatePointError):
+            orient_triplet(PointArray(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])), [(0, 1, 1)])
 
     def test_bisector_gap_above_aperture_raises(self, monkeypatch):
         # Turning the peak's bisector by one degree opens a 121-degree gap
@@ -106,12 +129,32 @@ class TestOrientTriplet:
         # both guaranteed edges stay inside the wedges.
         monkeypatch.setattr(gadget, "_CANON_PEAK", 241.0)
         with pytest.raises(GuaranteeViolation, match="leaves a direction uncovered"):
-            orient_triplet([Point(0, 0), Point(2, 0), Point(1, 1.4)])
+            one_triplet([Point(0, 0), Point(2, 0), Point(1, 1.4)])
+
+    def test_first_failing_triplet_is_named(self, monkeypatch):
+        monkeypatch.setattr(gadget, "_CANON_PEAK", 241.0)
+        pts = [Point(0, 0), Point(2, 0), Point(1, 1.4), Point(5, 5), Point(6, 5), Point(5, 7)]
+        with pytest.raises(GuaranteeViolation) as caught:
+            orient_triplet(pts, [(3, 4, 5), (0, 1, 2)])
+        with pytest.raises(GuaranteeViolation) as alone:
+            orient_triplet(pts, [(3, 4, 5)])
+        assert str(caught.value) == str(alone.value)
+        assert "Point(x=5, y=5)" in str(caught.value)
+
+    def test_no_triplets(self):
+        tri = orient_triplet([Point(0, 0)], np.empty((0, 3), dtype=int))
+        assert tri.bisectors.shape == tri.roles.shape == (0, 3) and tri.tree_edges.shape == (0, 2, 2)
+
+    def test_tree_edges_are_role_positions(self):
+        rng = random.Random(5)
+        groups = [rand_points(rng, 3) for _ in range(50)]
+        tri = orient_triplet([p for g in groups for p in g], np.arange(150).reshape(50, 3))
+        for (bl, br, pk), edges in zip(tri.roles.tolist(), tri.tree_edges.tolist()):
+            assert edges == [[pk, bl], [bl, br]]
 
     def test_property1_bisector_partition(self):
         rng = random.Random(1)
-        for _ in range(200):
-            tri = orient_triplet(rand_points(rng, 3))
+        for tri in batch_triplets([rand_points(rng, 3) for _ in range(200)]):
             base = tri.wedges[0].bisector.degrees
             offsets = sorted(
                 (w.bisector.degrees - base) % 360.0 for w in tri.wedges
@@ -122,8 +165,7 @@ class TestOrientTriplet:
 
     def test_property2_ray_multiset(self):
         rng = random.Random(2)
-        for _ in range(200):
-            tri = orient_triplet(rand_points(rng, 3))
+        for tri in batch_triplets([rand_points(rng, 3) for _ in range(200)]):
             theta = tri.wedges[tri.base_left].bisector.degrees
             lefts = [w.left_ray.degrees for w in tri.wedges]
             rights = [w.right_ray.degrees for w in tri.wedges]
@@ -133,8 +175,7 @@ class TestOrientTriplet:
 
     def test_property3_halfplane_coverage(self):
         rng, sampler = random.Random(3), random.Random(33)
-        for _ in range(5):
-            tri = orient_triplet(rand_points(rng, 3))
+        for tri in batch_triplets([rand_points(rng, 3) for _ in range(5)]):
             pairs = [(0, 1), (0, 2), (1, 2)]
             for i, j in pairs:
                 w1, w2 = tri.wedges[i], tri.wedges[j]
@@ -144,14 +185,115 @@ class TestOrientTriplet:
 
     def test_cross_edge_smoke(self):
         rng = random.Random(4)
-        for _ in range(2000):
-            pts1, pts2 = rand_points(rng, 3), rand_points(rng, 3)
-            t1, t2 = orient_triplet(pts1), orient_triplet(pts2)
+        groups = [rand_points(rng, 3) for _ in range(4000)]
+        oriented = batch_triplets(groups)
+        for pts1, pts2, t1, t2 in zip(groups[::2], groups[1::2], oriented[::2], oriented[1::2]):
             assert any(
                 t1.wedges[i].contains(pts2[j]) and t2.wedges[j].contains(pts1[i])
                 for i in range(3)
                 for j in range(3)
             )
+
+
+def _placed(base, turn, shift, scale):
+    """The points ``base`` rotated by ``turn`` degrees, scaled, and moved by ``shift``."""
+    c, s = math.cos(math.radians(turn)), math.sin(math.radians(turn))
+    return [Point(shift[0] + scale * (c * x - s * y), shift[1] + scale * (s * x + c * y)) for x, y in base]
+
+
+def _apart(pts):
+    return not any(points_coincide(p, q) for p, q in itertools.combinations(pts, 2))
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False)
+_turn, _shift = st.floats(0.0, 360.0), st.tuples(_coord, _coord)
+_random_triplet = st.lists(st.builds(Point, _coord, _coord), min_size=3, max_size=3)
+_lattice_triplet = st.lists(st.builds(Point, st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=3)
+_negative_triplet = st.lists(
+    st.builds(Point, st.floats(-1e6, -1e-3), st.floats(-1e6, -1e-3)), min_size=3, max_size=3
+)
+_collinear_triplet = st.builds(
+    lambda ts, turn, shift, scale: _placed([(t, 0.0) for t in ts], turn, shift, scale),
+    st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    _turn,
+    _shift,
+    st.floats(1e-3, 1e3),
+)
+# Needles: a third point a height of 1e-12 to 1e-3 off the base line.
+_needle_triplet = st.builds(
+    lambda t, h, turn, shift, scale: _placed([(0.0, 0.0), (1.0, 0.0), (t, h)], turn, shift, scale),
+    st.floats(-2.0, 3.0),
+    st.sampled_from([1e-12, -1e-12, 1e-9, -1e-9, 1e-6, 1e-3]),
+    _turn,
+    _shift,
+    st.floats(1e-3, 1e3),
+)
+_triplet = st.one_of(_random_triplet, _lattice_triplet, _negative_triplet, _collinear_triplet, _needle_triplet)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestBatchMatchesScalarTriplet:
+    """One batch pass gives each triplet's roles, reflection and bisector
+    bits as ``orient_triplet_scalar`` gives them one at a time."""
+
+    @given(st.lists(_triplet.filter(_apart), min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_roles_and_reflection(self, groups):
+        try:
+            want = [orient_triplet_scalar(g) for g in groups]
+        except GuaranteeViolation as exc:
+            with pytest.raises(GuaranteeViolation) as caught:
+                batch_triplets(groups)
+            assert str(caught.value) == str(exc)
+            return
+        got = batch_triplets(groups)
+        for w, g in zip(want, got):
+            assert (g.base_left, g.base_right, g.peak, g.reflected) == (w.base_left, w.base_right, w.peak, w.reflected)
+            assert _bits([x.bisector.degrees for x in g.wedges]) == _bits([x.bisector.degrees for x in w.wedges])
+
+    @given(
+        st.lists(
+            st.builds(
+                lambda pts, exponent: [Point(p.x * 10.0**exponent, p.y * 10.0**exponent) for p in pts],
+                _random_triplet.filter(_apart),
+                # Up to 1e303: the coordinates' differences stay finite.
+                st.integers(150, 300),
+            ).filter(_apart),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_huge_triplets_keep_both_guarantees(self, groups):
+        # Squares overflow beyond ~1e154, where the scalar gadget reads every
+        # corner as 180 degrees and mostly raises; the batch still keeps
+        # both gadget edges and covers the plane.
+        for pts, tri in zip(groups, batch_triplets(groups)):
+            w = tri.wedges
+            for a, b in tri.tree_edges:
+                assert w[a].contains(pts[b]) and w[b].contains(pts[a]), pts
+            assert verify_coverage(w), pts
+
+    def test_huge_triplet_the_scalar_gadget_loses(self):
+        pts = [Point(8.0e159, 4.5e159), Point(2.0e159, 7.5e159), Point(6.0e159, 1.0e159)]
+        with pytest.raises(GuaranteeViolation, match="lost a guaranteed edge"):
+            orient_triplet_scalar(pts)
+        tri = one_triplet(pts)
+        for a, b in tri.tree_edges:
+            assert tri.wedges[a].contains(pts[b]) and tri.wedges[b].contains(pts[a])
+        assert verify_coverage(tri.wedges)
+
+    def test_overflow_scaling_keeps_unscaled_rows(self):
+        # A huge triplet in the batch changes no other row's bits.
+        rng = random.Random(9)
+        groups = [rand_points(rng, 3) for _ in range(20)]
+        huge = [Point(8.0e159, 4.5e159), Point(2.0e159, 7.5e159), Point(6.0e159, 1.0e159)]
+        mixed = batch_triplets(groups[:10] + [huge] + groups[10:])
+        alone = batch_triplets(groups)
+        assert [t.wedges for t in mixed[:10] + mixed[11:]] == [t.wedges for t in alone]
 
 
 class TestOrientPair:
@@ -175,18 +317,40 @@ class TestOrientPair:
 class TestAimLeftovers:
     def test_aims_at_nearest_covering_apex(self):
         pts = [Point(0, 0), Point(1, 0), Point(0, 1), Point(3, 0.5)]
-        tri = orient_triplet(pts[:3])
-        wedges = list(tri.wedges) + [None]
-        edges = aim_leftovers(pts, wedges, [3], (0, 1, 2), 120.0, 7.0)
+        tri = one_triplet(pts[:3])
+        wedges = wedge_columns(tri.wedges + (Wedge(pts[3], Direction(0.0), 120.0),))
+        wedges[3] = math.nan
+        edges = aim_leftovers(pts, wedges, [3], [(0, 1, 2)], 120.0, 7.0)
         [(p, x)] = edges
         assert p == 3 and tri.wedges[x].contains(pts[3])
-        assert wedges[3].radius == 7.0 and wedges[3].contains(pts[x])
+        w3 = column_wedge(pts[3], *wedges[3].tolist())
+        assert w3.radius == 7.0 and w3.contains(pts[x])
 
     def test_uncovered_point_raises_with_witness(self):
         pts = [Point(0, 0), Point(-1, 0)]
-        wedges = [Wedge(pts[0], Direction(0.0), 90.0), None]
+        wedges = np.array([[0.0, 90.0, math.inf], [math.nan, 90.0, math.inf]])
         with pytest.raises(GuaranteeViolation, match=r"\(0,\) do not cover point 1"):
-            aim_leftovers(pts, wedges, [1], (0,), 90.0)
+            aim_leftovers(pts, wedges, [1], [(0,)], 90.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_aiming_by_wedge_contains(self, seed):
+        # Leftovers around one triplet gadget, some on its bounding rays and
+        # some at equal distances from two apexes.
+        rng = random.Random(seed)
+        host = [Point(0, 0), Point(1, 0), Point(0.5, 0.8)]
+        tri = one_triplet(host)
+        stray = [rotated(rng.choice((0.5, 1.0, 3.0)), 0.0, rng.choice((0.0, 30.0, 90.0, rng.uniform(0, 360))))
+                 for _ in range(30)]
+        pts = host + [Point(p.x + 0.5, p.y) for p in stray]
+        leftovers = [k for k in range(3, len(pts)) if _apart([pts[k]] + host)]
+        want = list(tri.wedges) + [None] * (len(pts) - 3)
+        want_edges = aim_leftovers_scalar(pts, want, leftovers, (0, 1, 2), 120.0, 7.0)
+        rows = np.full((len(pts), 3), (math.nan, 120.0, 7.0))
+        rows[:3] = wedge_columns(tri.wedges)
+        rows[:3, 2] = math.inf
+        assert aim_leftovers(pts, rows, leftovers, [(0, 1, 2)] * len(leftovers), 120.0, 7.0) == want_edges
+        for k in leftovers:
+            assert column_wedge(pts[k], *rows[k].tolist()) == want[k]
 
 
 # Quadruplets of the bench small-mixed pools (bench seed, job index) where a
@@ -277,9 +441,7 @@ def reference_quadruplet_bisectors(points):
             total = 0.0
             for i in range(4):
                 for j in range(i + 1, 4):
-                    if gadget._dir_in_half_aperture(dirs[i][j], bis[i], 45.0) and gadget._dir_in_half_aperture(
-                        dirs[j][i], bis[j], 45.0
-                    ):
+                    if in_half_aperture(dirs[i][j], bis[i], 45.0) and in_half_aperture(dirs[j][i], bis[j], 45.0):
                         edges.append((i, j))
                         total += dists[i][j]
             if edges and _connected_on_four(edges):
@@ -446,7 +608,7 @@ class TestOrientQuadruplet:
 
 class TestVerifyCoverage:
     def test_gadget_covers(self):
-        tri = orient_triplet([Point(0, 0), Point(2, 1), Point(0.3, 1.7)])
+        tri = one_triplet([Point(0, 0), Point(2, 1), Point(0.3, 1.7)])
         assert verify_coverage(tri.wedges)
 
     def test_single_wedge_fails(self):
@@ -520,7 +682,7 @@ class TestVerifyCoverage:
 
     def test_huge_coordinates(self):
         pts = [Point(0, 0), Point(2, 1), Point(0.3, 1.7)]
-        tri = orient_triplet(pts)
+        tri = one_triplet(pts)
         shifted = [Wedge(Point(p.x + 1e6, p.y - 1e6), w.bisector, 120.0) for p, w in zip(pts, tri.wedges)]
         assert verify_coverage(shifted)
 

@@ -20,14 +20,16 @@ from wedgespan.geom import (
     angular_spread,
     check_distinct,
     coordinates,
-    covering_wedge,
     direction,
+    edge_directions,
     grid_pairs,
+    normalize_degrees,
     points_coincide,
     spanning_arc,
+    spanning_arcs,
 )
 
-from reference import signed_angle_delta
+from reference import covering_wedge, signed_angle_delta
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -258,6 +260,43 @@ class TestSpanningArc:
     def test_identical_directions(self):
         _, extent = spanning_arc([42.0, 42.0])
         assert extent == 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_all_vertices_at_once_match_spanning_arc(self, seed):
+        # Random graphs, some on a lattice that repeats directions and ties
+        # gaps, with each vertex's arc and covering bisector bit for bit.
+        rng = random.Random(seed)
+        n = rng.choice([2, 3, 12, 80])
+        step = rng.choice([None, 1.0])
+        raw = {(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)}
+        if step:
+            raw = {(round(x), round(y)) for x, y in raw}
+        points = [pt(x, y) for x, y in sorted(raw)]
+        n = len(points)
+        edges = sorted({tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3 * n))}) if n > 1 else []
+        vertices, start, extent = spanning_arcs(points, edges)
+        bisector = normalize_degrees(start + extent / 2.0)
+        ends = {}
+        for u, v in edges:
+            ends.setdefault(u, []).append(v)
+            ends.setdefault(v, []).append(u)
+        assert vertices.tolist() == sorted(ends)
+        for k, v in enumerate(vertices.tolist()):
+            arc = spanning_arc([direction(points[v], points[u]).degrees for u in ends[v]])
+            assert (start[k], extent[k]) == arc
+            wedge = covering_wedge(points[v], [points[u] for u in ends[v]], 90.0)
+            assert bisector[k] == wedge.bisector.degrees
+
+    def test_no_edges(self):
+        assert [a.tolist() for a in spanning_arcs([pt(0, 0)], [])] == [[], [], []]
+
+
+class TestEdgeDirections:
+    def test_point_array_self_edge_raises(self):
+        points = PointArray(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        assert edge_directions(points, [(0, 1), (1, 0)]).tolist() == [45.0, 225.0]
+        with pytest.raises(DuplicatePointError):
+            edge_directions(points, [(0, 1), (1, 1)])
 
 
 @pytest.fixture(params=["grid", "all-pairs"])

@@ -34,7 +34,7 @@ from wedgespan.generators import (
 from wedgespan.oracle import brute_force_alpha_mst
 from wedgespan.spanner import greedy_components, orient_components
 
-from reference import dense_prim_mst
+from reference import batch_triplets, dense_prim_mst
 
 
 def graph_of(n, triples):
@@ -90,10 +90,11 @@ class TestCommGraph:
 class TestInducedGraph:
     def test_gadget_edges(self):
         pts = [Point(0, 0), Point(3, 1), Point(1, 2)]
-        tri = orient_triplet(pts)
-        g = induced_graph(pts, list(tri.wedges))
-        for a, b in tri.tree_edges:
-            assert g.has_edge(a, b)
+        tri = orient_triplet(pts, [(0, 1, 2)])
+        rows = np.column_stack((tri.bisectors[0], [120.0] * 3, [math.inf] * 3))
+        for g in (induced_graph(pts, rows), induced_graph(pts, [column_wedge(p, *w) for p, w in zip(pts, rows)])):
+            for a, b in tri.tree_edges[0].tolist():
+                assert g.has_edge(a, b)
 
     def test_facing_pair(self):
         pts = [Point(0, 0), Point(1, 0)]
@@ -657,7 +658,7 @@ class TestCrossEdge:
         for _ in range(200):
             pts1 = rand_points(rng, 3)
             pts2 = rand_points(rng, 3)
-            t1, t2 = orient_triplet(pts1), orient_triplet(pts2)
+            t1, t2 = batch_triplets([pts1, pts2])
             pts = pts1 + pts2
             g = induced_graph(pts, list(t1.wedges) + list(t2.wedges))
             assert cross_edge(g, [0, 1, 2], [3, 4, 5]) is not None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wedgespan.errors import DuplicatePointError, InstanceParseError, TooFewPointsError
 from wedgespan.gadget import orient_triplet
-from wedgespan.geom import Direction, Point, Wedge, check_distinct, coordinates
+from wedgespan.geom import Point, check_distinct, coordinates
 from wedgespan.io import (
     Instance,
     ResultDoc,
@@ -391,14 +391,15 @@ class TestSvg:
 
     def test_gadget_sectors(self):
         pts = [Point(0, 0), Point(1, 0), Point(0.4, 0.7)]
-        tri = orient_triplet(pts)
-        svg = emit_svg(pts, tri.wedges, tri.tree_edges)
+        tri = orient_triplet(pts, [(0, 1, 2)])
+        rows = np.column_stack((tri.bisectors[0], [120.0] * 3, [math.inf] * 3))
+        svg = emit_svg(pts, rows, tri.tree_edges[0])
         assert svg.count("<path") == 3
         assert svg.count("<line") == 2
 
     def test_deterministic(self):
         pts = [Point(0, 0), Point(2, 1)]
-        wedges = [Wedge(pts[0], Direction(30), 90.0, 2.0), Wedge(pts[1], Direction(200), 90.0)]
+        wedges = np.array([[30.0, 90.0, 2.0], [200.0, 90.0, math.inf]])
         assert emit_svg(pts, wedges) == emit_svg(pts, wedges)
 
     def test_empty_rejected(self):
