@@ -21,6 +21,7 @@ from .errors import (
     SeparationConnectivityViolation,
     TheoremViolation,
     TooFewPointsError,
+    WedgespanError,
 )
 from .gadget import aim_leftovers, orient_pair, orient_quadruplet, orient_triplet
 from .geom import (
@@ -281,7 +282,8 @@ def build_tree(points: PointSet, alpha_deg: float) -> AlphaTree:
 
     Two points get facing wedges at 90 and 120. Otherwise the alpha's gadget
     step runs on the shortcut tour of the Euclidean MST, and the tree's
-    weight bounds are checked when the group size divides n.
+    weight bounds are checked when the group size divides n. A weight beyond
+    the float range raises WedgespanError, an input error.
     """
     key = int(round(alpha_deg))
     if key not in _ALPHAS or abs(alpha_deg - key) > ANGLE_TOL_DEG:
@@ -292,16 +294,18 @@ def build_tree(points: PointSet, alpha_deg: float) -> AlphaTree:
     if n < 2:
         raise TooFewPointsError("build_tree requires at least two points")
     mst = euclidean_mst(points)
+    if not np.isfinite(mst.weight):  # checked before the gadget steps, which need finite sides
+        raise WedgespanError("points too far apart: the MST's weight overflows the float range")
+    tour = tsp_tour(points, mst)
     # Two points need no gadget; at 180 the path step covers them, with its
     # covering wedges in place of facing ones.
     if n == 2 and key != 180:
-        w = mst.weight
-        tree = tree_from_edges(points, [(0, 1)])
-        wedges = wedge_columns(orient_pair(points, alpha))
-        return AlphaTree(alpha, tree, points, wedges, mst_weight=w, tour_weight=2.0 * w)
-    tour = tsp_tour(points, mst)
-    edges, wedges = step(points, tour)
+        edges, wedges = [(0, 1)], wedge_columns(orient_pair(points, alpha))
+    else:
+        edges, wedges = step(points, tour)
     tree = tree_from_edges(points, edges)
+    if not np.isfinite(tree.weight):
+        raise WedgespanError("points too far apart: the tree's weight overflows the float range")
     if n % group == 0:
         for factor, of, reference in ((group, "tour", tour.weight), (bound, "MST", mst.weight)):
             if tree.weight > factor * reference * (1.0 + REL_TOL):
@@ -424,8 +428,9 @@ def check_alpha_tree(
 
 
 def verify_alpha_tree(points: PointSet, result: AlphaTree) -> AlphaTreeReport:
-    """Recompute every AlphaTree invariant, the ratio against a fresh Euclidean
-    MST, and compare the tree's stored weight with the recomputed one."""
+    """Recompute every AlphaTree invariant, the ratio against the EMST of
+    ``points`` (computed once per ``PointArray``, never read from ``result``),
+    and compare the tree's stored weight with the recomputed one."""
     mst_weight = euclidean_mst(points).weight if points else 0.0
     report = check_alpha_tree(points, result.alpha_deg, result.tree.edges, result.wedge_rows, mst_weight)
     stored = result.tree.weight

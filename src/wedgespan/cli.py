@@ -170,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures += more
         else:
             # The ratio is checked against the stored MST weight: a fresh
-            # EMST would about triple the check's time.
+            # EMST would about double the check's time.
             report = check_alpha_tree(points, stored["alpha"], doc.edges, doc.wedges, stored["mst_weight"])
             failures = list(report.failures)
             fresh = report.summary

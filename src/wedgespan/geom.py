@@ -53,13 +53,15 @@ class PointArray(Sequence[Point]):
     """A read-only set of distinct points backed by an (n, 2) float64 array of
     (x, y) rows, which ``coordinates`` returns; ``points[k]`` is from a Point
     list built on first use. Building one runs the duplicate scan, which
-    raises DuplicatePointError, so ``check_distinct`` passes it at once."""
+    raises DuplicatePointError, so ``check_distinct`` passes it at once.
+    ``_mst`` holds the Euclidean MST that ``graph.euclidean_mst`` computes
+    on its first call, which later calls return."""
 
-    __slots__ = ("xy", "_points")
+    __slots__ = ("xy", "_points", "_mst")
 
     def __init__(self, xy: np.ndarray):
         xy.flags.writeable = False
-        self.xy, self._points = xy, None
+        self.xy, self._points, self._mst = xy, None, None
         _scan_distinct(self)
 
     def __len__(self) -> int:

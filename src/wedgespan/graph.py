@@ -18,6 +18,7 @@ from .geom import (
     REL_TOL,
     Edges,
     Point,
+    PointArray,
     PointSet,
     Wedge,
     check_distinct,
@@ -403,14 +404,15 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
     while the grid holds more than ``_PAIRS_PER_POINT`` candidates per
     point (dense clusters), and 0, every step dense, when the points are
     packed too tightly for any cell to help. ``r`` trades pairs against
-    dense steps and never changes the tree.
+    dense steps and never changes the tree. A read-only ``PointArray`` keeps
+    the tree of its first call, which later calls return.
     """
+    if isinstance(points, PointArray) and points._mst is not None:
+        return points._mst
     check_distinct(points)
     n = len(points)
     if n < 1:
         raise TooFewPointsError("euclidean_mst requires at least one point")
-    if n == 1:
-        return SpanningTree((), 0.0)
     xy = coordinates(points)
     if n <= ALL_PAIRS_N:
         edges = _matrix_prim(xy)
@@ -421,7 +423,10 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
             edges = _grid_prim(xy, pairs)
     xs, ys = xy.T.tolist()
     weight = sum_left(math.hypot(xs[v] - xs[u], ys[v] - ys[u]) for u, v in edges)  # Point.distance_to
-    return SpanningTree(tuple(sorted(edges)), weight)
+    tree = SpanningTree(tuple(sorted(edges)), weight)
+    if isinstance(points, PointArray):
+        points._mst = tree
+    return tree
 
 
 def _matrix_prim(xy: np.ndarray) -> list[tuple[int, int]]:

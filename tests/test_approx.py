@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ from wedgespan.approx import (
     partition_tour,
     verify_alpha_tree,
 )
-from wedgespan.errors import TooFewPointsError
+from wedgespan.errors import GuaranteeViolation, TooFewPointsError, WedgespanError
 from wedgespan.gadget import orient_quadruplet
 from wedgespan.generators import (
     clustered,
@@ -19,7 +20,7 @@ from wedgespan.generators import (
     square_grid_reduction_points,
     uniform_square,
 )
-from wedgespan.geom import Point, Wedge, Direction, angular_spread, wedge_columns
+from wedgespan.geom import Point, PointArray, Wedge, Direction, angular_spread, coordinates, wedge_columns
 from wedgespan.graph import (
     DisjointSets,
     Tour,
@@ -208,6 +209,23 @@ class TestDispatch:
         with pytest.raises(ValueError):
             build_tree(uniform_square(6, seed=1), 100.0)
 
+    def test_tour_weight_beyond_floats_alone_still_solves(self):
+        # The tour weighs 2e308, but the MST and the tree weigh 1e308.
+        pts = [Point(0, 0), Point(1e308, 0)]
+        for alpha in (90, 120, 180):
+            assert verify_alpha_tree(pts, build_tree(pts, alpha)).passed
+
+    def test_tree_weight_beyond_floats_is_an_input_error(self):
+        # The tour of these 8 points weighs less than the float limit; their
+        # trees at 90 and 120 weigh more.
+        rng = random.Random(1)
+        pts = [Point(rng.uniform(0, 4.8e307), rng.uniform(0, 4.8e307)) for _ in range(8)]
+        assert verify_alpha_tree(pts, build_tree(pts, 180)).passed
+        for alpha in (90, 120):
+            with pytest.raises(WedgespanError, match="the tree's weight overflows") as caught:
+                build_tree(pts, alpha)
+            assert not isinstance(caught.value, GuaranteeViolation)
+
 
 class TestVerifier:
     def test_passes_builder_output(self):
@@ -247,6 +265,21 @@ class TestVerifier:
             report = check_alpha_tree(*args, bad)
             assert not report.passed
             assert any("MST weight" in f for f in report.failures)
+
+    @pytest.mark.parametrize("alpha", [180, 120, 90])
+    @pytest.mark.parametrize("verify_on", ["same list", "same PointArray", "new PointArray"])
+    def test_stored_mst_weight_is_not_read(self, alpha, verify_on):
+        # The ratio is taken against the EMST of the points, never the
+        # tree's own claim, so a forged mst_weight changes nothing.
+        pts = uniform_square(24, seed=7)
+        if verify_on != "same list":
+            pts = PointArray(coordinates(pts))
+        at = build_tree(pts, alpha)
+        checked = PointArray(coordinates(pts).copy()) if verify_on == "new PointArray" else pts
+        genuine = verify_alpha_tree(checked, at)
+        assert genuine.passed and genuine.mst_weight == at.mst_weight
+        for scale in (0.5, 2.0, 0.0):
+            assert verify_alpha_tree(checked, replace(at, mst_weight=at.mst_weight * scale)) == genuine
 
     def test_ratio_one_for_pair(self):
         pts = [Point(0, 0), Point(2, 1)]

@@ -155,6 +155,20 @@ class TestSolve:
             assert run("solve", "--in", str(inst), "--alpha", alpha, "--out", str(res)) == 0, alpha
             assert run("verify", "--in", str(inst), "--result", str(res)) == 0, alpha
 
+    @pytest.mark.parametrize("low, high, n", [(0.0, 1.7e308, 30), (-8.9e307, 8.9e307, 30), (-8.9e307, 8.9e307, 2)])
+    def test_overflowing_spans_exit_2_without_output(self, tmp_path, capsys, low, high, n):
+        # Two opposite corners and random points of the box: coordinate
+        # differences this large put the weights at inf, and the solve once
+        # exited 1 with "stored weight inf != recomputed inf".
+        rng = random.Random(0)
+        inst, res = tmp_path / "i.json", tmp_path / "r.json"
+        xy = [[low, low], [high, high]] + [[rng.uniform(low, high), rng.uniform(low, high)] for _ in range(n - 2)]
+        inst.write_text(json.dumps({"points": xy}))
+        for alpha in ("120", "90", "180"):
+            assert run("solve", "--in", str(inst), "--alpha", alpha, "--out", str(res)) == 2, alpha
+            assert not res.exists()
+            assert "overflows the float range" in capsys.readouterr().err
+
     def test_stdout_gets_the_file_bytes(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         res = tmp_path / "r.json"

@@ -10,7 +10,18 @@ from hypothesis import strategies as st
 from wedgespan.errors import ApexMismatchError, DuplicatePointError, GuaranteeViolation, TooFewPointsError
 from wedgespan.gadget import orient_pair, orient_triplet
 from wedgespan import graph
-from wedgespan.geom import ANGLE_TOL_DEG, REL_TOL, Direction, Point, Wedge, column_wedge, coordinates, wedge_columns
+from wedgespan.cli import main
+from wedgespan.geom import (
+    ANGLE_TOL_DEG,
+    REL_TOL,
+    Direction,
+    Point,
+    PointArray,
+    Wedge,
+    column_wedge,
+    coordinates,
+    wedge_columns,
+)
 from wedgespan.graph import (
     CommGraph,
     DisjointSets,
@@ -597,6 +608,58 @@ class TestEuclideanMSTMatchesDensePrim:
         finally:
             tracemalloc.stop()
         assert peak < 2.5e6
+
+
+@pytest.fixture
+def emst_runs(monkeypatch):
+    """The sizes of the EMSTs computed: each runs ``_matrix_prim`` (n <= 64)
+    or ``_near_pairs`` (above) exactly once."""
+    runs = []
+    for name in ("_matrix_prim", "_near_pairs"):
+        real = getattr(graph, name)
+        monkeypatch.setattr(graph, name, lambda xy, real=real: runs.append(len(xy)) or real(xy))
+    return runs
+
+
+class TestEuclideanMSTOncePerPointArray:
+    @pytest.mark.parametrize("alpha", ["180", "120", "90"])
+    @pytest.mark.parametrize("n", [32, 4800])
+    def test_one_computation_per_solve(self, tmp_path, emst_runs, n, alpha):
+        # The builder computes the EMST and the verifier gets it back.
+        inst = tmp_path / "i.json"
+        assert main(["gen", "--generator", "uniform-square", "--n", str(n), "--seed", "3", "--out", str(inst)]) == 0
+        assert main(["solve", "--in", str(inst), "--alpha", alpha, "--out", str(tmp_path / "r.json")]) == 0
+        assert emst_runs == [n]
+
+    def test_a_second_point_array_computes_its_own(self, emst_runs):
+        xy = coordinates(uniform_square(300, seed=1))
+        a, b = PointArray(xy.copy()), PointArray(xy.copy())
+        tree = euclidean_mst(a)
+        assert euclidean_mst(a) is tree and emst_runs == [300]
+        other = euclidean_mst(b)
+        assert other is not tree and other == tree and emst_runs == [300, 300]
+
+    def test_a_point_list_computes_on_every_call(self, emst_runs):
+        pts = uniform_square(300, seed=1)
+        assert euclidean_mst(pts) == euclidean_mst(pts)
+        assert emst_runs == [300, 300]
+
+    @pytest.mark.parametrize("n", [32, 300])
+    def test_a_call_that_raises_stores_nothing(self, monkeypatch, emst_runs, n):
+        points = PointArray(coordinates(uniform_square(n, seed=2)))
+        name = "_matrix_prim" if n <= graph.ALL_PAIRS_N else "_near_pairs"
+        counted = getattr(graph, name)
+
+        def fail(xy):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(graph, name, fail)
+        with pytest.raises(MemoryError):
+            euclidean_mst(points)
+        assert points._mst is None
+        monkeypatch.setattr(graph, name, counted)
+        assert euclidean_mst(points) == dense_prim_mst(list(points))
+        assert euclidean_mst(points) is points._mst and emst_runs == [n]
 
 
 class TestTspTour:
