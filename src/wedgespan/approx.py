@@ -45,6 +45,7 @@ from .graph import (
     SpanningTree,
     Tour,
     cross_edge,
+    cross_pairs,
     edge_lengths,
     euclidean_mst,
     induced_graph,
@@ -99,9 +100,7 @@ def partition_tour(tour: Tour, group_size: int) -> TourPartition:
     n = tour.n
     if n < group_size:
         raise TooFewPointsError(f"partition needs at least {group_size} points, got {n}")
-    weights = [0.0] * group_size
-    for i in range(n):
-        weights[i % group_size] += tour.edge_weights[i]
+    weights = [sum_left(tour.edge_weights[j::group_size]) for j in range(group_size)]
     best = max(range(group_size), key=lambda j: (weights[j], -j))
     if weights[best] < tour.weight / group_size - REL_TOL * tour.weight:
         raise GuaranteeViolation(
@@ -109,10 +108,8 @@ def partition_tour(tour: Tour, group_size: int) -> TourPartition:
             f"1/{group_size} of the tour weight {tour.weight}"
         )
     start = (best + 1) % n
-    rotated = [tour.order[(start + m) % n] for m in range(n)]
-    groups = tuple(
-        tuple(rotated[k : k + group_size]) for k in range(0, n, group_size)
-    )
+    rotated = tour.order[start:] + tour.order[:start]
+    groups = tuple(rotated[k : k + group_size] for k in range(0, n, group_size))
     return TourPartition(groups=groups, connecting_class=best, class_weights=tuple(weights))
 
 
@@ -142,18 +139,10 @@ def _path_step(points: PointSet, tour: Tour) -> _Gadgets:
     return edges, _covering_rows(points, edges, 180.0)
 
 
-def _cross_pairs(sides: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[list[int], list[int]]:
-    """Candidate pairs (a, b) for ``induced_graph``: for each two sides,
-    every u of the first with every v of the second."""
-    a = [u for side_a, side_b in sides for u in side_a for _ in side_b]
-    b = [v for side_a, side_b in sides for _ in side_a for v in side_b]
-    return a, b
-
-
-def _cross_edges(g: CommGraph, sides: Sequence, missing: Callable[[int], Exception]) -> list:
-    """The shortest edge of g between each two sides (``cross_edge``); raises
-    ``missing(k)`` for the first k whose two sides have none."""
-    edges = [cross_edge(g, a, b) for a, b in sides]
+def _cross_edges(g: CommGraph, sides_a, sides_b, missing: Callable[[int], Exception]) -> list:
+    """The shortest edge of g between each two rows of sides (``cross_edge``);
+    raises ``missing(k)`` for the first row k whose two sides have none."""
+    edges = cross_edge(g, sides_a, sides_b)
     if None in edges:
         raise missing(edges.index(None))
     return edges
@@ -176,10 +165,9 @@ def _triplet_step(points: PointSet, tour: Tour) -> _Gadgets:
     tri = orient_triplet(points, groups)
     wedges[groups, 0] = tri.bisectors
     edges = groups[np.arange(len(full))[:, None, None], tri.tree_edges].reshape(-1, 2).tolist()
-    consecutive = list(zip(full, full[1:]))
-    induced = induced_graph(points, wedges, _cross_pairs(consecutive))
-    edges += _cross_edges(induced, consecutive, lambda k: TheoremViolation(
-        "no cross edge between triplet groups {} and {}".format(*consecutive[k])))
+    induced = induced_graph(points, wedges, cross_pairs(groups[:-1], groups[1:]))
+    edges += _cross_edges(induced, groups[:-1], groups[1:], lambda k: TheoremViolation(
+        f"no cross edge between triplet groups {full[k]} and {full[k + 1]}"))
     edges += aim_leftovers(points, wedges, leftovers, [full[-1]] * len(leftovers), 120.0)
     return edges, wedges
 
@@ -191,13 +179,6 @@ def _split_by_x(points: PointSet, members: Sequence[int]) -> tuple[list[int], li
 
 
 _QUAD_PAIRS = tuple(itertools.combinations(range(4), 2))
-
-
-def _quad_pairs(quads: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """Candidate pairs (a, b) for ``induced_graph``: the six inner pairs of each quadruplet."""
-    a = [q[i] for q in quads for i, _ in _QUAD_PAIRS]
-    b = [q[j] for q in quads for _, j in _QUAD_PAIRS]
-    return a, b
 
 
 def _quad_inner_edges(g: CommGraph, quad: Sequence[int]) -> list[tuple[int, int]]:
@@ -253,16 +234,17 @@ def _quadruplet_step(points: PointSet, tour: Tour) -> _Gadgets:
     for quad in quads:
         orientation = orient_quadruplet([points[i] for i in quad])
         wedges[quad, 0] = [w.bisector.degrees for w in orientation.wedges]
-    consecutive = list(zip(full, full[1:]))
-    quad_a, quad_b = _quad_pairs(quads)
-    cross_a, cross_b = _cross_pairs(halves + consecutive)
-    induced = induced_graph(points, wedges, (quad_a + cross_a, quad_b + cross_b))
+    sections = np.array(full, dtype=np.intp).reshape(-1, 8)
+    left, right = np.array(halves, dtype=np.intp).reshape(-1, 2, 4).transpose(1, 0, 2)
+    inner = np.array(quads).T[np.array(_QUAD_PAIRS).T]  # the six inner pairs of each quadruplet
+    pairs = zip(inner, cross_pairs(left, right), cross_pairs(sections[:-1], sections[1:]))
+    induced = induced_graph(points, wedges, [np.concatenate(side, axis=None) for side in pairs])
     for quad in quads:
         edges += _quad_inner_edges(induced, quad)
-    edges += _cross_edges(induced, halves, lambda k: SeparationConnectivityViolation(
+    edges += _cross_edges(induced, left, right, lambda k: SeparationConnectivityViolation(
         f"no edge between x-separated quadruplets of section {full[k]}"))
-    edges += _cross_edges(induced, consecutive, lambda k: SeparationConnectivityViolation(
-        "no edge between consecutive sections {} and {}".format(*consecutive[k])))
+    edges += _cross_edges(induced, sections[:-1], sections[1:], lambda k: SeparationConnectivityViolation(
+        f"no edge between consecutive sections {full[k]} and {full[k + 1]}"))
     edges += aim_leftovers(points, wedges, leftovers, [host] * len(leftovers), 90.0)
     return edges, wedges
 

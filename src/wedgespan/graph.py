@@ -36,9 +36,9 @@ class CommGraph:
     """Undirected graph over vertices 0..n-1 with Euclidean edge weights.
 
     Edge k is ``(u[k], v[k])``, u[k] < v[k], of weight ``w[k]``, in ascending
-    order; ``neighbors(x)`` is x's ascending row of shared int objects. Built
-    once and then treated as read-only, so a finished graph can be shared
-    freely across concurrent readers.
+    order; ``neighbors(x)`` is x's ascending row of shared int objects. The
+    arrays are fixed at construction; the rows are built by the first call
+    that walks them, and the graph is read-only from then on.
     """
 
     __slots__ = ("n", "u", "v", "w", "_rows", "_base")
@@ -54,6 +54,12 @@ class CommGraph:
             k = int(bad.argmax())
             raise ValueError(f"edge {k} ({u[k]},{v[k]}) is not an ascending pair u < v in 0..{n - 1}")
         self.n, self.u, self.v, self.w = n, u, v, w
+
+    def __getattr__(self, name: str) -> list:
+        """Build the rows, ``_rows`` and ``_base``, when first read."""
+        if name not in ("_rows", "_base"):
+            raise AttributeError(name)
+        n, u, v = self.n, self.u, self.v
         # Row x: the u of each edge (u, x), then the v of each (x, v), both ascending.
         ids = list(range(n))
         ul, vl = list(map(ids.__getitem__, u.tolist())), list(map(ids.__getitem__, v.tolist()))
@@ -62,6 +68,7 @@ class CommGraph:
             rows[b].append(a)
         # Edge (x, y), x < y, is edge _base[x] + i, where row x holds y at i.
         self._base = (u.searchsorted(np.arange(n)) - np.bincount(v, minlength=n)).tolist()
+        return getattr(self, name)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._rows[u]
@@ -207,13 +214,14 @@ def induced_graph(
 
     The wedges are Wedge objects, or ``wedge_columns`` rows whose apexes are
     the points. Containment is ``Wedge.contains``' rules (``_covers``)
-    evaluated both ways for candidate pairs only, so memory stays O(n + m).
-    Given ``pairs=(a, b)`` the candidates are the pairs ``(a[k], b[k])``;
-    then only the wedges of vertices in some pair are read (and the apexes
-    of objects checked), so the others may be None or unset rows. Otherwise
-    they are ``_candidate_pairs`` at the largest tolerant wedge range, padded
-    by twice the largest apex tolerance (an apex may sit that far from its
-    point, and ranges are measured from the apex).
+    evaluated for candidate pairs only, so memory stays O(n + m): a's wedge
+    holding b, then b's holding a where the first holds. Given
+    ``pairs=(a, b)``, index arrays of one shape, the candidates are the
+    pairs ``(a[k], b[k])``; then only the wedges of vertices in some pair are
+    read (and the apexes of objects checked), so the others may be None or
+    unset rows. Otherwise they are ``_candidate_pairs`` at the largest
+    tolerant wedge range, padded by twice the largest apex tolerance (an apex
+    may sit that far from its point, and ranges are measured from the apex).
     Each edge is weighted by ``Point.distance_to``.
     """
     n = len(points)
@@ -221,22 +229,23 @@ def induced_graph(
     if pairs is None:
         if n != len(wedges):
             raise ApexMismatchError(f"{n} points but {len(wedges)} wedges")
-        at, ids = np.arange(n), range(n)
+        at = ids = np.arange(n)
     else:
-        a, b = (np.asarray(side, dtype=np.intp) for side in pairs)
+        a, b = (np.asarray(side, dtype=np.intp).ravel() for side in pairs)
         in_pair = np.zeros(n, dtype=bool)
         in_pair[a] = in_pair[b] = True
-        ids = in_pair.nonzero()[0].tolist()
-        at = in_pair.cumsum() - 1  # each vertex's row in rows; np.unique would import numpy.ma
+        ids = in_pair.nonzero()[0]
+        at = in_pair.cumsum() - 1  # each vertex's row in rows
         xy = xy[ids]
     if isinstance(wedges, np.ndarray):
         rows = _vertex_arrays(xy, wedges[ids])
     else:
-        own: list[Wedge] = [wedges[i] for i in ids]  # type: ignore[misc]
+        own: list[Wedge] = [wedges[i] for i in ids.tolist()]  # type: ignore[misc]
         rows = _vertex_arrays(xy, wedge_columns(own), coordinates([w.apex for w in own]))
         for k in ((rows.ax != rows.qx) | (rows.ay != rows.qy)).nonzero()[0].tolist():
-            if not points_coincide(points[ids[k]], own[k].apex):  # an apex must be at its point
-                raise ApexMismatchError(f"wedge {ids[k]} apex {own[k].apex} is not at point {points[ids[k]]}")
+            i = ids.item(k)
+            if not points_coincide(points[i], own[k].apex):  # an apex must be at its point
+                raise ApexMismatchError(f"wedge {i} apex {own[k].apex} is not at point {points[i]}")
     if pairs is None:
         pad = 2.0 * REL_TOL * max(rows.q_scale.max(initial=1.0), rows.a_scale.max(initial=1.0))
         blocks = _candidate_pairs(xy, rows.rad.max(initial=0.0) * (1.0 + REL_TOL), pad)
@@ -244,8 +253,9 @@ def induced_graph(
         blocks = [(a, b)]
     kept = [(np.empty(0, np.intp), np.empty(0, np.intp))]
     for a, b in blocks:
-        both = _covers(rows, at[np.concatenate((a, b))], at[np.concatenate((b, a))])
-        mutual = both[: len(a)] & both[len(a) :]
+        ahead = _covers(rows, at[a], at[b])  # wedge a holds b; then, of those, wedge b holds a
+        a, b = a[ahead], b[ahead]
+        mutual = _covers(rows, at[b], at[a])
         kept.append((np.minimum(a, b)[mutual], np.maximum(a, b)[mutual]))
     u, v = (np.concatenate(side) for side in zip(*kept))
     order = np.lexsort((v, u))
@@ -414,13 +424,14 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
     if n < 1:
         raise TooFewPointsError("euclidean_mst requires at least one point")
     xy = coordinates(points)
-    if n <= ALL_PAIRS_N:
-        edges = _matrix_prim(xy)
-    else:
-        pairs = _near_pairs(xy)
-        edges = _boruvka_prim(xy, pairs)
-        if edges is None:  # a tie, or no pairs
-            edges = _grid_prim(xy, pairs)
+    with np.errstate(over="ignore"):  # distances past the float range are inf: build_tree reports them
+        if n <= ALL_PAIRS_N:
+            edges = _matrix_prim(xy)
+        else:
+            pairs = _near_pairs(xy)
+            edges = _boruvka_prim(xy, pairs)
+            if edges is None:  # a tie, or no pairs
+                edges = _grid_prim(xy, pairs)
     xs, ys = xy.T.tolist()
     weight = sum_left(math.hypot(xs[v] - xs[u], ys[v] - ys[u]) for u, v in edges)  # Point.distance_to
     tree = SpanningTree(tuple(sorted(edges)), weight)
@@ -755,26 +766,35 @@ def tsp_tour(points: PointSet, mst: SpanningTree) -> Tour:
     return Tour(tuple(order), weight, edge_weights)
 
 
-def cross_edge(
-    g: CommGraph, side_a: Sequence[int], side_b: Sequence[int]
-) -> Optional[tuple[int, int]]:
-    """Minimum-length edge (u, v) of g with u in side_a and v in side_b, or None.
+def cross_pairs(sides_a: np.ndarray, sides_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every u of row k of the (k, p) ``sides_a`` with every v of the (k, q)
+    ``sides_b``: two (k, p, q) index arrays."""
+    p, q = sides_a.shape[1], sides_b.shape[1]
+    return np.repeat(sides_a[:, :, None], q, axis=2), np.repeat(sides_b[:, None, :], p, axis=1)
 
-    Ties go to the earliest u in side_a, then the earliest v in side_b, so
-    the result does not depend on the vertex ids. The two sides must be
-    disjoint.
+
+def cross_edge(g: CommGraph, sides_a: np.ndarray, sides_b: np.ndarray) -> list[Optional[tuple[int, int]]]:
+    """Per row k, the minimum-length edge (u, v) of g with u in
+    ``sides_a[k]`` and v in ``sides_b[k]``, or None; the sides are (k, p)
+    and (k, q) index arrays.
+
+    Ties go to the earliest u in ``sides_a[k]``, then the earliest v in
+    ``sides_b[k]``, so the result does not depend on the vertex ids. Each
+    row's two sides must be disjoint.
     """
-    at_b = {v: j for j, v in enumerate(side_b)}
-    if not at_b.keys().isdisjoint(side_a):
+    if not len(sides_a):
+        return []
+    sides_a, sides_b = np.asarray(sides_a, np.intp), np.asarray(sides_b, np.intp)
+    cu, cv = sides_a[:, :, None], sides_b[:, None, :]
+    if (cu == cv).any():
         raise ValueError("cross_edge sides must be disjoint")
-    best: Optional[tuple[float, int, int]] = None
-    for i, u in enumerate(side_a):
-        for v in g.neighbors(u):
-            j = at_b.get(v)
-            if j is not None:
-                cand = (g.weight(u, v), i, j)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
-        return None
-    return side_a[best[1]], side_b[best[2]]
+    q = sides_b.shape[1]
+    key = (np.minimum(cu, cv) * g.n + np.maximum(cu, cv)).reshape(-1, sides_a.shape[1] * q)  # u by u
+    keys = np.concatenate((g.u * g.n + g.v, [g.n * g.n]))  # the last is past every key: no lookup overruns
+    at = keys.searchsorted(key)
+    found = keys[at] == key
+    rows = np.arange(len(key))
+    pick = np.where(found, np.concatenate((g.w, [np.inf]))[at], np.inf).argmin(axis=1)
+    pick = np.where(found[rows, pick], pick, found.argmax(axis=1))  # all its edges weigh inf
+    ends = zip(sides_a[rows, pick // q].tolist(), sides_b[rows, pick % q].tolist())
+    return [edge if ok else None for edge, ok in zip(ends, found.any(axis=1).tolist())]

@@ -134,8 +134,8 @@ def parse_instance(text: str) -> Instance:
 
 # json.dumps(indent=2)'s items one level inside a top-level array.
 _PAIR = "    [\n      %r,\n      %r\n    ]"
-_WEDGE = '    {\n      "bisector_deg": %r,\n      "aperture_deg": %r,\n      "radius": %r\n    }'
-_UNBOUNDED_WEDGE = '    {\n      "bisector_deg": %r,\n      "aperture_deg": %r\n    }'
+_WEDGE = '    {\n      "bisector_deg": %s,\n      "aperture_deg": %s,\n      "radius": %s\n    }'
+_UNBOUNDED_WEDGE = '    {\n      "bisector_deg": %s,\n      "aperture_deg": %s\n    }'
 _CHUNK_ITEMS = 4096
 
 
@@ -203,9 +203,12 @@ def emit_result(doc: ResultDoc, out: Optional[TextIO] = None) -> Optional[str]:
     ``wedge_value_fault`` raises ValueError before anything is written."""
     if fault := wedge_value_fault(doc.wedges):
         raise ValueError(fault)
-    values = map(round_sig, doc.wedges.ravel().tolist())
+    # Each distinct value, told apart by its bits so that -0.0 and 0.0 stay apart, is formatted once.
+    bits, at = np.unique(np.ascontiguousarray(doc.wedges, dtype=np.float64).view(np.int64), return_inverse=True)
+    texts = [repr(round_sig(x)) for x in bits.view(np.float64).tolist()]
+    values = map(texts.__getitem__, at.ravel().tolist())
     rows = zip(values, values, values)
-    records = (_WEDGE % row if row[2] != math.inf else _UNBOUNDED_WEDGE % row[:2] for row in rows)
+    records = (_WEDGE % row if row[2] != "inf" else _UNBOUNDED_WEDGE % row[:2] for row in rows)
     obj = {"wedges": [], "edges": [], "summary": doc.summary}
     if doc.verification is not None:
         obj["verification"] = doc.verification

@@ -12,9 +12,10 @@
   writer must give their bytes.
 * The per-group gadget recipes the builders used before they oriented
   every group in one numpy pass: the scalar triplet gadget, the per-point
-  covering wedge and leftover aiming by ``Wedge.contains``; the batch code
-  must give their bits. ``batch_triplets`` views the batch gadget's rows in
-  the scalar one's shape, so the same checks read both.
+  covering wedge, leftover aiming by ``Wedge.contains`` and the cross-edge
+  search over one pair of sides; the batch code must give their bits.
+  ``batch_triplets`` views the batch gadget's rows in the scalar one's
+  shape, so the same checks read both.
 """
 
 from __future__ import annotations
@@ -467,3 +468,28 @@ def aim_leftovers_scalar(
         wedges[p] = Wedge(points[p], direction(points[p], points[x]), aperture_deg, radius)
         edges.append((p, x))
     return edges
+
+
+def cross_edge_scalar(
+    g: CommGraph, side_a: Sequence[int], side_b: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """Minimum-length edge (u, v) of g with u in side_a and v in side_b, or None.
+
+    Ties go to the earliest u in side_a, then the earliest v in side_b, so
+    the result does not depend on the vertex ids. The two sides must be
+    disjoint.
+    """
+    at_b = {v: j for j, v in enumerate(side_b)}
+    if not at_b.keys().isdisjoint(side_a):
+        raise ValueError("cross_edge sides must be disjoint")
+    best: Optional[tuple[float, int, int]] = None
+    for i, u in enumerate(side_a):
+        for v in g.neighbors(u):
+            j = at_b.get(v)
+            if j is not None:
+                cand = (g.weight(u, v), i, j)
+                if best is None or cand < best:
+                    best = cand
+    if best is None:
+        return None
+    return side_a[best[1]], side_b[best[2]]

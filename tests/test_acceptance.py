@@ -289,6 +289,6 @@ def test_c10_negative_fixture_detects_absence():
     assert verify_coverage(w1)
     assert verify_coverage(w2)
     union = induced_graph(pts1 + pts2, w1 + w2)
-    assert cross_edge(union, [0, 1, 2], [3, 4, 5]) is None
+    assert cross_edge(union, [[0, 1, 2]], [[3, 4, 5]]) == [None]
     assert not union.is_connected()
     _report("C10 negative-fixture")

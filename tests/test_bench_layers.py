@@ -75,6 +75,19 @@ def test_one_triplet_pass_per_solve_and_convert(tmp_path, monkeypatch):
     assert counts == [1, 1]
 
 
+def test_one_cross_edge_pass_per_alpha_120_solve(tmp_path, monkeypatch):
+    # Every pair of consecutive triplets is searched in one cross_edge call.
+    tracer = _load("spans", monkeypatch).Tracer("wedgespan", ["graph.cross_edge"])
+    tree = str(tmp_path / "tree.json")
+    assert main(["gen", "--generator", "uniform-square", "--n", "4800", "--seed", "1000", "--out", tree]) == 0
+    tracer.install()
+    try:
+        assert main(["solve", "--in", tree, "--alpha", "120", "--out", str(tmp_path / "out.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.take()[0]["graph.cross_edge"] == 1
+
+
 @pytest.mark.parametrize("alpha", [120, 180])
 @pytest.mark.parametrize("n", [4800, 4801])
 def test_build_tree_leaves_the_point_list_unbuilt(n, alpha):

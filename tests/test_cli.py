@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from collections import deque
 from pathlib import Path
 
@@ -166,6 +167,23 @@ class TestSolve:
         inst.write_text(json.dumps({"points": xy}))
         for alpha in ("120", "90", "180"):
             assert run("solve", "--in", str(inst), "--alpha", alpha, "--out", str(res)) == 2, alpha
+            assert not res.exists()
+            assert "overflows the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_overflowing_distances_raise_no_numpy_warning(self, tmp_path, capsys, n):
+        # Up to 64 points the EMST takes the full distance matrix, above it
+        # the grid route; both once warned "overflow encountered in hypot".
+        # A warning shows once per code location; "always" records each one.
+        rng = random.Random(n)
+        inst, res = tmp_path / "i.json", tmp_path / "r.json"
+        inst.write_text(json.dumps({"points": [[rng.uniform(0.0, 1.7e308), rng.uniform(0.0, 1.7e308)]
+                                               for _ in range(n)]}))
+        for alpha in ("120", "90", "180"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run("solve", "--in", str(inst), "--alpha", alpha, "--out", str(res)) == 2, alpha
+            assert [str(w.message) for w in caught] == []
             assert not res.exists()
             assert "overflows the float range" in capsys.readouterr().err
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from wedgespan.errors import ApexMismatchError, DuplicatePointError, GuaranteeViolation, TooFewPointsError
 from wedgespan.gadget import orient_pair, orient_triplet
 from wedgespan import graph
+from wedgespan.approx import build_tree
+from wedgespan.io import Instance, emit_instance, parse_instance
 from wedgespan.cli import main
 from wedgespan.geom import (
     ANGLE_TOL_DEG,
@@ -45,7 +47,7 @@ from wedgespan.generators import (
 from wedgespan.oracle import brute_force_alpha_mst
 from wedgespan.spanner import greedy_components, orient_components
 
-from reference import batch_triplets, dense_prim_mst
+from reference import batch_triplets, cross_edge_scalar, dense_prim_mst
 
 
 def graph_of(n, triples):
@@ -96,6 +98,61 @@ class TestCommGraph:
                 rows[v].append(u)
                 assert g.weight(v, u) == w
             assert all(g.neighbors(x) == sorted(rows[x]) for x in range(g.n))
+
+
+_WALKS = {
+    "neighbors": lambda g: [g.neighbors(x) for x in range(g.n)],
+    "has_edge": lambda g: [g.has_edge(x, y) for x in range(g.n) for y in range(g.n)],
+    "weight": lambda g: [g.weight(u, v) for u, v, _ in g.edges()] + [g.weight(v, u) for u, v, _ in g.edges()],
+    "degree": lambda g: [g.degree(x) for x in range(g.n)],
+    "is_connected": lambda g: g.is_connected(),
+    "hop_distances_from": lambda g: [hop_distances_from(g, x, range(g.n)) for x in range(g.n)],
+}
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """The graphs whose rows get built, one entry per build."""
+    built = []
+    build = CommGraph.__getattr__
+    monkeypatch.setattr(CommGraph, "__getattr__", lambda self, name: built.append(self) or build(self, name))
+    return built
+
+
+class TestRowsBuiltOnFirstWalk:
+    """A graph's neighbour rows are built by the first call that walks them."""
+
+    @staticmethod
+    def graph():
+        return graph_of(6, [(0, 1, 0.5), (0, 4, 1.5), (1, 4, 2.5), (2, 3, 1.0), (3, 5, 0.25)])
+
+    @pytest.mark.parametrize("first", sorted(_WALKS))
+    def test_every_walk_answers_the_same_whichever_comes_first(self, row_builds, first):
+        want = {name: walk(self.graph()) for name, walk in _WALKS.items()}
+        g = self.graph()
+        row_builds.clear()
+        assert _WALKS[first](g) == want[first]
+        assert row_builds == [g]
+        assert {name: walk(g) for name, walk in _WALKS.items()} == want
+        assert row_builds == [g]
+
+    def test_a_missing_weight_raises_before_and_after_the_build(self):
+        g = self.graph()
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                g.weight(0, 2)
+            assert g.weight(4, 1) == 2.5
+        with pytest.raises(AttributeError):
+            g.rows  # only the two row attributes are built on demand
+
+    @pytest.mark.parametrize("n", [4800, 4801])
+    def test_alpha_120_build_leaves_its_induced_graph_unwalked(self, monkeypatch, row_builds, n):
+        made = []
+        init = CommGraph.__init__
+        monkeypatch.setattr(CommGraph, "__init__", lambda self, *args: made.append(self) or init(self, *args))
+        points = parse_instance(emit_instance(Instance(points=uniform_square(n, seed=0), meta={}))).points
+        build_tree(points, 120)
+        assert len(made) == 1 and row_builds == []
 
 
 class TestInducedGraph:
@@ -724,7 +781,7 @@ class TestCrossEdge:
             t1, t2 = batch_triplets([pts1, pts2])
             pts = pts1 + pts2
             g = induced_graph(pts, list(t1.wedges) + list(t2.wedges))
-            assert cross_edge(g, [0, 1, 2], [3, 4, 5]) is not None
+            assert cross_edge(g, [[0, 1, 2]], [[3, 4, 5]]) != [None]
 
     def test_absent_without_coverage(self):
         pts = [Point(0, 0), Point(1, 0)]
@@ -733,27 +790,51 @@ class TestCrossEdge:
             Wedge(pts[1], Direction(0), 90.0),
         ]
         g = induced_graph(pts, wedges)
-        assert cross_edge(g, [0], [1]) is None
+        assert cross_edge(g, [[0]], [[1]]) == [None]
 
     def test_minimum_length_rule(self):
         g = graph_of(4, [(0, 2, 2.0), (1, 3, 1.0)])
-        assert cross_edge(g, [0, 1], [2, 3]) == (1, 3)
+        assert cross_edge(g, [[0, 1]], [[2, 3]]) == [(1, 3)]
 
     def test_tie_breaks_lexicographically(self):
         g = graph_of(4, [(1, 2, 1.0), (0, 3, 1.0)])
-        assert cross_edge(g, [0, 1], [2, 3]) == (0, 3)
+        assert cross_edge(g, [[0, 1]], [[2, 3]]) == [(0, 3)]
 
     def test_tie_breaks_by_position_not_id(self):
         # Three edges of equal weight; sides listed in descending id order.
         g = graph_of(6, [(5, 0, 1.0), (5, 1, 1.0), (4, 1, 1.0), (4, 0, 2.0)])
-        assert cross_edge(g, [5, 4], [1, 0]) == (5, 1)
-        assert cross_edge(g, [4, 5], [0, 1]) == (4, 1)
-        assert cross_edge(g, [0, 1], [4, 5]) == (0, 5)
+        assert cross_edge(g, [[5, 4], [4, 5], [0, 1]], [[1, 0], [0, 1], [4, 5]]) == [(5, 1), (4, 1), (0, 5)]
 
     def test_disjointness_required(self):
         g = graph_of(3, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
-            cross_edge(g, [0, 1], [1, 2])
+            cross_edge(g, [[0, 1]], [[1, 2]])
+        with pytest.raises(ValueError):  # any one row's sides meeting is enough
+            cross_edge(g, [[0], [0]], [[1], [0]])
+
+    def test_edges_of_inf_weight_are_edges(self):
+        g = graph_of(4, [(0, 3, math.inf), (1, 2, math.inf)])
+        assert cross_edge(g, [[0, 1], [1, 0]], [[2, 3], [2, 3]]) == [(0, 3), (1, 2)]
+
+    def test_no_rows(self):
+        g = graph_of(4, [(0, 3, 1.0)])
+        assert cross_edge(g, np.empty((0, 2), np.intp), np.empty((0, 1), np.intp)) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_batch_matches_scalar_row_for_row(self, data):
+        # Small integer weights tie often; some rows meet no edge at all.
+        n = data.draw(st.integers(2, 9), label="n")
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e))), max_size=20), label="edges")
+        g = graph_of(n, [(u, v, data.draw(st.integers(1, 3), label="w") / 2.0) for u, v in pairs])
+        p = data.draw(st.integers(1, n - 1), label="p")
+        q = data.draw(st.integers(1, n - p), label="q")
+        rows = data.draw(st.lists(st.permutations(range(n)), max_size=6), label="rows")
+        sides_a = np.array([row[:p] for row in rows], dtype=np.intp).reshape(-1, p)
+        sides_b = np.array([row[p : p + q] for row in rows], dtype=np.intp).reshape(-1, q)
+        want = [cross_edge_scalar(g, a, b) for a, b in zip(sides_a.tolist(), sides_b.tolist())]
+        assert cross_edge(g, sides_a, sides_b) == want
 
 
 class TestSumLeft:

@@ -206,6 +206,23 @@ class TestResultWriter:
         assert emit_result(doc, out) is None
         assert out.getvalue() == want
 
+    # Values the writer formats once per column: signed zeros, an integral
+    # angle, values at and past 12 significant digits, the least subnormal.
+    _POOL = st.sampled_from([-0.0, 0.0, 90.0, 1e16, 123456789012.0, 5e-324, -5e-324, 120.0, 0.1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_POOL, _POOL, st.one_of(st.just(math.inf), _POOL)), max_size=12),
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=4),
+    )
+    def test_repeated_values_match_json_dumps(self, wedges, edges):
+        doc = ResultDoc(np.array(wedges).reshape(-1, 3), edges, {"alpha": 120.0})
+        want = emit_result_json(doc)
+        assert emit_result(doc) == want
+        out = io.StringIO()
+        assert emit_result(doc, out) is None
+        assert out.getvalue() == want
+
     def test_large_result_is_written_in_chunks(self):
         class Writes(io.StringIO):
             def write(self, text):
