@@ -30,7 +30,6 @@ from .errors import (
     WedgespanError,
 )
 from .gadget import (
-    QuadrupletOrientation,
     TripletOrientation,
     orient_pair,
     orient_quadruplet,

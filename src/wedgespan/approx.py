@@ -28,16 +28,15 @@ from .geom import (
     ANGLE_TOL_DEG,
     REL_TOL,
     Edges,
+    PointArray,
     PointSet,
     Wedge,
-    Wedges,
     angular_spread,
     column_wedge,
     coordinates,
     edge_array,
     normalize_degrees,
     spanning_arcs,
-    wedge_columns,
 )
 from .graph import (
     CommGraph,
@@ -60,9 +59,9 @@ from .graph import (
 class AlphaTree:
     """A spanning tree whose edges at every vertex fit in an aperture-alpha wedge.
 
-    ``wedge_rows`` holds per-point witness wedges, as the (n, 3)
-    ``wedge_columns`` rows of ``points``: every tree edge is an edge of the
-    graph induced by them. ``wedges`` builds them as Wedge objects.
+    ``wedge_rows`` holds per-point witness wedges, as the (n, 3) wedge rows
+    of ``points``: every tree edge is an edge of the graph induced by them.
+    ``wedges`` builds them as Wedge objects.
     """
 
     alpha_deg: float
@@ -113,8 +112,8 @@ def partition_tour(tour: Tour, group_size: int) -> TourPartition:
     return TourPartition(groups=groups, connecting_class=best, class_weights=tuple(weights))
 
 
-# What a gadget step returns: the tree edges and the (n, 3) wedge_columns
-# rows of one witness wedge per point, unbounded, with NaN bisectors unset.
+# What a gadget step returns: the tree edges and the (n, 3) wedge rows of
+# one witness wedge per point, unbounded, with NaN bisectors unset.
 _Gadgets = tuple[list, np.ndarray]
 
 
@@ -172,10 +171,11 @@ def _triplet_step(points: PointSet, tour: Tour) -> _Gadgets:
     return edges, wedges
 
 
-def _split_by_x(points: PointSet, members: Sequence[int]) -> tuple[list[int], list[int]]:
-    ordered = sorted(members, key=lambda i: (points[i].x, points[i].y, i))
-    half = len(ordered) // 2
-    return ordered[:half], ordered[half:]
+def _by_x(xy: np.ndarray, members: Sequence[int]) -> list[int]:
+    """The members sorted by (x, y, index)."""
+    members = np.asarray(members)
+    x, y = xy[members].T
+    return members[np.lexsort((members, y, x))].tolist()
 
 
 _QUAD_PAIRS = tuple(itertools.combinations(range(4), 2))
@@ -219,21 +219,24 @@ def _quadruplet_step(points: PointSet, tour: Tour) -> _Gadgets:
 
     wedges = np.full((n, 3), (np.nan, 90.0, np.inf))
     edges: list[tuple[int, int]] = []
+    xy = coordinates(points)
 
     if n < 8:
-        host = sorted(range(n), key=lambda i: (points[i].x, points[i].y, i))[:4]
+        host = _by_x(xy, range(n))[:4]
         leftovers = [p for p in tour.order if p not in host]
         full, halves, quads = [], [], [host]
     else:
         part = partition_tour(tour, 8)
         full = [g for g in part.groups if len(g) == 8]
         leftovers = [p for g in part.groups if len(g) < 8 for p in g]
-        halves = [_split_by_x(points, g) for g in full]
+        halves = [(ordered[:4], ordered[4:]) for ordered in (_by_x(xy, g) for g in full)]
         quads = [quad for half in halves for quad in half]
         host = full[-1]
+    # A PointArray hands each gadget its four points' coordinates without
+    # converting the whole list every time.
+    indexed = points if isinstance(points, PointArray) else PointArray(xy)
     for quad in quads:
-        orientation = orient_quadruplet([points[i] for i in quad])
-        wedges[quad, 0] = [w.bisector.degrees for w in orientation.wedges]
+        wedges[quad, 0] = orient_quadruplet(indexed, quad)
     sections = np.array(full, dtype=np.intp).reshape(-1, 8)
     left, right = np.array(halves, dtype=np.intp).reshape(-1, 2, 4).transpose(1, 0, 2)
     inner = np.array(quads).T[np.array(_QUAD_PAIRS).T]  # the six inner pairs of each quadruplet
@@ -282,7 +285,7 @@ def build_tree(points: PointSet, alpha_deg: float) -> AlphaTree:
     # Two points need no gadget; at 180 the path step covers them, with its
     # covering wedges in place of facing ones.
     if n == 2 and key != 180:
-        edges, wedges = [(0, 1)], wedge_columns(orient_pair(points, alpha))
+        edges, wedges = [(0, 1)], orient_pair(points, (0, 1), alpha)
     else:
         edges, wedges = step(points, tour)
     tree = tree_from_edges(points, edges)
@@ -335,7 +338,7 @@ def check_alpha_tree(
     points: PointSet,
     alpha_deg: float,
     edges: Edges,
-    wedges: Wedges,
+    wedges: np.ndarray,
     mst_weight: float,
 ) -> AlphaTreeReport:
     """Check an alpha-tree given as plain data (edges: distinct indices into points).
@@ -343,14 +346,14 @@ def check_alpha_tree(
     Checks edge count, span, acyclicity, per-vertex spread against alpha,
     that every witness wedge has aperture alpha and every edge is mutual
     under them, that the reference MST weight is positive and at most the
-    tree's, and the ratio. Wedge k is taken to have its apex at ``points[k]``.
+    tree's, and the ratio. ``wedges`` holds the points' wedge rows.
     The weight is computed from the edges, summed in their order; comparing
     it with a stored one is left to the caller.
     The ratio bound (2 / 6 / 16) is enforced only where the charging argument
     applies: always for 180, and when the group size divides n for 120 and 90.
     """
     n = len(points)
-    ends, cols = edge_array(edges), wedge_columns(wedges)
+    ends = edge_array(edges)
     failures: list[str] = []
     edge_count_ok = len(ends) == n - 1
     if not edge_count_ok:
@@ -370,10 +373,10 @@ def check_alpha_tree(
     if spread > alpha_deg + ANGLE_TOL_DEG:
         failures.append(f"vertex {worst} has spread {spread} > alpha {alpha_deg}")
 
-    for k in (np.abs(cols[:, 1] - alpha_deg) > ANGLE_TOL_DEG).nonzero()[0][:1].tolist():
-        failures.append(f"witness wedge {k} has aperture {cols.item(k, 1)}, not alpha {alpha_deg}")
+    for k in (np.abs(wedges[:, 1] - alpha_deg) > ANGLE_TOL_DEG).nonzero()[0][:1].tolist():
+        failures.append(f"witness wedge {k} has aperture {wedges.item(k, 1)}, not alpha {alpha_deg}")
 
-    missed = non_mutual_edges(points, cols, ends)
+    missed = non_mutual_edges(points, wedges, ends)
     witness_ok = not missed
     if missed:
         failures.append("edge ({},{}) is not mutual under the witness wedges".format(*missed[0]))

@@ -10,7 +10,7 @@ class DuplicatePointError(WedgespanError):
 
 
 class ApexMismatchError(WedgespanError):
-    """A wedge's apex does not coincide with the point it is attached to."""
+    """The wedges do not match the points one to one: a count mismatch."""
 
 
 class TooFewPointsError(WedgespanError):

@@ -12,9 +12,10 @@ Three recipes live here:
   cover the plane (``verify_coverage``) wins.
 * ``orient_pair`` — two facing wedges, the trivial case.
 
-``aim_leftovers`` gives points outside any gadget a wedge aimed at a gadget
-wedge that covers them, which makes the edge between the two mutual. Both
-work on ``wedge_columns`` rows.
+All of them name their points by index and give bisectors or wedge rows
+(``geom``). ``aim_leftovers`` gives points outside any gadget a wedge aimed
+at a gadget wedge that covers them, which makes the edge between the two
+mutual.
 
 ``verify_coverage`` decides plane coverage of a wedge family exactly, from
 the wedges' bounding rays: the union covers the plane iff each ray lies in
@@ -31,16 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GadgetSearchFailed, GuaranteeViolation
-from .geom import (
-    ANGLE_TOL_DEG,
-    Direction,
-    PointSet,
-    Wedge,
-    coordinates,
-    direction,
-    edge_directions,
-    normalize_degrees,
-)
+from .geom import ANGLE_TOL_DEG, PointSet, coordinates, edge_directions, normalize_degrees
 from .graph import _covers, _vertex_arrays, edge_lengths
 
 # Canonical triplet bisectors by role: smallest triangle angle faces along the
@@ -66,13 +58,6 @@ class TripletOrientation:
     def tree_edges(self) -> np.ndarray:
         """The guaranteed edges (peak, base_left), (base_left, base_right): (k, 2, 2) positions."""
         return self.roles[:, [[2, 0], [0, 1]]]
-
-
-@dataclass(frozen=True)
-class QuadrupletOrientation:
-    """Four 90-degree wedges with connected induced graph and plane coverage."""
-
-    wedges: tuple[Wedge, Wedge, Wedge, Wedge]
 
 
 # Triplet side s joins positions _SIDE_A[s] and _SIDE_B[s]; the corner at
@@ -151,13 +136,16 @@ def orient_triplet(points: PointSet, triplets) -> TripletOrientation:
     return TripletOrientation(bisectors, roles, reflected)
 
 
-def orient_pair(points: PointSet, aperture_deg: float) -> tuple[Wedge, Wedge]:
-    """Two wedges whose bisectors face each other, guaranteeing the edge."""
-    if len(points) != 2:
-        raise ValueError(f"orient_pair requires exactly 2 points, got {len(points)}")
-    p, q = points
-    d = direction(p, q)
-    return Wedge(p, d, aperture_deg), Wedge(q, d.opposite(), aperture_deg)
+def orient_pair(
+    points: PointSet, pair: Sequence[int], aperture_deg: float, radius: float = math.inf
+) -> np.ndarray:
+    """The wedge rows of the two points ``pair`` indexes, whose bisectors
+    face each other, guaranteeing the edge."""
+    if len(pair) != 2:
+        raise ValueError(f"orient_pair requires exactly 2 points, got {len(pair)}")
+    d = edge_directions(points, [tuple(pair)])
+    bisectors = normalize_degrees(np.concatenate((d, d + 180.0)))
+    return np.column_stack((bisectors, [aperture_deg] * 2, [radius] * 2))
 
 
 def aim_leftovers(
@@ -172,8 +160,8 @@ def aim_leftovers(
     wedge of its host group (``hosts[k]`` for ``leftovers[k]``) that covers
     it, by ``Wedge.contains``' rules (``graph._covers``), so the edge is
     mutual; a host gadget covers the plane, so one exists. ``wedges`` holds
-    ``wedge_columns`` rows, apexes at the points; the leftovers' rows are
-    written in place. Returns the new edges."""
+    the wedge rows of the points; the leftovers' rows are written in place.
+    Returns the new edges."""
     if not len(leftovers):
         return []
     xy = coordinates(points)
@@ -198,7 +186,8 @@ def aim_leftovers(
 # says whether those edges connect all four points (a path of at most three
 # edges joins every pair, so (A + I)^3 has no zero entry).
 _PAIRS = tuple(itertools.combinations(range(4), 2))
-_PAIR_I, _PAIR_J = np.array(_PAIRS).T
+_PAIR_IJ = np.array(_PAIRS)
+_PAIR_I, _PAIR_J = _PAIR_IJ.T
 _PAIR_BITS = 1 << np.arange(6)
 _ADJ = np.broadcast_to(np.eye(4, dtype=np.int64), (64, 4, 4)).copy()
 _ADJ[:, _PAIR_I, _PAIR_J] = _ADJ[:, _PAIR_J, _PAIR_I] = (np.arange(64)[:, None] & _PAIR_BITS) > 0
@@ -210,8 +199,8 @@ _END_QUADRANT = _PERMS[:, np.concatenate([_PAIR_I, _PAIR_J])]
 _QUADRANTS = np.array([45.0, 135.0, 225.0, 315.0])
 
 
-def orient_quadruplet(points: PointSet) -> QuadrupletOrientation:
-    """Orient 90-degree wedges on four points.
+def orient_quadruplet(points: PointSet, quad: Sequence[int]) -> list[float]:
+    """The bisectors of 90-degree wedges on the four points ``quad`` indexes.
 
     Candidate bisector assignments are the four quadrant bisectors
     45/135/225/315 rotated by phi, with phi drawn from the directions of the
@@ -224,17 +213,15 @@ def orient_quadruplet(points: PointSet) -> QuadrupletOrientation:
     order) and the first one whose wedges cover the plane, by the exact
     ``verify_coverage``, wins.
     """
-    if len(points) != 4:
-        raise ValueError(f"orient_quadruplet requires exactly 4 points, got {len(points)}")
-    dirs, dists = [0.0] * 12, []
-    for k, (i, j) in enumerate(_PAIRS):
-        d = direction(points[i], points[j]).degrees
-        dirs[k], dirs[k + 6] = d, (d + 180.0) % 360.0
-        dists.append(points[i].distance_to(points[j]))
+    if len(quad) != 4:
+        raise ValueError(f"orient_quadruplet requires exactly 4 points, got {len(quad)}")
+    quad = np.asarray(quad, dtype=np.intp)
+    ahead = edge_directions(points, quad[_PAIR_IJ])
+    dirs = np.concatenate((ahead, (ahead + 180.0) % 360.0))
+    xy = coordinates(points)[quad]
 
     phis: list[float] = []
-    for d in dirs[:6]:
-        cand = d % 90.0
+    for cand in (ahead % 90.0).tolist():
         if all(abs(cand - p) > ANGLE_TOL_DEG for p in phis):
             phis.append(cand)
     if all(abs(p) > ANGLE_TOL_DEG for p in phis):
@@ -245,36 +232,29 @@ def orient_quadruplet(points: PointSet) -> QuadrupletOrientation:
     # candidate, numbered phi_index * 24 + perm_index as loops over phi and
     # then permutations would meet it, reads its ends' entries.
     base = (_QUADRANTS + np.array(phis)[:, None]) % 360.0
-    offset = (np.array(dirs)[:, None] - base[:, None, :] + 180.0) % 360.0 - 180.0
+    offset = (dirs[:, None] - base[:, None, :] + 180.0) % 360.0 - 180.0
     inside = np.abs(offset) <= 45.0 + ANGLE_TOL_DEG
     ends = inside[:, np.arange(12), _END_QUADRANT].reshape(-1, 12)
     induced = ends[:, :6] & ends[:, 6:]
     seq = np.flatnonzero(_CONNECTED[induced @ _PAIR_BITS])
     if not len(seq):
-        raise GadgetSearchFailed(f"no connected wedge assignment found for {points}")
+        raise GadgetSearchFailed(f"no connected wedge assignment found for {[points[i] for i in quad.tolist()]}")
     # Lengths summed left to right in pair order; an absent edge adds 0.0,
     # which leaves the partial sum unchanged.
     edges = induced[seq]
-    total = np.where(edges, dists, 0.0).cumsum(axis=1)[:, -1]
+    total = np.where(edges, edge_lengths(xy, _PAIR_I, _PAIR_J), 0.0).cumsum(axis=1)[:, -1]
     ranked = seq[np.lexsort((seq, total, -edges.sum(axis=1)))]
+    apexes = xy.tolist()
     for row in base[:, _PERMS].reshape(-1, 4)[ranked].tolist():
-        wedges = tuple(Wedge(points[i], Direction(row[i]), 90.0) for i in range(4))
-        if verify_coverage(wedges):
-            return QuadrupletOrientation(wedges=wedges)  # type: ignore[arg-type]
-    raise GadgetSearchFailed(f"no covering wedge assignment found for {points}")
+        if verify_coverage(apexes, [(b, 90.0, math.inf) for b in row]):
+            return row
+    raise GadgetSearchFailed(f"no covering wedge assignment found for {[points[i] for i in quad.tolist()]}")
 
 
-def _cone(w: Wedge) -> tuple[float, float, float, float, float, float]:
-    """Apex and unit bounding rays (right, left) of a wedge widened by
-    ``ANGLE_TOL_DEG`` on each side, as ``Wedge.contains`` widens it."""
-    half = w.aperture_deg / 2.0 + ANGLE_TOL_DEG
-    right = math.radians(w.bisector.degrees - half)
-    left = math.radians(w.bisector.degrees + half)
-    return w.apex.x, w.apex.y, math.cos(right), math.sin(right), math.cos(left), math.sin(left)
-
-
-def verify_coverage(wedges: Sequence[Wedge]) -> bool:
-    """Decide exactly whether the union of unbounded wedges covers the plane.
+def verify_coverage(apexes: Sequence[Sequence[float]], rows: Sequence[Sequence[float]]) -> bool:
+    """Decide exactly whether the union of unbounded wedges covers the plane:
+    wedge k has its apex at ``apexes[k]``, an (x, y) pair, and the wedge row
+    ``rows[k]``, with its bisector in [0, 360), as ``Direction`` keeps it.
 
     Each wedge is widened by ``ANGLE_TOL_DEG`` on each side, as
     ``Wedge.contains`` does, and taken as a closed cone; apertures must stay
@@ -287,14 +267,18 @@ def verify_coverage(wedges: Sequence[Wedge]) -> bool:
     from two linear inequalities in apex differences; a sweep over each
     ray's sorted intervals finds any gap on [0, inf).
     """
-    wedges = list(wedges)
-    if not wedges:
+    if not len(rows):
         return False
-    if any(w.radius is not None for w in wedges):
+    if any(radius < math.inf for _, _, radius in rows):
         raise ValueError("coverage verification applies to unbounded wedges only")
-    if any(w.aperture_deg + 2.0 * ANGLE_TOL_DEG >= 180.0 for w in wedges):
+    if any(aperture + 2.0 * ANGLE_TOL_DEG >= 180.0 for _, aperture, _ in rows):
         raise ValueError("coverage verification needs apertures below 180 degrees")
-    cones = [_cone(w) for w in wedges]
+    # Apex and unit bounding rays (right, left) of each widened cone.
+    cones = []
+    for (x, y), (bisector, aperture, _) in zip(apexes, rows):
+        half = aperture / 2.0 + ANGLE_TOL_DEG
+        right, left = math.radians(bisector - half), math.radians(bisector + half)
+        cones.append((x, y, math.cos(right), math.sin(right), math.cos(left), math.sin(left)))
     for i, (ax, ay, rx, ry, lx, ly) in enumerate(cones):
         # Ray direction (ux, uy) and outer normal (nx, ny): a cone lies
         # counterclockwise of its right ray and clockwise of its left ray.

@@ -4,6 +4,10 @@ All angles are kept in degrees so that the 0/120/240 arithmetic of the
 gadget constructions stays exact; radians appear only at trig call sites.
 Wedge boundaries are closed, with an angular tolerance of ``ANGLE_TOL_DEG``
 degrees, and distance comparisons use a relative tolerance of ``REL_TOL``.
+
+The library keeps wedges as wedge rows: an (n, 3) float64 array of
+bisector, aperture and radius (inf when unbounded), row k the wedge of
+point k, with its apex there. ``Wedge`` is one row's object form.
 """
 
 from __future__ import annotations
@@ -92,9 +96,6 @@ class Direction:
 
     def rotated(self, delta_deg: float) -> "Direction":
         return Direction(self.degrees + delta_deg)
-
-    def opposite(self) -> "Direction":
-        return Direction(self.degrees + 180.0)
 
 
 def _coord_scale(*points: Point) -> float:
@@ -291,30 +292,16 @@ class Wedge:
         return abs(delta) <= self.aperture_deg / 2.0 + ANGLE_TOL_DEG
 
 
-# Wedge objects, or their ``wedge_columns`` rows.
-Wedges = Union[Sequence[Wedge], np.ndarray]
-
-
-def wedge_columns(wedges: Wedges) -> np.ndarray:
-    """The wedges as an (n, 3) float array of bisector, aperture and radius
-    (inf when unbounded); an array is taken to be such rows already."""
-    if isinstance(wedges, np.ndarray):
-        return wedges
-    radius = [math.inf if w.radius is None else w.radius for w in wedges]
-    cols = [[w.bisector.degrees for w in wedges], [w.aperture_deg for w in wedges], radius]
-    return np.array(cols, dtype=np.float64).T
-
-
 def bad_wedge_rows(wedges: np.ndarray) -> np.ndarray:
-    """The indices of the ``wedge_columns`` rows that ``Wedge`` rejects: an
-    aperture outside (0, 360] or a radius that is not positive."""
+    """The indices of the wedge rows that ``Wedge`` rejects: an aperture
+    outside (0, 360] or a radius that is not positive."""
     _, aperture, radius = wedges.T
     return (~((aperture > 0.0) & (aperture <= 360.0) & (radius > 0.0))).nonzero()[0]
 
 
 def column_wedge(apex: Point, bisector: float, aperture: float, radius: float) -> Wedge:
-    """The Wedge of a ``wedge_columns`` row; ValueError, naming the value, for
-    a row in ``bad_wedge_rows``."""
+    """The Wedge of a wedge row; ValueError, naming the value, for a row in
+    ``bad_wedge_rows``."""
     return Wedge(apex, Direction(bisector), aperture, radius if radius < math.inf else None)
 
 

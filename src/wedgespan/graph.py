@@ -7,7 +7,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,15 +20,12 @@ from .geom import (
     Point,
     PointArray,
     PointSet,
-    Wedge,
     check_distinct,
     column_wedge,
     coordinates,
     edge_array,
     grid_pairs,
     normalize_degrees,
-    points_coincide,
-    wedge_columns,
 )
 
 
@@ -108,28 +105,22 @@ class CommGraph:
 
 
 class _Rows(NamedTuple):
-    """Point k and its wedge, as the per-row columns ``_covers`` reads."""
+    """Point k and its wedge, apex at the point, as the per-row columns ``_covers`` reads."""
 
-    qx: np.ndarray
-    qy: np.ndarray
-    q_scale: np.ndarray
-    ax: np.ndarray
-    ay: np.ndarray
-    a_scale: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    scale: np.ndarray
     bis: np.ndarray
     aperture: np.ndarray
     rad: np.ndarray
 
 
-def _vertex_arrays(xy: np.ndarray, wedges: np.ndarray, apexes: Optional[np.ndarray] = None) -> _Rows:
-    """The ``_Rows`` of the points ``xy`` and their ``wedge_columns`` rows,
-    whose apexes are ``apexes``, or the points themselves. The bisectors are
-    normalised as ``Direction`` does, which ``_covers``' angle band assumes."""
-    q_scale = np.abs(xy).max(axis=1, initial=1.0)
-    a_scale = q_scale if apexes is None else np.abs(apexes).max(axis=1, initial=1.0)
-    apexes = xy if apexes is None else apexes
+def _vertex_arrays(xy: np.ndarray, wedges: np.ndarray) -> _Rows:
+    """The ``_Rows`` of the points ``xy`` and their wedge rows. The
+    bisectors are normalised as ``Direction`` does, which ``_covers``' angle
+    band assumes."""
     bis, aperture, rad = wedges.T
-    return _Rows(*xy.T, q_scale, *apexes.T, a_scale, normalize_degrees(bis.copy()), aperture, rad)
+    return _Rows(*xy.T, np.abs(xy).max(axis=1, initial=1.0), normalize_degrees(bis.copy()), aperture, rad)
 
 
 # Widths of the bands around _covers' three boundaries inside which it
@@ -153,10 +144,10 @@ def _covers(rows: _Rows, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     the coincidence tolerance, the widened range or the widened half-aperture
     is decided by ``Wedge.contains`` itself.
     """
-    dx = rows.qx[q] - rows.ax[w]
-    dy = rows.qy[q] - rows.ay[w]
+    dx = rows.x[q] - rows.x[w]
+    dy = rows.y[q] - rows.y[w]
     dist = np.hypot(dx, dy)
-    near = REL_TOL * np.maximum(rows.a_scale[w], rows.q_scale[q])
+    near = REL_TOL * np.maximum(rows.scale[w], rows.scale[q])
     reach = rows.rad[w] * (1.0 + REL_TOL)
     limit = rows.aperture[w] / 2.0 + ANGLE_TOL_DEG
     delta = np.abs((np.degrees(np.arctan2(dy, dx)) - rows.bis[w] + 180.0) % 360.0 - 180.0)
@@ -167,16 +158,16 @@ def _covers(rows: _Rows, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     band |= np.abs(delta - limit) <= _ANGLE_BAND
     for k in band.nonzero()[0].tolist():
         i, j = w.item(k), q.item(k)
-        apex = Point(rows.ax.item(i), rows.ay.item(i))
+        apex = Point(rows.x.item(i), rows.y.item(i))
         wedge = column_wedge(apex, rows.bis.item(i), rows.aperture.item(i), rows.rad.item(i))
-        covers[k] = wedge.contains(Point(rows.qx.item(j), rows.qy.item(j)))
+        covers[k] = wedge.contains(Point(rows.x.item(j), rows.y.item(j)))
     return covers
 
 
 def non_mutual_edges(points: PointSet, wedges: np.ndarray, edges: Edges) -> list[tuple[int, int]]:
     """The edges (u, v), in order, for which wedge u does not contain
-    ``points[v]`` or wedge v does not contain ``points[u]``; wedge k is row k
-    of ``wedge_columns`` with its apex at ``points[k]``.
+    ``points[v]`` or wedge v does not contain ``points[u]``; wedge k is
+    wedge row k, with its apex at ``points[k]``.
 
     Every edge is evaluated both ways by ``_covers``, ``_EDGE_BLOCK`` edges
     at a time.
@@ -206,29 +197,28 @@ def _candidate_pairs(
 
 def induced_graph(
     points: PointSet,
-    wedges: Union[Sequence[Optional[Wedge]], np.ndarray],
+    wedges: np.ndarray,
     pairs: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> CommGraph:
     """Symmetric communication graph: edge (u,v) iff each point lies in the
     other's wedge and both range limits (when present) are satisfied.
 
-    The wedges are Wedge objects, or ``wedge_columns`` rows whose apexes are
-    the points. Containment is ``Wedge.contains``' rules (``_covers``)
+    ``wedges`` holds one wedge row per point, raising ApexMismatchError
+    otherwise. Containment is ``Wedge.contains``' rules (``_covers``)
     evaluated for candidate pairs only, so memory stays O(n + m): a's wedge
     holding b, then b's holding a where the first holds. Given
     ``pairs=(a, b)``, index arrays of one shape, the candidates are the
-    pairs ``(a[k], b[k])``; then only the wedges of vertices in some pair are
-    read (and the apexes of objects checked), so the others may be None or
-    unset rows. Otherwise they are ``_candidate_pairs`` at the largest
-    tolerant wedge range, padded by twice the largest apex tolerance (an apex
-    may sit that far from its point, and ranges are measured from the apex).
-    Each edge is weighted by ``Point.distance_to``.
+    pairs ``(a[k], b[k])``; then only the rows of vertices in some pair are
+    read, so the others may be unset. Otherwise they are
+    ``_candidate_pairs`` at the largest tolerant wedge range, padded by the
+    largest coincidence tolerance (points that close are joined at any
+    range). Each edge is weighted by ``Point.distance_to``.
     """
     n = len(points)
+    if n != len(wedges):
+        raise ApexMismatchError(f"{n} points but {len(wedges)} wedges")
     xy = coordinates(points)
     if pairs is None:
-        if n != len(wedges):
-            raise ApexMismatchError(f"{n} points but {len(wedges)} wedges")
         at = ids = np.arange(n)
     else:
         a, b = (np.asarray(side, dtype=np.intp).ravel() for side in pairs)
@@ -237,17 +227,9 @@ def induced_graph(
         ids = in_pair.nonzero()[0]
         at = in_pair.cumsum() - 1  # each vertex's row in rows
         xy = xy[ids]
-    if isinstance(wedges, np.ndarray):
-        rows = _vertex_arrays(xy, wedges[ids])
-    else:
-        own: list[Wedge] = [wedges[i] for i in ids.tolist()]  # type: ignore[misc]
-        rows = _vertex_arrays(xy, wedge_columns(own), coordinates([w.apex for w in own]))
-        for k in ((rows.ax != rows.qx) | (rows.ay != rows.qy)).nonzero()[0].tolist():
-            i = ids.item(k)
-            if not points_coincide(points[i], own[k].apex):  # an apex must be at its point
-                raise ApexMismatchError(f"wedge {i} apex {own[k].apex} is not at point {points[i]}")
+    rows = _vertex_arrays(xy, wedges[ids])
     if pairs is None:
-        pad = 2.0 * REL_TOL * max(rows.q_scale.max(initial=1.0), rows.a_scale.max(initial=1.0))
+        pad = REL_TOL * rows.scale.max(initial=1.0)
         blocks = _candidate_pairs(xy, rows.rad.max(initial=0.0) * (1.0 + REL_TOL), pad)
     else:
         blocks = [(a, b)]

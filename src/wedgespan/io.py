@@ -218,7 +218,7 @@ def emit_result(doc: ResultDoc, out: Optional[TextIO] = None) -> Optional[str]:
     out.writelines(chunks)
 
 
-def _wedge_columns(recs: list) -> Optional[np.ndarray]:
+def _wedge_rows(recs: list) -> Optional[np.ndarray]:
     """The records' bisector, aperture and radius (inf when absent) as an
     (n, 3) array when each record is good, else None."""
     try:
@@ -266,7 +266,7 @@ def parse_result(text: str) -> ResultDoc:
     for key, kind in (("wedges", list), ("edges", list), ("summary", dict)):
         if not isinstance(obj.get(key), kind):
             raise InstanceParseError(f'"{key}" must be an {"array" if kind is list else "object"}')
-    wedges = _wedge_columns(obj["wedges"])
+    wedges = _wedge_rows(obj["wedges"])
     if wedges is None:  # a bad record: the per-record rule names the first
         wedges = np.array([_wedge_record(rec, f"wedges[{k}]") for k, rec in enumerate(obj["wedges"])])
     return ResultDoc(
@@ -297,7 +297,7 @@ def emit_svg(
 ) -> str:
     """Draw points, edges, and wedge sectors as standalone SVG 1.1.
 
-    Point k's wedge is row k of the ``wedge_columns`` array ``wedges``, which
+    Point k's wedge is row k of the wedge rows ``wedges``, which
     ``Wedge`` must accept (``bad_wedge_rows``). The drawing is fit to an
     800-pixel square with a 5% margin; unbounded wedges are drawn with a
     quarter of the point-cloud span as radius.

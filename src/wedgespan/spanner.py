@@ -9,6 +9,7 @@ graph. The result is a 6-hop spanner of the unit disk graph.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +24,7 @@ from .errors import (
     PartitionError,
 )
 from .gadget import aim_leftovers, orient_pair, orient_triplet
-from .geom import ANGLE_TOL_DEG, PointSet, REL_TOL, angular_spread, check_distinct
+from .geom import ANGLE_TOL_DEG, PointSet, REL_TOL, angular_spread, check_distinct, coordinates
 from .graph import CommGraph, euclidean_mst, hop_distances_from, induced_graph, sum_left, unit_disk_graph
 
 SPANNER_APERTURE = 120.0
@@ -101,6 +102,7 @@ def greedy_components(points: PointSet, udg: CommGraph) -> ComponentPartition:
             component_of[v] = k
 
     has_size3 = any(len(c) == 3 for c in components)
+    xs, ys = coordinates(points).T.tolist()
     anchors: list[Optional[int]] = []
     for k, comp in enumerate(components):
         if len(comp) == 3:
@@ -121,7 +123,7 @@ def greedy_components(points: PointSet, udg: CommGraph) -> ComponentPartition:
                         f"neighbor {q} of small component {comp} is in a "
                         f"size-{len(components[component_of[q]])} component"
                     )
-                cand = (points[p].distance_to(points[q]), q)
+                cand = (math.hypot(xs[q] - xs[p], ys[q] - ys[p]), q)  # Point.distance_to
                 if best is None or cand < best:
                     best = cand
         if best is None:
@@ -137,8 +139,8 @@ def greedy_components(points: PointSet, udg: CommGraph) -> ComponentPartition:
 
 
 def orient_components(points: PointSet, partition: ComponentPartition) -> np.ndarray:
-    """Assign a range-7, aperture-120 wedge to every point, as (n, 3)
-    ``wedge_columns`` rows.
+    """Assign a range-7, aperture-120 wedge to every point, as (n, 3) wedge
+    rows.
 
     Size-3 components get the triplet gadget, all in one ``orient_triplet``
     pass. Each point of a smaller component aims at the apex of the nearest
@@ -158,8 +160,10 @@ def orient_components(points: PointSet, partition: ComponentPartition) -> np.nda
             continue
         anchor = partition.anchor[k]
         if anchor is None:
-            pair = orient_pair([points[i] for i in comp], SPANNER_APERTURE) if len(comp) == 2 else ()
-            wedges[list(comp), 0] = [w.bisector.degrees for w in pair] or [0.0]
+            if len(comp) == 2:
+                wedges[list(comp)] = orient_pair(points, comp, SPANNER_APERTURE, SPANNER_RANGE)
+            else:
+                wedges[comp, 0] = 0.0
             continue
         leftovers += comp
         hosts += [partition.components[partition.component_of[anchor]]] * len(comp)
@@ -172,8 +176,8 @@ def orient_components(points: PointSet, partition: ComponentPartition) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class SpannerResult:
-    """Oriented wedges, as (n, 3) ``wedge_columns`` rows, the range-filtered
-    graph, and its ``check_spanner`` summary."""
+    """Oriented wedges, as (n, 3) wedge rows, the range-filtered graph, and
+    its ``check_spanner`` summary."""
 
     wedge_rows: np.ndarray
     graph: CommGraph

@@ -16,6 +16,11 @@
   search over one pair of sides; the batch code must give their bits.
   ``batch_triplets`` views the batch gadget's rows in the scalar one's
   shape, so the same checks read both.
+* The gadgets on ``Wedge`` objects that the library used before it kept
+  wedges as rows: the facing pair, the quadruplet search and the coverage
+  test; the row gadgets must give their bits and decisions.
+  ``wedge_columns`` turns ``Wedge`` objects into the library's wedge rows,
+  and ``covers_plane`` runs the library's coverage test on such objects.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from wedgespan.errors import (
+    GadgetSearchFailed,
     GridLayoutError,
     GuaranteeViolation,
     InstanceParseError,
@@ -35,7 +41,16 @@ from wedgespan.errors import (
     TooManyPointsError,
 )
 from wedgespan.geom import ANGLE_TOL_DEG, Direction, Point, PointSet, Wedge, check_distinct, direction, spanning_arc
-from wedgespan.gadget import orient_triplet
+from wedgespan.gadget import (
+    _CONNECTED,
+    _END_QUADRANT,
+    _PAIR_BITS,
+    _PAIRS,
+    _PERMS,
+    _QUADRANTS,
+    orient_triplet,
+    verify_coverage,
+)
 from wedgespan.graph import CommGraph, SpanningTree
 from wedgespan.io import Instance, ResultDoc
 from wedgespan.oracle import _HEX_OFFSETS, GridGraph, hex_grid_graph
@@ -493,3 +508,114 @@ def cross_edge_scalar(
     if best is None:
         return None
     return side_a[best[1]], side_b[best[2]]
+
+
+def wedge_columns(wedges: Sequence[Wedge]) -> np.ndarray:
+    """The wedges as (n, 3) wedge rows: bisector, aperture and radius (inf when unbounded)."""
+    radius = [math.inf if w.radius is None else w.radius for w in wedges]
+    cols = [[w.bisector.degrees for w in wedges], [w.aperture_deg for w in wedges], radius]
+    return np.array(cols, dtype=np.float64).reshape(3, -1).T
+
+
+def covers_plane(wedges: Sequence[Wedge]) -> bool:
+    """``gadget.verify_coverage`` on Wedge objects, each at its own apex."""
+    apexes = [(w.apex.x, w.apex.y) for w in wedges]
+    return verify_coverage(apexes, [(w.bisector.degrees, w.aperture_deg, w.radius or math.inf) for w in wedges])
+
+
+def orient_pair_objects(points: PointSet, aperture_deg: float) -> tuple[Wedge, Wedge]:
+    """Two wedges whose bisectors face each other, guaranteeing the edge."""
+    if len(points) != 2:
+        raise ValueError(f"orient_pair requires exactly 2 points, got {len(points)}")
+    p, q = points
+    d = direction(p, q)
+    return Wedge(p, d, aperture_deg), Wedge(q, Direction(d.degrees + 180.0), aperture_deg)
+
+
+def orient_quadruplet_objects(points: PointSet) -> tuple[Wedge, Wedge, Wedge, Wedge]:
+    """The quadruplet gadget on four points as Wedge objects: every candidate
+    scored in one numpy pass from ``direction`` and ``Point.distance_to``,
+    and the best-ranked connected one that ``verify_coverage_objects``
+    accepts."""
+    if len(points) != 4:
+        raise ValueError(f"orient_quadruplet requires exactly 4 points, got {len(points)}")
+    dirs, dists = [0.0] * 12, []
+    for k, (i, j) in enumerate(_PAIRS):
+        d = direction(points[i], points[j]).degrees
+        dirs[k], dirs[k + 6] = d, (d + 180.0) % 360.0
+        dists.append(points[i].distance_to(points[j]))
+    phis: list[float] = []
+    for d in dirs[:6]:
+        cand = d % 90.0
+        if all(abs(cand - p) > ANGLE_TOL_DEG for p in phis):
+            phis.append(cand)
+    if all(abs(p) > ANGLE_TOL_DEG for p in phis):
+        phis.append(0.0)
+    base = (_QUADRANTS + np.array(phis)[:, None]) % 360.0
+    offset = (np.array(dirs)[:, None] - base[:, None, :] + 180.0) % 360.0 - 180.0
+    inside = np.abs(offset) <= 45.0 + ANGLE_TOL_DEG
+    ends = inside[:, np.arange(12), _END_QUADRANT].reshape(-1, 12)
+    induced = ends[:, :6] & ends[:, 6:]
+    seq = np.flatnonzero(_CONNECTED[induced @ _PAIR_BITS])
+    if not len(seq):
+        raise GadgetSearchFailed(f"no connected wedge assignment found for {points}")
+    edges = induced[seq]
+    total = np.where(edges, dists, 0.0).cumsum(axis=1)[:, -1]
+    ranked = seq[np.lexsort((seq, total, -edges.sum(axis=1)))]
+    for row in base[:, _PERMS].reshape(-1, 4)[ranked].tolist():
+        wedges = tuple(Wedge(points[i], Direction(row[i]), 90.0) for i in range(4))
+        if verify_coverage_objects(wedges):
+            return wedges  # type: ignore[return-value]
+    raise GadgetSearchFailed(f"no covering wedge assignment found for {points}")
+
+
+def _cone(w: Wedge) -> tuple[float, float, float, float, float, float]:
+    """Apex and unit bounding rays (right, left) of a wedge widened by
+    ``ANGLE_TOL_DEG`` on each side, as ``Wedge.contains`` widens it."""
+    half = w.aperture_deg / 2.0 + ANGLE_TOL_DEG
+    right = math.radians(w.bisector.degrees - half)
+    left = math.radians(w.bisector.degrees + half)
+    return w.apex.x, w.apex.y, math.cos(right), math.sin(right), math.cos(left), math.sin(left)
+
+
+def verify_coverage_objects(wedges: Sequence[Wedge]) -> bool:
+    """Exact plane coverage of unbounded Wedge objects: every bounding ray
+    of a widened cone must lie in the union of the other cones, taken from
+    the ray's outer side (a sweep over each ray's sorted t-intervals)."""
+    wedges = list(wedges)
+    if not wedges:
+        return False
+    if any(w.radius is not None for w in wedges):
+        raise ValueError("coverage verification applies to unbounded wedges only")
+    if any(w.aperture_deg + 2.0 * ANGLE_TOL_DEG >= 180.0 for w in wedges):
+        raise ValueError("coverage verification needs apertures below 180 degrees")
+    cones = [_cone(w) for w in wedges]
+    for i, (ax, ay, rx, ry, lx, ly) in enumerate(cones):
+        for ux, uy, nx, ny in ((rx, ry, ry, -rx), (lx, ly, -ly, lx)):
+            spans = []
+            for j, (bx, by, sx, sy, ex, ey) in enumerate(cones):
+                if j == i:
+                    continue
+                dx, dy = ax - bx, ay - by
+                lo, hi = 0.0, math.inf
+                for c, g, side in (
+                    (sx * dy - sy * dx, sx * uy - sy * ux, sx * ny - sy * nx),
+                    (dx * ey - dy * ex, ux * ey - uy * ex, nx * ey - ny * ex),
+                ):
+                    if g > 0.0:
+                        lo = max(lo, -c / g)
+                    elif g < 0.0:
+                        hi = min(hi, -c / g)
+                    elif c < 0.0 or (c == 0.0 and side < 0.0):
+                        hi = -1.0
+                if lo <= hi:
+                    spans.append((lo, hi))
+            spans.sort()
+            reach = 0.0
+            for lo, hi in spans:
+                if lo > reach:
+                    return False
+                reach = max(reach, hi)
+            if reach < math.inf:
+                return False
+    return True

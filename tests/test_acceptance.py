@@ -12,7 +12,6 @@ import pytest
 
 from wedgespan.approx import build_tree, verify_alpha_tree
 from wedgespan.errors import SeparationConnectivityViolation
-from wedgespan.gadget import verify_coverage
 from wedgespan.generators import collinear, equilateral, equilateral_with_center, uniform_square
 from wedgespan.geom import Direction, Point, Wedge
 from wedgespan.graph import cross_edge, euclidean_mst, induced_graph, unit_disk_graph
@@ -28,11 +27,13 @@ from wedgespan.spanner import CASE_BOUNDS, build_spanner, verify_hop_spanner
 
 from reference import (
     batch_triplets,
+    covers_plane,
     hamiltonian_cycle_exists,
     hamiltonian_path_exists,
     hex_grid_reduction,
     is_valid_alpha_tree,
     signed_angle_delta,
+    wedge_columns,
 )
 
 REL = 1e-9
@@ -111,7 +112,7 @@ def test_c02_gadget_invariants_mass():
             for target in (theta + 60.0, theta - 60.0, theta + 180.0):
                 assert sum(abs(signed_angle_delta(target, d)) <= ANG for d in lefts) == 1
                 assert sum(abs(signed_angle_delta(target, d)) <= ANG for d in rights) == 1
-            assert verify_coverage(w), (k, pts)
+            assert covers_plane(w), (k, pts)
     elapsed = time.perf_counter() - start
     _report("C2 gadget-invariants", f"(100000 triplets, {elapsed:.1f}s)")
 
@@ -284,11 +285,11 @@ def test_c10_negative_fixture_detects_absence():
     pts2, bis2 = _NO_CROSS_T2
     w1 = [Wedge(p, b, 120.0) for p, b in zip(pts1, bis1)]
     w2 = [Wedge(p, b, 120.0) for p, b in zip(pts2, bis2)]
-    assert induced_graph(pts1, w1).is_connected()
-    assert induced_graph(pts2, w2).is_connected()
-    assert verify_coverage(w1)
-    assert verify_coverage(w2)
-    union = induced_graph(pts1 + pts2, w1 + w2)
+    assert induced_graph(pts1, wedge_columns(w1)).is_connected()
+    assert induced_graph(pts2, wedge_columns(w2)).is_connected()
+    assert covers_plane(w1)
+    assert covers_plane(w2)
+    union = induced_graph(pts1 + pts2, wedge_columns(w1 + w2))
     assert cross_edge(union, [[0, 1, 2]], [[3, 4, 5]]) == [None]
     assert not union.is_connected()
     _report("C10 negative-fixture")

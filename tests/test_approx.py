@@ -12,7 +12,6 @@ from wedgespan.approx import (
     verify_alpha_tree,
 )
 from wedgespan.errors import GuaranteeViolation, TooFewPointsError, WedgespanError
-from wedgespan.gadget import orient_quadruplet
 from wedgespan.generators import (
     clustered,
     collinear,
@@ -20,7 +19,7 @@ from wedgespan.generators import (
     square_grid_reduction_points,
     uniform_square,
 )
-from wedgespan.geom import Point, PointArray, Wedge, Direction, angular_spread, coordinates, wedge_columns
+from wedgespan.geom import Point, PointArray, Wedge, Direction, angular_spread, coordinates
 from wedgespan.graph import (
     DisjointSets,
     Tour,
@@ -30,7 +29,7 @@ from wedgespan.graph import (
     tsp_tour,
 )
 
-from reference import aim_leftovers_scalar, orient_triplet_scalar
+from reference import aim_leftovers_scalar, orient_quadruplet_objects, orient_triplet_scalar, wedge_columns
 
 
 class TestPartitionTour:
@@ -259,7 +258,7 @@ class TestVerifier:
     def test_reference_mst_weight_is_checked(self):
         pts = uniform_square(9, seed=2)
         at = build_tree(pts, 120)
-        args = (pts, 120.0, at.tree.edges, at.wedges)
+        args = (pts, 120.0, at.tree.edges, at.wedge_rows)
         assert check_alpha_tree(*args, at.mst_weight).passed
         for bad in (0.0, at.tree.weight * 1.01):
             report = check_alpha_tree(*args, bad)
@@ -297,7 +296,7 @@ class TestWitnessConsistency:
             for _ in range(5):
                 pts = uniform_square(rng.randint(8, 25), seed=rng.randint(0, 10**6))
                 at = build_tree(pts, alpha)
-                g = induced_graph(pts, list(at.wedges))
+                g = induced_graph(pts, at.wedge_rows)
                 for u, v in at.tree.edges:
                     assert g.has_edge(u, v)
                 assert angular_spread(pts, at.tree.edges)[0] <= at.alpha_deg + 1e-9
@@ -317,13 +316,13 @@ def _lex_cross_edge(g, side_a, side_b):
 def _group_cross_edge(points, wedges, side_a, side_b):
     """Cross edge from a fresh induced graph of just the two groups' points."""
     members = list(side_a) + list(side_b)
-    sub = induced_graph([points[i] for i in members], [wedges[i] for i in members])
+    sub = induced_graph([points[i] for i in members], wedge_columns([wedges[i] for i in members]))
     u, v = _lex_cross_edge(sub, range(len(side_a)), range(len(side_a), len(members)))
     return members[u], members[v]
 
 
 def _group_quad_edges(points, wedges, quad):
-    sub = induced_graph([points[i] for i in quad], [wedges[i] for i in quad])
+    sub = induced_graph([points[i] for i in quad], wedge_columns([wedges[i] for i in quad]))
     sets = DisjointSets(4)
     return [(quad[u], quad[v]) for _, u, v in sorted((w, u, v) for u, v, w in sub.edges())
             if sets.union(u, v)]
@@ -339,7 +338,7 @@ def _per_group_tree(points, alpha):
     if alpha == 90 and n < 8:
         quad = sorted(range(n), key=lambda i: (points[i].x, points[i].y, i))[:4]
         host, leftovers = quad, [p for p in tour.order if p not in quad]
-        wedges_of = orient_quadruplet([points[i] for i in quad]).wedges
+        wedges_of = orient_quadruplet_objects([points[i] for i in quad])
         for local in range(4):
             wedges[quad[local]] = wedges_of[local]
         edges += _group_quad_edges(points, wedges, quad)
@@ -358,7 +357,7 @@ def _per_group_tree(points, alpha):
             for g in full:
                 ordered = sorted(g, key=lambda i: (points[i].x, points[i].y, i))
                 for quad in (ordered[:4], ordered[4:]):
-                    wedges_of = orient_quadruplet([points[i] for i in quad]).wedges
+                    wedges_of = orient_quadruplet_objects([points[i] for i in quad])
                     for local in range(4):
                         wedges[quad[local]] = wedges_of[local]
                     edges += _group_quad_edges(points, wedges, quad)

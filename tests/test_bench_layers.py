@@ -88,11 +88,12 @@ def test_one_cross_edge_pass_per_alpha_120_solve(tmp_path, monkeypatch):
     assert tracer.take()[0]["graph.cross_edge"] == 1
 
 
-@pytest.mark.parametrize("alpha", [120, 180])
-@pytest.mark.parametrize("n", [4800, 4801])
+@pytest.mark.parametrize("alpha", [90, 120, 180])
+@pytest.mark.parametrize("n", [7, 4800, 4801])
 def test_build_tree_leaves_the_point_list_unbuilt(n, alpha):
-    # At n = 4801 the 120 build aims a leftover too; none of the steps reads
-    # a Point of the parsed instance.
+    # At n = 4801 the 120 and 90 builds aim leftovers too, and at n = 7 the
+    # 90 build orients one quadruplet of the leftmost four; none of the
+    # steps reads a Point of the parsed instance.
     points = parse_instance(emit_instance(Instance(points=uniform_square(n, seed=0), meta={}))).points
     assert points._points is None
     build_tree(points, alpha)

@@ -4,11 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wedgespan import approx, gadget
-from wedgespan.errors import DuplicatePointError, GuaranteeViolation
+from wedgespan.errors import DuplicatePointError, GadgetSearchFailed, GuaranteeViolation
 from wedgespan.gadget import (
     aim_leftovers,
     orient_pair,
@@ -24,18 +24,23 @@ from wedgespan.geom import (
     PointArray,
     Wedge,
     column_wedge,
+    coordinates,
     direction,
     points_coincide,
-    wedge_columns,
 )
 from wedgespan.graph import DisjointSets, induced_graph
 
 from reference import (
     aim_leftovers_scalar,
     batch_triplets,
+    covers_plane,
     in_half_aperture,
+    orient_pair_objects,
+    orient_quadruplet_objects,
     orient_triplet_scalar,
     signed_angle_delta,
+    verify_coverage_objects,
+    wedge_columns,
 )
 
 
@@ -81,6 +86,16 @@ def one_triplet(pts):
     return batch_triplets([pts])[0]
 
 
+def induced(pts, wedges):
+    """The graph the Wedge objects induce on their points."""
+    return induced_graph(pts, wedge_columns(wedges))
+
+
+def quad_wedges(pts):
+    """``orient_quadruplet`` on four points, as Wedge objects."""
+    return [Wedge(p, Direction(b), 90.0) for p, b in zip(pts, orient_quadruplet(pts, range(4)))]
+
+
 class TestOrientTriplet:
     def test_canonical_example(self):
         pts = [Point(0, 0), Point(1, 0), Point(0.5, 0.8)]
@@ -96,26 +111,26 @@ class TestOrientTriplet:
         tri = one_triplet(pts)
         # all angles equal: roles fall back to input order
         assert (tri.base_left, tri.base_right, tri.peak) == (0, 1, 2)
-        g = induced_graph(pts, list(tri.wedges))
+        g = induced(pts, tri.wedges)
         for a, b in tri.tree_edges:
             assert g.has_edge(a, b)
-        assert verify_coverage(tri.wedges)
+        assert covers_plane(tri.wedges)
 
     def test_collinear_middle_takes_peak(self):
         pts = [Point(0, 0), Point(1, 0), Point(2, 0)]
         tri = one_triplet(pts)
         assert tri.peak == 1
-        g = induced_graph(pts, list(tri.wedges))
+        g = induced(pts, tri.wedges)
         assert g.has_edge(1, 0) and g.has_edge(0, 2)
 
     def test_reflection_case(self):
         pts = [Point(0, 0), Point(1, 0), Point(0.5, -0.8)]
         tri = one_triplet(pts)
         assert tri.reflected
-        g = induced_graph(pts, list(tri.wedges))
+        g = induced(pts, tri.wedges)
         for a, b in tri.tree_edges:
             assert g.has_edge(a, b)
-        assert verify_coverage(tri.wedges)
+        assert covers_plane(tri.wedges)
 
     def test_duplicate_raises(self):
         with pytest.raises(DuplicatePointError):
@@ -275,7 +290,7 @@ class TestBatchMatchesScalarTriplet:
             w = tri.wedges
             for a, b in tri.tree_edges:
                 assert w[a].contains(pts[b]) and w[b].contains(pts[a]), pts
-            assert verify_coverage(w), pts
+            assert covers_plane(w), pts
 
     def test_huge_triplet_the_scalar_gadget_loses(self):
         pts = [Point(8.0e159, 4.5e159), Point(2.0e159, 7.5e159), Point(6.0e159, 1.0e159)]
@@ -284,7 +299,7 @@ class TestBatchMatchesScalarTriplet:
         tri = one_triplet(pts)
         for a, b in tri.tree_edges:
             assert tri.wedges[a].contains(pts[b]) and tri.wedges[b].contains(pts[a])
-        assert verify_coverage(tri.wedges)
+        assert covers_plane(tri.wedges)
 
     def test_overflow_scaling_keeps_unscaled_rows(self):
         # A huge triplet in the batch changes no other row's bits.
@@ -298,20 +313,36 @@ class TestBatchMatchesScalarTriplet:
 
 class TestOrientPair:
     def test_horizontal(self):
-        w1, w2 = orient_pair([Point(0, 0), Point(1, 0)], 120.0)
-        assert w1.bisector.degrees == pytest.approx(0.0)
-        assert w2.bisector.degrees == pytest.approx(180.0)
+        pts = [Point(0, 0), Point(1, 0)]
+        rows = orient_pair(pts, (0, 1), 120.0)
+        assert rows[:, 0].tolist() == pytest.approx([0.0, 180.0])
+        w1, w2 = (column_wedge(p, *row) for p, row in zip(pts, rows.tolist()))
         assert w1.contains(Point(1, 0)) and w2.contains(Point(0, 0))
 
     def test_vertical(self):
-        w1, w2 = orient_pair([Point(0, 0), Point(0, 2)], 90.0)
-        assert w1.bisector.degrees == pytest.approx(90.0)
-        assert w2.bisector.degrees == pytest.approx(270.0)
+        rows = orient_pair([Point(0, 0), Point(0, 2)], (0, 1), 90.0)
+        assert rows.tolist() == [[90.0, 90.0, math.inf], [270.0, 90.0, math.inf]]
 
     def test_diagonal(self):
-        w1, w2 = orient_pair([Point(0, 0), Point(1, 1)], 120.0)
-        assert w1.bisector.degrees == pytest.approx(45.0)
-        assert w2.bisector.degrees == pytest.approx(225.0)
+        rows = orient_pair([Point(0, 0), Point(1, 1)], (0, 1), 120.0)
+        assert rows[:, 0].tolist() == pytest.approx([45.0, 225.0])
+
+    def test_rows_match_the_object_pair(self):
+        # Any pair, in either order, at any radius: the row bits are those
+        # of the facing Wedge objects, the second bisector turned by 180.
+        rng = random.Random(12)
+        pts = rand_points(rng, 30, -5.0, 5.0) + [Point(0, 0), Point(-1, 1e-17), Point(1, -1e-17)]
+        for _ in range(200):
+            i, j = rng.sample(range(len(pts)), 2)
+            radius = rng.choice([math.inf, 7.0])
+            rows = orient_pair(pts, (i, j), 120.0, radius)
+            want = wedge_columns(orient_pair_objects([pts[i], pts[j]], 120.0))
+            want[:, 2] = radius
+            assert _bits(rows) == _bits(want), (i, j)
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError, match=r"^orient_pair requires exactly 2 points, got 3$"):
+            orient_pair([Point(0, 0), Point(1, 0), Point(2, 0)], (0, 1, 2), 120.0)
 
 
 class TestAimLeftovers:
@@ -451,7 +482,7 @@ def reference_quadruplet_bisectors(points):
     scored.sort()
     for _, _, _, bis in scored:
         wedges = tuple(Wedge(points[i], Direction(bis[i]), 90.0) for i in range(4))
-        if verify_coverage(wedges):
+        if verify_coverage_objects(wedges):
             return [w.bisector.degrees for w in wedges]
     raise AssertionError(f"reference found no covering assignment for {points}")
 
@@ -505,20 +536,20 @@ class TestScoringMatchesScalarReference:
     def test_same_bisectors(self, make):
         rng = random.Random(make.__name__)
         for pts in make(rng):
-            got = [w.bisector.degrees for w in orient_quadruplet(pts).wedges]
+            got = orient_quadruplet(pts, range(4))
             assert got == reference_quadruplet_bisectors(pts), pts
 
     def test_same_bisectors_on_sampled_gap_fixtures(self):
         for _, _, pts, _ in _SAMPLED_GAPS:
             pts = [Point(x, y) for x, y in pts]
-            got = [w.bisector.degrees for w in orient_quadruplet(pts).wedges]
+            got = orient_quadruplet(pts, range(4))
             assert got == reference_quadruplet_bisectors(pts), pts
 
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=4, max_size=4, unique=True))
     @settings(max_examples=300, deadline=None)
     def test_same_bisectors_on_small_integer_points(self, coords):
         pts = [Point(x, y) for x, y in coords]
-        got = [w.bisector.degrees for w in orient_quadruplet(pts).wedges]
+        got = orient_quadruplet(pts, range(4))
         assert got == reference_quadruplet_bisectors(pts)
 
     def test_connectivity_table_matches_union_find(self):
@@ -539,13 +570,13 @@ def test_alpha90_solve_orients_each_quadruplet_once(monkeypatch):
     quads, checks = [], []
     orient, cover = approx.orient_quadruplet, gadget.verify_coverage
 
-    def counted_orient(points):
-        quads.append(frozenset(points))
-        return orient(points)
+    def counted_orient(points, quad):
+        quads.append(frozenset(quad))
+        return orient(points, quad)
 
-    def counted_cover(wedges):
+    def counted_cover(apexes, rows):
         checks.append(None)
-        return cover(wedges)
+        return cover(apexes, rows)
 
     monkeypatch.setattr(approx, "orient_quadruplet", counted_orient)
     monkeypatch.setattr(gadget, "verify_coverage", counted_cover)
@@ -553,38 +584,147 @@ def test_alpha90_solve_orients_each_quadruplet_once(monkeypatch):
     approx.build_tree(points, 90.0)
     # 64 points make eight tour sections of eight, each split in two.
     assert len(quads) == 16
-    assert frozenset().union(*quads) == frozenset(points)
+    assert frozenset().union(*quads) == frozenset(range(64))
     assert len(checks) >= len(quads)
+
+
+_quad_coord = st.floats(-1e3, 1e3, allow_nan=False)
+_random_quad = st.lists(st.builds(Point, _quad_coord, _quad_coord), min_size=4, max_size=4)
+_lattice_quad = st.lists(st.builds(Point, st.integers(-4, 4), st.integers(-4, 4)), min_size=4, max_size=4)
+_collinear_quad = st.builds(
+    lambda ts, turn, shift, scale: _placed([(t, 0.0) for t in ts], turn, shift, scale),
+    st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+    _turn,
+    _shift,
+    st.floats(1e-3, 1e3),
+)
+# Needles: a triangle a height of 1e-12 to 1e-3 over its base, plus a point anywhere.
+_needle_quad = st.builds(
+    lambda t, h, far, turn, shift, scale: _placed([(0.0, 0.0), (1.0, 0.0), (t, h), far], turn, shift, scale),
+    st.floats(-2.0, 3.0),
+    st.sampled_from([1e-12, -1e-12, 1e-9, -1e-9, 1e-6, 1e-3]),
+    st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 1.0)),
+    _turn,
+    _shift,
+    st.floats(1e-3, 1e3),
+)
+
+
+def _outcome(orient, *args):
+    """What a gadget call gives: its bisector bits, or its error's type and text."""
+    try:
+        return _bits(orient(*args))
+    except (GadgetSearchFailed, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRowsMatchObjectGadgets:
+    """The row gadgets give the bits and decisions of the Wedge-object ones
+    in ``tests/reference.py``."""
+
+    @given(st.one_of(_random_quad, _lattice_quad, _collinear_quad, _needle_quad))
+    @settings(max_examples=400, deadline=None)
+    def test_quadruplet_bisectors_or_error_text(self, pts):
+        assume(_apart(pts))
+        want = _outcome(lambda: [w.bisector.degrees for w in orient_quadruplet_objects(pts)])
+        assert _outcome(orient_quadruplet, pts, range(4)) == want
+
+    @given(
+        st.lists(st.tuples(_quad_coord, _quad_coord), min_size=4, max_size=4, unique=True),
+        st.permutations(range(4)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_quadruplet_inside_a_larger_point_array(self, coords, order):
+        # The gadget reads its four points by index from a parsed point set.
+        pts = [Point(x, y) for x, y in coords]
+        assume(_apart(pts))
+        extra = [Point(2e3 + k, 2e3) for k in range(4)]
+        array = PointArray(coordinates(extra + pts))
+        quad = [4 + k for k in order]
+        want = _outcome(lambda: [w.bisector.degrees for w in orient_quadruplet_objects([pts[k] for k in order])])
+        assert _outcome(orient_quadruplet, array, quad) == want
+        assert array._points is None
+
+    def test_quadruplet_needs_four_points(self):
+        pts = [Point(0, 0), Point(1, 0), Point(2, 0)]
+        with pytest.raises(ValueError, match=r"^orient_quadruplet requires exactly 4 points, got 3$"):
+            orient_quadruplet(pts, range(3))
+
+    def test_search_failure_text_names_the_points(self, monkeypatch):
+        # With no candidate covering, both recipes word the same failure.
+        pts = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
+        monkeypatch.setattr(gadget, "verify_coverage", lambda apexes, rows: False)
+        with pytest.raises(GadgetSearchFailed) as caught:
+            orient_quadruplet(pts, range(4))
+        assert str(caught.value) == f"no covering wedge assignment found for {pts}"
+        monkeypatch.setattr(gadget, "_CONNECTED", np.zeros(64, dtype=bool))
+        with pytest.raises(GadgetSearchFailed, match=r"^no connected wedge assignment found for \[Point\(x=0, y=0\)"):
+            orient_quadruplet(pts, range(4))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                st.floats(0.0, 360.0, exclude_max=True),
+                st.sampled_from([30.0, 60.0, 90.0, 120.0, 150.0, 179.0]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_coverage_decisions(self, family):
+        wedges = [Wedge(Point(x, y), Direction(b), aperture) for (x, y), b, aperture in family]
+        assert covers_plane(wedges) == verify_coverage_objects(wedges)
+
+    def test_coverage_decisions_on_gadget_families(self):
+        # Families near the covering boundary: quadruplet and triplet gadgets
+        # whose bisectors are turned by up to a degree.
+        rng = random.Random(21)
+        outcomes = set()
+        for _ in range(300):
+            pts = rand_points(rng, 4)
+            if not _apart(pts):
+                continue
+            turn = rng.choice([0.0, 1e-9, 1e-6, 0.01, 1.0])
+            wedges = [Wedge(p, Direction(b + rng.uniform(-turn, turn)), 90.0)
+                      for p, b in zip(pts, orient_quadruplet(pts, range(4)))]
+            got = covers_plane(wedges)
+            assert got == verify_coverage_objects(wedges)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_coverage_input_checks(self):
+        apexes = [(0.0, 0.0), (1.0, 0.0)]
+        with pytest.raises(ValueError, match="^coverage verification applies to unbounded wedges only$"):
+            verify_coverage(apexes, [(0.0, 90.0, math.inf), (180.0, 90.0, 7.0)])
+        with pytest.raises(ValueError, match="^coverage verification needs apertures below 180 degrees$"):
+            verify_coverage(apexes, [(0.0, 90.0, math.inf), (180.0, 180.0, math.inf)])
+        assert verify_coverage([], []) is False
 
 
 class TestOrientQuadruplet:
     def test_unit_square(self):
         pts = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
-        quad = orient_quadruplet(pts)
-        assert [w.bisector.degrees for w in quad.wedges] == pytest.approx(
-            [45.0, 135.0, 225.0, 315.0]
-        )
-        g = induced_graph(pts, list(quad.wedges))
-        assert g.edge_count == 6
+        assert orient_quadruplet(pts, range(4)) == pytest.approx([45.0, 135.0, 225.0, 315.0])
+        assert induced(pts, quad_wedges(pts)).edge_count == 6
 
     def test_collinear(self):
         pts = [Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)]
-        quad = orient_quadruplet(pts)
-        g = induced_graph(pts, list(quad.wedges))
-        assert g.is_connected()
-        assert verify_coverage(quad.wedges)
+        wedges = quad_wedges(pts)
+        assert induced(pts, wedges).is_connected()
+        assert covers_plane(wedges)
 
     def test_direction_union_spans_circle(self):
         rng = random.Random(5)
         for _ in range(50):
             pts = rand_points(rng, 4)
-            quad = orient_quadruplet(pts)
+            bisectors = orient_quadruplet(pts, range(4))
             # bisectors hit all four quadrant residues, so the 90-degree
             # intervals partition the circle exactly
-            base = quad.wedges[0].bisector.degrees
             residues = set()
-            for w in quad.wedges:
-                d = (w.bisector.degrees - base) % 360.0
+            for b in bisectors:
+                d = (b - bisectors[0]) % 360.0
                 k = round(d / 90.0) % 4
                 assert abs(signed_angle_delta(90.0 * k, d)) <= 1e-9
                 residues.add(k)
@@ -594,33 +734,32 @@ class TestOrientQuadruplet:
         rng = random.Random(6)
         for _ in range(25):
             pts = rand_points(rng, 4)
-            quad = orient_quadruplet(pts)
-            assert induced_graph(pts, list(quad.wedges)).is_connected()
+            assert induced(pts, quad_wedges(pts)).is_connected()
 
     @pytest.mark.parametrize(
         "seed,job,pts,witness", _SAMPLED_GAPS, ids=[f"seed{s}-job{j}" for s, j, _, _ in _SAMPLED_GAPS]
     )
     def test_covers_gaps_the_sampled_check_missed(self, seed, job, pts, witness):
-        quad = orient_quadruplet([Point(x, y) for x, y in pts])
-        assert verify_coverage(quad.wedges)
-        assert any(w.contains(Point(*witness)) for w in quad.wedges)
+        wedges = quad_wedges([Point(x, y) for x, y in pts])
+        assert covers_plane(wedges)
+        assert any(w.contains(Point(*witness)) for w in wedges)
 
 
 class TestVerifyCoverage:
     def test_gadget_covers(self):
         tri = one_triplet([Point(0, 0), Point(2, 1), Point(0.3, 1.7)])
-        assert verify_coverage(tri.wedges)
+        assert covers_plane(tri.wedges)
 
     def test_single_wedge_fails(self):
-        assert not verify_coverage([Wedge(Point(0, 0), Direction(0), 120.0)])
+        assert not covers_plane([Wedge(Point(0, 0), Direction(0), 120.0)])
 
     def test_common_apex_partition(self):
         wedges = [Wedge(Point(0, 0), Direction(d), 120.0) for d in (0, 120, 240)]
-        assert verify_coverage(wedges)
+        assert covers_plane(wedges)
 
     def test_rejects_bounded_wedges(self):
         with pytest.raises(ValueError):
-            verify_coverage([Wedge(Point(0, 0), Direction(0), 360.0, radius=1.0)])
+            covers_plane([Wedge(Point(0, 0), Direction(0), 360.0, radius=1.0)])
 
     def test_displaced_partition_gap(self):
         # exact direction partition, but the far-apart apexes leave the strip
@@ -631,7 +770,7 @@ class TestVerifyCoverage:
                 Wedge(Point(-spacing, 0), Direction(210), 120.0),
                 Wedge(Point(spacing, 0), Direction(330), 120.0),
             ]
-            assert not verify_coverage(wedges), spacing
+            assert not covers_plane(wedges), spacing
 
     @pytest.mark.parametrize("side", [1.0, 1e-7])
     def test_pinwheel_triangle_hole(self, side):
@@ -645,9 +784,9 @@ class TestVerifyCoverage:
             Wedge(Point(side / 2.0, h), Direction(180), 120.0),
         ]
         assert not any(w.contains(Point(side / 2.0, h / 3.0)) for w in wedges)
-        assert not verify_coverage(wedges)
+        assert not covers_plane(wedges)
         # a 60-degree wedge at the first corner fills the hole
-        assert verify_coverage(wedges + [Wedge(Point(0.0, 0.0), Direction(30), 60.0)])
+        assert covers_plane(wedges + [Wedge(Point(0.0, 0.0), Direction(30), 60.0)])
 
     @pytest.mark.parametrize("eps", [0.1, 0.001])
     def test_thin_strip_gap(self, eps):
@@ -661,30 +800,30 @@ class TestVerifyCoverage:
         ]
         witness = rotated(5.0, -eps / 2.0, 33.0)
         assert not any(w.contains(witness) for w in wedges)
-        assert not verify_coverage(wedges)
+        assert not covers_plane(wedges)
 
     def test_rejects_apertures_of_180_or_more(self):
         wedges = [Wedge(Point(0, 0), Direction(d), 180.0) for d in (0, 180)]
         with pytest.raises(ValueError):
-            verify_coverage(wedges)
+            covers_plane(wedges)
 
     def test_duplicated_wedges_keep_their_gap(self):
         # Every ray of a doubled family lies in its twin, on the twin's side;
         # only the other side of the ray counts.
         wedges = [Wedge(Point(0, 0), Direction(45), 90.0)] * 2
-        assert not verify_coverage(wedges)
+        assert not covers_plane(wedges)
         holed = [
             Wedge(Point(0, 0), Direction(90), 120.0),
             Wedge(Point(-100, 0), Direction(210), 120.0),
             Wedge(Point(100, 0), Direction(330), 120.0),
         ]
-        assert not verify_coverage(holed + holed)
+        assert not covers_plane(holed + holed)
 
     def test_huge_coordinates(self):
         pts = [Point(0, 0), Point(2, 1), Point(0.3, 1.7)]
         tri = one_triplet(pts)
         shifted = [Wedge(Point(p.x + 1e6, p.y - 1e6), w.bisector, 120.0) for p, w in zip(pts, tri.wedges)]
-        assert verify_coverage(shifted)
+        assert covers_plane(shifted)
 
     def test_uncovered_sample_means_not_covered(self):
         # Independent cross-check by Wedge.contains alone: a sampled point in
@@ -704,7 +843,7 @@ class TestVerifyCoverage:
                 )
                 for m in range(k)
             ]
-            covered = verify_coverage(wedges)
+            covered = covers_plane(wedges)
             for _ in range(500):
                 q = rotated(4.0 * math.sqrt(rng.random()), 0.0, rng.uniform(0.0, 360.0))
                 q = Point(q.x + 0.5, q.y + 0.5)

@@ -22,7 +22,6 @@ from wedgespan.geom import (
     Wedge,
     column_wedge,
     coordinates,
-    wedge_columns,
 )
 from wedgespan.graph import (
     CommGraph,
@@ -47,7 +46,7 @@ from wedgespan.generators import (
 from wedgespan.oracle import brute_force_alpha_mst
 from wedgespan.spanner import greedy_components, orient_components
 
-from reference import batch_triplets, cross_edge_scalar, dense_prim_mst
+from reference import batch_triplets, cross_edge_scalar, dense_prim_mst, wedge_columns
 
 
 def graph_of(n, triples):
@@ -160,13 +159,13 @@ class TestInducedGraph:
         pts = [Point(0, 0), Point(3, 1), Point(1, 2)]
         tri = orient_triplet(pts, [(0, 1, 2)])
         rows = np.column_stack((tri.bisectors[0], [120.0] * 3, [math.inf] * 3))
-        for g in (induced_graph(pts, rows), induced_graph(pts, [column_wedge(p, *w) for p, w in zip(pts, rows)])):
-            for a, b in tri.tree_edges[0].tolist():
-                assert g.has_edge(a, b)
+        g = induced_graph(pts, rows)
+        for a, b in tri.tree_edges[0].tolist():
+            assert g.has_edge(a, b)
 
     def test_facing_pair(self):
         pts = [Point(0, 0), Point(1, 0)]
-        g = induced_graph(pts, list(orient_pair(pts, 120.0)))
+        g = induced_graph(pts, orient_pair(pts, (0, 1), 120.0))
         assert g.edge_count == 1 and g.has_edge(0, 1)
 
     def test_back_to_back(self):
@@ -175,16 +174,15 @@ class TestInducedGraph:
             Wedge(pts[0], Direction(180), 120.0),
             Wedge(pts[1], Direction(0), 120.0),
         ]
-        assert induced_graph(pts, wedges).edge_count == 0
+        assert induced_graph(pts, wedge_columns(wedges)).edge_count == 0
 
-    def test_apex_mismatch(self):
-        pts = [Point(0, 0), Point(1, 0)]
-        wedges = [
-            Wedge(Point(5, 5), Direction(0), 120.0),
-            Wedge(pts[1], Direction(180), 120.0),
-        ]
-        with pytest.raises(ApexMismatchError):
-            induced_graph(pts, wedges)
+    @pytest.mark.parametrize("pairs", [None, ([0], [1]), ([0, 1], [1, 2])], ids=["all", "given", "given-past-rows"])
+    def test_row_count_mismatch(self, pairs):
+        # Fewer rows than points is refused whether or not pairs are given.
+        pts = [Point(0, 0), Point(1, 0), Point(2, 0)]
+        rows = np.array([[0.0, 120.0, math.inf], [180.0, 120.0, math.inf]])
+        with pytest.raises(ApexMismatchError, match=r"^3 points but 2 wedges$"):
+            induced_graph(pts, rows, pairs)
 
     def test_numpy_path_matches_python(self):
         rng = random.Random(11)
@@ -192,7 +190,7 @@ class TestInducedGraph:
         wedges = [
             Wedge(p, Direction(rng.uniform(0, 360)), 120.0, radius=2.0) for p in pts
         ]
-        big = induced_graph(pts, wedges)
+        big = induced_graph(pts, wedge_columns(wedges))
         small = graph_of(len(pts), [
             (u, v, pts[u].distance_to(pts[v]))
             for u in range(len(pts))
@@ -210,7 +208,7 @@ class TestInducedGraph:
                   radius=rng.choice([None, 2.0]))
             for p in pts
         ]
-        g = induced_graph(pts, wedges)
+        g = induced_graph(pts, wedge_columns(wedges))
         expect = {
             (u, v): pts[u].distance_to(pts[v])
             for u in range(n)
@@ -224,7 +222,10 @@ class TestInducedGraph:
         pts = [Point(0, 0), Point(1e-12, 0)]
         wedges = [Wedge(pts[0], Direction(180), 90.0), Wedge(pts[1], Direction(0), 90.0)]
         assert wedges[0].contains(pts[1]) and wedges[1].contains(pts[0])
-        assert induced_graph(pts, wedges).has_edge(0, 1)
+        assert induced_graph(pts, wedge_columns(wedges)).has_edge(0, 1)
+        # Points that close are joined even where every range is shorter.
+        rows = wedge_columns([Wedge(p, w.bisector, 90.0, 1e-15) for p, w in zip(pts, wedges)])
+        assert induced_graph(pts, rows).has_edge(0, 1)
 
     def test_given_pairs_match_full_pass_restricted(self):
         # Bounded and unbounded wedges, two apexes that coincide within the
@@ -246,9 +247,10 @@ class TestInducedGraph:
             picked = rng.sample(everything, 40) + [(0, 12), (13, 1)]
             pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in picked]
             pairs += pairs[:5]
-            given = induced_graph(pts, wedges, ([u for u, _ in pairs], [v for _, v in pairs]))
+            rows = wedge_columns(wedges)
+            given = induced_graph(pts, rows, ([u for u, _ in pairs], [v for _, v in pairs]))
             wanted = {(min(u, v), max(u, v)) for u, v in pairs}
-            full = {(u, v): w for u, v, w in induced_graph(pts, wedges).edges() if (u, v) in wanted}
+            full = {(u, v): w for u, v, w in induced_graph(pts, rows).edges() if (u, v) in wanted}
             assert {(u, v): w for u, v, w in given.edges()} == full
             for u, v in wanted:
                 mutual = wedges[u].contains(pts[v]) and wedges[v].contains(pts[u])
@@ -274,16 +276,6 @@ class TestInducedGraph:
         # adjacent grid columns.
         pts += [Point(1002.0, 1009.0), Point(1002.0 + 3.0 * (1.0 + REL_TOL), 1009.0)]
         wedges += [Wedge(pts[-2], Direction(0), 90.0, 3.0), Wedge(pts[-1], Direction(180), 90.0, 3.0)]
-        # A facing pair 3 apart from apexes moved 0.9 tolerances towards each
-        # other: the points are farther apart than the range, and two grid
-        # columns apart unless the candidate radius is padded.
-        off = 0.9 * REL_TOL * 1003.0
-        near, far = Point(1002.9999996, 1003.0), Point(1002.9999996 + 3.0 + off, 1003.0)
-        pts += [near, far]
-        wedges += [
-            Wedge(Point(near.x + off, near.y), Direction(0), 90.0, 3.0),
-            Wedge(Point(far.x - off, far.y), Direction(180), 90.0, 3.0),
-        ]
         n = len(pts)
         expect = {
             (u, v): pts[u].distance_to(pts[v])
@@ -291,9 +283,8 @@ class TestInducedGraph:
             for v in range(u + 1, n)
             if wedges[u].contains(pts[v]) and wedges[v].contains(pts[u])
         }
-        assert (n - 4, n - 3) in expect and (n - 2, n - 1) in expect
-        assert pts[n - 1].distance_to(pts[n - 2]) > 3.0 * (1.0 + REL_TOL)
-        g = induced_graph(pts, wedges)
+        assert (n - 2, n - 1) in expect
+        g = induced_graph(pts, wedge_columns(wedges))
         assert {(u, v): w for u, v, w in g.edges()} == expect
         assert all(g.neighbors(u) == sorted(g.neighbors(u)) for u in range(n))
 
@@ -316,12 +307,11 @@ class TestInducedGraph:
 
     def test_pairs_read_only_their_wedges(self):
         pts = [Point(0, 0), Point(1, 0), Point(5, 5)]
-        wedges = [Wedge(pts[0], Direction(0), 90.0), Wedge(pts[1], Direction(180), 90.0), None]
-        assert induced_graph(pts, wedges, ([1], [0])).edges() == [(0, 1, 1.0)]
-        assert induced_graph(pts, wedges, ([], [])).edge_count == 0
-        wedges[1] = Wedge(pts[2], Direction(180), 90.0)
-        with pytest.raises(ApexMismatchError, match="wedge 1 "):
-            induced_graph(pts, wedges, ([0], [1]))
+        rows = np.array([[0.0, 90.0, math.inf], [180.0, 90.0, math.inf], [math.nan] * 3])
+        assert induced_graph(pts, rows, ([1], [0])).edges() == [(0, 1, 1.0)]
+        assert induced_graph(pts, rows, ([], [])).edge_count == 0
+        rows[1, 0] = 0.0
+        assert induced_graph(pts, rows, ([0], [1])).edge_count == 0
 
 
 def _ulps(x, k):
@@ -344,8 +334,8 @@ class TestCoversMatchesContains:
     @pytest.mark.parametrize("seed", range(4))
     def test_ulps_around_every_boundary(self, seed):
         rng = random.Random(seed)
-        probes, wedges = [], []
-        for _ in range(40):
+        probes, wedges, owner = [], [], []
+        for k in range(40):
             offset = rng.choice([1.0, 1e3, 1e7])
             apex = Point(rng.uniform(-offset, offset), rng.uniform(-offset, offset))
             w = Wedge(apex, Direction(rng.uniform(0, 360)), rng.choice([60.0, 90.0, 120.0, 180.0, 359.0]),
@@ -360,11 +350,13 @@ class TestCoversMatchesContains:
                 *_straddling(w, rng.uniform(0, 360), REL_TOL * scale),
             ]
             probes += near
-            wedges += [w] * len(near)
-        at = np.arange(len(probes))
-        rows = graph._vertex_arrays(coordinates(probes), wedge_columns(wedges), coordinates([w.apex for w in wedges]))
-        got = graph._covers(rows, at, at)
-        want = np.array([w.contains(q) for w, q in zip(wedges, probes)])
+            owner += [k] * len(near)
+            wedges.append(w)
+        # The apexes are the first points, each probe one more with an unread row.
+        xy = coordinates([w.apex for w in wedges] + probes)
+        rows = graph._vertex_arrays(xy, np.concatenate((wedge_columns(wedges), np.zeros((len(probes), 3)))))
+        got = graph._covers(rows, np.array(owner), len(wedges) + np.arange(len(probes)))
+        want = np.array([wedges[k].contains(q) for k, q in zip(owner, probes)])
         assert 0 < want.sum() < len(want)
         assert (got == want).all()
 
@@ -392,14 +384,6 @@ class TestCoversMatchesContains:
         want = np.array([column_wedge(apexes[k], *cols[k]).contains(q) for k, q in zip(owner, probes)])
         assert 0 < want.sum() < len(want)
         assert (got == want).all()
-
-    def test_apex_within_tolerance_passes_and_mismatch_names_its_vertex(self):
-        pts = [Point(0, 0), Point(1, 0), Point(1, 1)]
-        wedges = [Wedge(Point(1e-12, 0), Direction(0), 120.0), Wedge(pts[1], Direction(180), 120.0)]
-        assert induced_graph(pts[:2], wedges).edge_count == 1
-        wedges.append(Wedge(Point(1, 1.5), Direction(0), 120.0))
-        with pytest.raises(ApexMismatchError, match=r"^wedge 2 apex Point\(x=1, y=1\.5\) is not at point Point\(x=1, y=1\)$"):
-            induced_graph(pts, wedges)
 
 
 class TestUnitDiskGraph:
@@ -780,7 +764,7 @@ class TestCrossEdge:
             pts2 = rand_points(rng, 3)
             t1, t2 = batch_triplets([pts1, pts2])
             pts = pts1 + pts2
-            g = induced_graph(pts, list(t1.wedges) + list(t2.wedges))
+            g = induced_graph(pts, wedge_columns(t1.wedges + t2.wedges))
             assert cross_edge(g, [[0, 1, 2]], [[3, 4, 5]]) != [None]
 
     def test_absent_without_coverage(self):
@@ -789,7 +773,7 @@ class TestCrossEdge:
             Wedge(pts[0], Direction(180), 90.0),
             Wedge(pts[1], Direction(0), 90.0),
         ]
-        g = induced_graph(pts, wedges)
+        g = induced_graph(pts, wedge_columns(wedges))
         assert cross_edge(g, [[0]], [[1]]) == [None]
 
     def test_minimum_length_rule(self):

@@ -4,6 +4,7 @@ from wedgespan.errors import DisconnectedUDGError
 from wedgespan.generators import uniform_square
 from wedgespan.geom import Point, column_wedge
 from wedgespan.graph import CommGraph, hop_distances_from, unit_disk_graph
+from wedgespan.io import Instance, emit_instance, parse_instance
 from wedgespan.spanner import (
     CASE_BOUNDS,
     SPANNER_HOPS,
@@ -114,6 +115,16 @@ class TestBuildSpanner:
     def test_disconnected_udg(self):
         with pytest.raises(DisconnectedUDGError):
             build_spanner([Point(0, 0), Point(3, 0)])
+
+    @pytest.mark.parametrize("n", [2, 60, 200])
+    def test_parsed_points_stay_unbuilt(self, n):
+        # Anchoring and orienting small components read coordinates, never
+        # a Point of a parsed instance.
+        pts = uniform_square(n, side=(n / 5.0) ** 0.5, seed=1)
+        points = parse_instance(emit_instance(Instance(points=pts, meta={}))).points
+        res = build_spanner(points)
+        assert any(len(c) < 3 for c in res.partition.components)
+        assert points._points is None
 
     def test_random_instances(self):
         seed = 0
