@@ -40,9 +40,9 @@ from .geom import (
 )
 from .graph import (
     CommGraph,
-    DisjointSets,
     SpanningTree,
     Tour,
+    count_components,
     cross_edge,
     cross_pairs,
     edge_lengths,
@@ -112,9 +112,9 @@ def partition_tour(tour: Tour, group_size: int) -> TourPartition:
     return TourPartition(groups=groups, connecting_class=best, class_weights=tuple(weights))
 
 
-# What a gadget step returns: the tree edges and the (n, 3) wedge rows of
-# one witness wedge per point, unbounded, with NaN bisectors unset.
-_Gadgets = tuple[list, np.ndarray]
+# What a gadget step returns: the (m, 2) tree edge rows and the (n, 3) wedge
+# rows of one witness wedge per point, unbounded, with NaN bisectors unset.
+_Gadgets = tuple[np.ndarray, np.ndarray]
 
 
 def _covering_rows(points: PointSet, edges: Edges, alpha: float) -> np.ndarray:
@@ -134,7 +134,8 @@ def _path_step(points: PointSet, tour: Tour) -> _Gadgets:
     """
     n = tour.n
     drop = max(range(n), key=lambda i: (tour.edge_weights[i], -i))
-    edges = [tuple(sorted(tour.edge(i))) for i in range(n) if i != drop]
+    ring = np.array(tour.order + tour.order[:1])
+    edges = np.delete(np.array((ring[:-1], ring[1:])).T, drop, axis=0)  # tour edge i is row i
     return edges, _covering_rows(points, edges, 180.0)
 
 
@@ -163,12 +164,12 @@ def _triplet_step(points: PointSet, tour: Tour) -> _Gadgets:
     groups = np.array(full)
     tri = orient_triplet(points, groups)
     wedges[groups, 0] = tri.bisectors
-    edges = groups[np.arange(len(full))[:, None, None], tri.tree_edges].reshape(-1, 2).tolist()
+    inner = groups[np.arange(len(full))[:, None, None], tri.tree_edges].reshape(-1, 2)
     induced = induced_graph(points, wedges, cross_pairs(groups[:-1], groups[1:]))
-    edges += _cross_edges(induced, groups[:-1], groups[1:], lambda k: TheoremViolation(
+    joins = _cross_edges(induced, groups[:-1], groups[1:], lambda k: TheoremViolation(
         f"no cross edge between triplet groups {full[k]} and {full[k + 1]}"))
-    edges += aim_leftovers(points, wedges, leftovers, [full[-1]] * len(leftovers), 120.0)
-    return edges, wedges
+    joins += aim_leftovers(points, wedges, leftovers, [full[-1]] * len(leftovers), 120.0)
+    return np.concatenate((inner, edge_array(joins))), wedges
 
 
 def _by_x(xy: np.ndarray, members: Sequence[int]) -> list[int]:
@@ -182,13 +183,14 @@ _QUAD_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 def _quad_inner_edges(g: CommGraph, quad: Sequence[int]) -> list[tuple[int, int]]:
-    """Minimum spanning tree of the quadruplet's edges in g (3 edges); weight
-    ties go to the earlier pair of positions in ``quad``."""
-    sets = DisjointSets(4)
+    """Minimum spanning tree of the quadruplet's edges in g (3 edges), by
+    Kruskal; weight ties go to the earlier pair of positions in ``quad``."""
+    label = [0, 1, 2, 3]
     picked = []
     inner = [(g.weight(quad[i], quad[j]), i, j) for i, j in _QUAD_PAIRS if g.has_edge(quad[i], quad[j])]
     for _, i, j in sorted(inner):
-        if sets.union(i, j):
+        if label[i] != label[j]:
+            label = [label[i] if x == label[j] else x for x in label]
             picked.append((quad[i], quad[j]))
     if len(picked) != 3:
         raise GuaranteeViolation(f"induced graph of quadruplet {tuple(quad)} is not connected")
@@ -214,7 +216,7 @@ def _quadruplet_step(points: PointSet, tour: Tour) -> _Gadgets:
             for v in range(3)
             if angular_spread(points, [(v, u) for u in range(3) if u != v])[0] <= 90.0 + ANGLE_TOL_DEG
         )
-        edges = [(u, hub) for u in range(3) if u != hub]
+        edges = edge_array([(u, hub) for u in range(3) if u != hub])
         return edges, _covering_rows(points, edges, 90.0)
 
     wedges = np.full((n, 3), (np.nan, 90.0, np.inf))
@@ -249,7 +251,7 @@ def _quadruplet_step(points: PointSet, tour: Tour) -> _Gadgets:
     edges += _cross_edges(induced, sections[:-1], sections[1:], lambda k: SeparationConnectivityViolation(
         f"no edge between consecutive sections {full[k]} and {full[k + 1]}"))
     edges += aim_leftovers(points, wedges, leftovers, [host] * len(leftovers), 90.0)
-    return edges, wedges
+    return edge_array(edges), wedges
 
 
 # Per alpha: the gadget step, its group size, and the MST-ratio bound. When
@@ -285,7 +287,7 @@ def build_tree(points: PointSet, alpha_deg: float) -> AlphaTree:
     # Two points need no gadget; at 180 the path step covers them, with its
     # covering wedges in place of facing ones.
     if n == 2 and key != 180:
-        edges, wedges = [(0, 1)], orient_pair(points, (0, 1), alpha)
+        edges, wedges = np.array([[0, 1]]), orient_pair(points, (0, 1), alpha)
     else:
         edges, wedges = step(points, tour)
     tree = tree_from_edges(points, edges)
@@ -295,8 +297,8 @@ def build_tree(points: PointSet, alpha_deg: float) -> AlphaTree:
         for factor, of, reference in ((group, "tour", tour.weight), (bound, "MST", mst.weight)):
             if tree.weight > factor * reference * (1.0 + REL_TOL):
                 raise GuaranteeViolation(
-                    f"tree {tree.edges} weighs {tree.weight}, more than {factor:g}x the {of} "
-                    f"weight {reference}"
+                    f"tree {tuple(map(tuple, tree.edges.tolist()))} weighs {tree.weight}, "
+                    f"more than {factor:g}x the {of} weight {reference}"
                 )
     return AlphaTree(alpha, tree, points, wedges, mst_weight=mst.weight, tour_weight=tour.weight)
 
@@ -334,6 +336,15 @@ class AlphaTreeReport:
         }
 
 
+def edge_range_failures(ends: np.ndarray, n: int) -> tuple[list[str], np.ndarray]:
+    """Failures for the edge rows ``ends`` (objects past int64) that loop or leave 0..n-1, and the other rows."""
+    u, v = ends.T
+    bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+    if not bad.any():
+        return [], ends
+    return ["edge ({},{}) is out of range or a self-loop".format(*row) for row in ends[bad].tolist()], ends[~bad]
+
+
 def check_alpha_tree(
     points: PointSet,
     alpha_deg: float,
@@ -343,7 +354,8 @@ def check_alpha_tree(
 ) -> AlphaTreeReport:
     """Check an alpha-tree given as plain data (edges: distinct indices into points).
 
-    Checks edge count, span, acyclicity, per-vertex spread against alpha,
+    Checks edge count, that each edge joins two of the points (the rest read
+    only those), span, acyclicity, per-vertex spread against alpha,
     that every witness wedge has aperture alpha and every edge is mutual
     under them, that the reference MST weight is positive and at most the
     tree's, and the ratio. ``wedges`` holds the points' wedge rows.
@@ -352,16 +364,16 @@ def check_alpha_tree(
     The ratio bound (2 / 6 / 16) is enforced only where the charging argument
     applies: always for 180, and when the group size divides n for 120 and 90.
     """
-    n = len(points)
-    ends = edge_array(edges)
-    failures: list[str] = []
+    n, ends = len(points), np.reshape(edges, (-1, 2))  # ends past int64 stay objects, for the range check to name
     edge_count_ok = len(ends) == n - 1
-    if not edge_count_ok:
-        failures.append(f"expected {n - 1} edges, found {len(ends)}")
+    failures = [] if edge_count_ok else [f"expected {n - 1} edges, found {len(ends)}"]
+    out_of_range, ends = edge_range_failures(ends, n)
+    failures += out_of_range
+    ends = ends.astype(np.intp, copy=False)
 
-    sets = DisjointSets(n)
-    acyclic = sum(map(sets.union, *ends.T.tolist())) == len(ends)
-    connected = sets.count == 1
+    components = count_components(n, *ends.T)
+    acyclic = components == n - len(ends)
+    connected = components == 1
     if not connected:
         failures.append("tree does not span all vertices")
     if not acyclic:

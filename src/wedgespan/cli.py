@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import generators
-from .approx import build_tree, check_alpha_tree, verify_alpha_tree
+from .approx import build_tree, check_alpha_tree, edge_range_failures, verify_alpha_tree
 from .errors import GuaranteeViolation, WedgespanError
 from .geom import ANGLE_TOL_DEG, bad_wedge_rows, column_wedge, coordinates, edge_array
 from .graph import CommGraph, edge_lengths, euclidean_mst, non_mutual_edges, unit_disk_graph
@@ -133,15 +133,6 @@ def _antenna_failures(points, wedges: np.ndarray, edges) -> list[str]:
     return failures
 
 
-def _edge_range_failures(edges, n: int) -> list[str]:
-    """A failure for each edge that is a self-loop or has an end outside 0..n-1."""
-    return [
-        f"edge ({u},{v}) is out of range or a self-loop"
-        for u, v in edges
-        if u == v or not (0 <= u < n and 0 <= v < n)
-    ]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     points = instance.points
@@ -149,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = parse_result(Path(args.result).read_text())
     stored = doc.summary
     network = "hop_stretch" in stored
-    failures = _edge_range_failures(doc.edges, n)
+    failures, _ = edge_range_failures(doc.edges, n)
     if wedge_failure := _wedge_failure(points, doc.wedges):
         failures.append(wedge_failure)
     if not network:
@@ -162,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not failures:
         if network:
             failures = _antenna_failures(points, doc.wedges, doc.edges)
-            repeats = Counter((u, v) if u < v else (v, u) for u, v in doc.edges)
+            repeats = Counter((u, v) if u < v else (v, u) for u, v in doc.edges.tolist())
             failures += [f"edge ({u},{v}) is listed {k} times" for (u, v), k in repeats.items() if k > 1]
             u, v = edge_array(sorted(repeats)).T
             graph = CommGraph(n, u, v, edge_lengths(coordinates(points), u, v))
@@ -199,7 +190,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         payload["exists"] = True
         payload["weight"] = round_sig(tree.weight)
         payload["ratio"] = round_sig(tree.weight / mst_weight) if mst_weight > 0 else 1.0
-        payload["edges"] = [[u, v] for u, v in tree.edges]
+        payload["edges"] = tree.edges.tolist()
     _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -211,7 +202,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.result:
         doc = parse_result(Path(args.result).read_text())
         edges = doc.edges
-        if failures := _edge_range_failures(edges, len(points)):
+        if failures := edge_range_failures(edges, len(points))[0]:
             raise WedgespanError(failures[0])
         if failure := _wedge_failure(points, doc.wedges):
             raise WedgespanError(failure)

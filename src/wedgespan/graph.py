@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import sys
@@ -164,8 +165,8 @@ def _covers(rows: _Rows, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return covers
 
 
-def non_mutual_edges(points: PointSet, wedges: np.ndarray, edges: Edges) -> list[tuple[int, int]]:
-    """The edges (u, v), in order, for which wedge u does not contain
+def non_mutual_edges(points: PointSet, wedges: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
+    """The edge rows (u, v) of ``ends``, in order, for which wedge u does not contain
     ``points[v]`` or wedge v does not contain ``points[u]``; wedge k is
     wedge row k, with its apex at ``points[k]``.
 
@@ -173,7 +174,6 @@ def non_mutual_edges(points: PointSet, wedges: np.ndarray, edges: Edges) -> list
     at a time.
     """
     rows = _vertex_arrays(coordinates(points), wedges)
-    ends = edge_array(edges)
     failed = [ends[:0]]
     for start in range(0, len(ends), _EDGE_BLOCK):
         u, v = ends[start : start + _EDGE_BLOCK].T
@@ -305,56 +305,56 @@ def hop_distances_from(
     return [dist.get(t) for t in targets]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """Edge list of a spanning tree plus its total Euclidean weight."""
+    """A spanning tree: its edges, read-only (m, 2) intp rows u < v in ascending order, and weight."""
 
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     weight: float
 
-    @property
-    def n(self) -> int:
-        return len(self.edges) + 1
+    def __post_init__(self):
+        edges = edge_array(self.edges)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
 
-class DisjointSets:
-    """Union-find over vertices 0..n-1 with path halving; ``count`` sets remain."""
-
-    def __init__(self, n: int):
-        self._parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, u: int, v: int) -> bool:
-        """Merge the sets of u and v; False when they were already one set."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self._parent[ru] = rv
-        self.count -= 1
-        return True
+def _roots(link: np.ndarray) -> np.ndarray:
+    """Each entry's root under a forest's parent pointers ``link``, roots their own: pointer jumping."""
+    while np.count_nonzero((jump := link[link]) != link):
+        link = jump
+    return link
 
 
-def tree_from_edges(points: PointSet, edges: Iterable[tuple[int, int]]) -> SpanningTree:
+def count_components(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """The number of components of the graph on 0..n-1 with edges (u[k], v[k]), loops and repeats allowed.
+    Hooking and pointer jumping (Shiloach and Vishkin): each round every root hooks to its smallest
+    neighbouring root, if smaller; one left alone hooks the next round, so O(log n) rounds suffice."""
+    label = ids = np.arange(n)
+    while np.count_nonzero((lu := label[u]) != (lv := label[v])):
+        hook = ids.copy()
+        np.minimum.at(hook, np.maximum(lu, lv), np.minimum(lu, lv))
+        label = _roots(hook)[label]
+    return int(np.count_nonzero(label == ids))
+
+
+def _ascending(ends: np.ndarray, n: int) -> np.ndarray:
+    """The edge rows of ``ends``, ends in 0..n-1, turned to u <= v, in ascending order."""
+    ends = np.sort(ends, axis=1)
+    return ends[(ends[:, 0] * n + ends[:, 1]).argsort()]
+
+
+def tree_from_edges(points: PointSet, edges: Edges) -> SpanningTree:
     """Build a SpanningTree from index pairs, validating span and acyclicity."""
     n = len(points)
-    norm = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
-    if len(norm) != n - 1:
-        raise ValueError(f"spanning tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
-    sets = DisjointSets(n)
-    xs, ys = coordinates(points).T.tolist()
-    weight = 0.0
-    for u, v in norm:
-        if not sets.union(u, v):
-            raise ValueError(f"edge ({u},{v}) creates a cycle")
-        weight += math.hypot(xs[v] - xs[u], ys[v] - ys[u])  # Point.distance_to
-    return SpanningTree(norm, weight)
+    ends = _ascending(edge_array(edges), n)
+    if len(ends) != n - 1:
+        raise ValueError(f"spanning tree on {n} vertices needs {n - 1} edges, got {len(ends)}")
+    u, v = ends.T
+    if count_components(n, u, v) != 1:
+        # Name the first edge to close a cycle: k edges are a forest iff they leave n - k components.
+        k = bisect.bisect(range(n), False, key=lambda k: count_components(n, u[:k], v[:k]) != n - k)
+        raise ValueError("edge ({},{}) creates a cycle".format(*ends[k - 1].tolist()))
+    return SpanningTree(ends, sum_left(edge_lengths(coordinates(points), u, v).tolist()))
 
 
 # Up to this many points euclidean_mst runs Prim over the full distance
@@ -408,43 +408,41 @@ def euclidean_mst(points: PointSet) -> SpanningTree:
     xy = coordinates(points)
     with np.errstate(over="ignore"):  # distances past the float range are inf: build_tree reports them
         if n <= ALL_PAIRS_N:
-            edges = _matrix_prim(xy)
+            ends = _matrix_prim(xy)
         else:
             pairs = _near_pairs(xy)
-            edges = _boruvka_prim(xy, pairs)
-            if edges is None:  # a tie, or no pairs
-                edges = _grid_prim(xy, pairs)
-    xs, ys = xy.T.tolist()
-    weight = sum_left(math.hypot(xs[v] - xs[u], ys[v] - ys[u]) for u, v in edges)  # Point.distance_to
-    tree = SpanningTree(tuple(sorted(edges)), weight)
+            ends = _boruvka_prim(xy, pairs)
+            if ends is None:  # a tie, or no pairs
+                ends = _grid_prim(xy, pairs)
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    tree = SpanningTree(_ascending(ends, n), sum_left(edge_lengths(xy, *ends.T).tolist()))
     if isinstance(points, PointArray):
         points._mst = tree
     return tree
 
 
-def _matrix_prim(xy: np.ndarray) -> list[tuple[int, int]]:
-    """Dense Prim's edges, in join order, over the full distance matrix."""
+def _matrix_prim(xy: np.ndarray) -> list[int]:
+    """Dense Prim's edge ends, in join order, over the full distance matrix."""
     n = len(xy)
     dist = np.hypot(xy[:, None, 0] - xy[:, 0], xy[:, None, 1] - xy[:, 1]).tolist()
     best = dist[0]
     parent = [0] * n
     outside = list(range(1, n))
-    edges = []
+    ends = []
     while outside:
         k = min(outside, key=best.__getitem__)  # the lowest index at the minimum
         outside.remove(k)
-        u = parent[k]
-        edges.append((u, k) if u < k else (k, u))
+        ends += parent[k], k
         row = dist[k]
         for j in outside:
             if row[j] < best[j]:
                 best[j] = row[j]
                 parent[j] = k
-    return edges
+    return ends
 
 
-def _grid_prim(xy: np.ndarray, pairs: _Pairs) -> list[tuple[int, int]]:
-    """Dense Prim's edges, in join order, from ``_near_pairs``' pairs within
+def _grid_prim(xy: np.ndarray, pairs: _Pairs) -> list[int]:
+    """Dense Prim's edge ends, in join order, from ``_near_pairs``' pairs within
     ``r``, keeping each of its rules:
 
     * it joins the lowest-index vertex at the minimum distance from the tree,
@@ -472,13 +470,13 @@ def _grid_prim(xy: np.ndarray, pairs: _Pairs) -> list[tuple[int, int]]:
     inside = np.zeros(n, dtype=bool)
     far_d = np.full(n, np.inf)
     far_parent = np.zeros(n, dtype=np.int64)
-    edges = []
+    ends = []
     k = 0
     while True:
         in_tree[k] = True
         joined.append(k)
         if len(joined) == n:
-            return edges
+            return ends
         for j, dj in zip(nbr[ptr[k] : ptr[k + 1]].tolist(), nbr_d[ptr[k] : ptr[k + 1]].tolist()):
             if dj < best[j] and not in_tree[j]:
                 live += best[j] == math.inf
@@ -505,11 +503,11 @@ def _grid_prim(xy: np.ndarray, pairs: _Pairs) -> list[tuple[int, int]]:
             pick = int(col_d.argmin())
             k = int(cols[pick])
             u = int(col_parent[pick])
-        edges.append((u, k) if u < k else (k, u))
+        ends += u, k
 
 
-def _boruvka_prim(xy: np.ndarray, pairs: _Pairs) -> Optional[list[tuple[int, int]]]:
-    """Dense Prim's edges, in join order, from ``_near_pairs``' pairs within
+def _boruvka_prim(xy: np.ndarray, pairs: _Pairs) -> Optional[list[int]]:
+    """Dense Prim's edge ends, in join order, from ``_near_pairs``' pairs within
     ``r``; None when two of the pairs are equally long, when there are none
     (``r = 0``: ``_grid_prim`` is then plain dense Prim, with less to keep
     per step), or when a Prim step below ties.
@@ -552,9 +550,7 @@ def _boruvka_prim(xy: np.ndarray, pairs: _Pairs) -> Optional[list[tuple[int, int
         link[c] = to = np.where(ca[e] == c, cb[e], ca[e])
         mutual = (link[to] == c) & (c < to)  # both took the same pair: the lower one roots
         link[c[mutual]] = c[mutual]
-        while not np.array_equal(jump := link[link], link):
-            link = jump
-        comp = link[comp]
+        comp = _roots(link)[comp]
 
     tree_u, tree_v, tree_d = (side[taken] for side in pairs)
     if len(tree_d) < n - 1:
@@ -582,9 +578,9 @@ def _boruvka_prim(xy: np.ndarray, pairs: _Pairs) -> Optional[list[tuple[int, int
     return _prim_order(n, tree_u, tree_v, tree_d)
 
 
-def _prim_order(n: int, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
-    """The edges (u[i], v[i]) of the only minimum spanning tree, d[i] long,
-    in dense Prim's join order from vertex 0.
+def _prim_order(n: int, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> list[int]:
+    """The ends of the edges (u[i], v[i]) of the only minimum spanning tree,
+    d[i] long, in dense Prim's join order from vertex 0.
 
     Dense Prim joins the lowest-index vertex j at the minimum distance m from
     the part built so far. Every pair across at distance m lies in the only
@@ -597,7 +593,7 @@ def _prim_order(n: int, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> list[tup
     joined = [False] * n
     parent = [0] * n
     heap: list[tuple[float, int]] = []
-    edges = []
+    ends = []
     k = 0
     while True:
         joined[k] = True
@@ -611,11 +607,10 @@ def _prim_order(n: int, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> list[tup
         if not heap:
             break
         k = heapq.heappop(heap)[1]
-        j = parent[k]
-        edges.append((j, k) if j < k else (k, j))
-    if len(edges) != n - 1:
-        raise GuaranteeViolation(f"{len(u)} tree edges reach {len(edges) + 1} of {n} points from point 0")
-    return edges
+        ends += parent[k], k
+    if len(ends) != 2 * (n - 1):
+        raise GuaranteeViolation(f"{len(u)} tree edges reach {len(ends) // 2 + 1} of {n} points from point 0")
+    return ends
 
 
 def _near_pairs(xy: np.ndarray) -> _Pairs:
@@ -703,9 +698,6 @@ class Tour:
     def n(self) -> int:
         return len(self.order)
 
-    def edge(self, i: int) -> tuple[int, int]:
-        return self.order[i], self.order[(i + 1) % self.n]
-
 
 def tsp_tour(points: PointSet, mst: SpanningTree) -> Tour:
     """2-approximate TSP tour: preorder walk of ``mst``, the points' Euclidean
@@ -718,28 +710,21 @@ def tsp_tour(points: PointSet, mst: SpanningTree) -> Tour:
     n = len(points)
     if n < 2:
         raise TooFewPointsError("tsp_tour requires at least two points")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in mst.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
+    # Each vertex's neighbours, descending, so the lowest is popped first: nbr[ptr[k]:ptr[k + 1]] for vertex k.
+    src, dst = np.concatenate((mst.edges, mst.edges[:, ::-1])).T
+    nbr = dst[(src * n - dst).argsort()].tolist()
+    ptr = [0, *np.bincount(src, minlength=n).cumsum().tolist()]
     order = []
     seen = [False] * n
     stack = [0]
     while stack:
         u = stack.pop()
-        if seen[u]:
-            continue
-        seen[u] = True
-        order.append(u)
-        for v in reversed(adj[u]):
-            if not seen[v]:
-                stack.append(v)
-    xs, ys = coordinates(points).T.tolist()
-    edge_weights = tuple(  # Point.distance_to
-        math.hypot(xs[b] - xs[a], ys[b] - ys[a]) for a, b in zip(order, order[1:] + order[:1])
-    )
+        if not seen[u]:
+            seen[u] = True
+            order.append(u)
+            stack += nbr[ptr[u] : ptr[u + 1]]
+    ring = np.array(order + order[:1])
+    edge_weights = tuple(edge_lengths(coordinates(points), ring[:-1], ring[1:]).tolist())
     weight = sum_left(edge_weights)
     if weight > 2.0 * mst.weight * (1.0 + REL_TOL):
         raise GuaranteeViolation(
@@ -773,7 +758,9 @@ def cross_edge(g: CommGraph, sides_a: np.ndarray, sides_b: np.ndarray) -> list[O
     q = sides_b.shape[1]
     key = (np.minimum(cu, cv) * g.n + np.maximum(cu, cv)).reshape(-1, sides_a.shape[1] * q)  # u by u
     keys = np.concatenate((g.u * g.n + g.v, [g.n * g.n]))  # the last is past every key: no lookup overruns
-    at = keys.searchsorted(key)
+    by_key = key.ravel().argsort()  # searchsorted runs faster on sorted needles
+    at = np.empty(key.shape, np.intp)
+    at.flat[by_key] = keys.searchsorted(key.flat[by_key])
     found = keys[at] == key
     rows = np.arange(len(key))
     pick = np.where(found, np.concatenate((g.w, [np.inf]))[at], np.inf).argmin(axis=1)

@@ -16,13 +16,21 @@ from typing import Iterator, Optional, TextIO
 import numpy as np
 
 from .errors import InstanceParseError, TooFewPointsError
-from .geom import Edges, Point, PointArray, PointSet, column_wedge, coordinates, edge_array
+from .geom import Edges, Point, PointArray, PointSet, column_wedge, coordinates
 
 _SIG_SPEC = ".12g"
 
 
 def round_sig(x: float) -> float:
     return float(format(x, _SIG_SPEC))
+
+
+def _sig_repr(x: float) -> str:
+    """``repr(round_sig(x))``. A ``format(x, ".12g")`` text with a "." and no "e" is that repr: no
+    two decimals of at most 15 digits round to one double, so repr's shortest digits are its own (at
+    most 12, no trailing zero), and its exponent, in [-4, 12), is one repr writes fixed too."""
+    text = format(x, _SIG_SPEC)
+    return text if "." in text and "e" not in text else repr(float(text))
 
 
 @dataclass
@@ -169,19 +177,18 @@ class ResultDoc:
     """Solver output: per-point wedges, chosen edges, and a summary block.
 
     Point k's wedge is row k of the (n, 3) float array ``wedges``:
-    bisector_deg, aperture_deg and radius, inf when unbounded. ``edges`` are
-    (u, v) pairs or an (m, 2) int array.
+    bisector_deg, aperture_deg and radius, inf when unbounded. ``edges`` is
+    an (m, 2) int array of (u, v) rows.
     """
 
     wedges: np.ndarray
-    edges: Edges
+    edges: np.ndarray
     summary: dict
     verification: Optional[dict] = None
 
 
-def _edge_pairs(edges: Edges) -> Iterator[tuple[int, int]]:
-    """The edges as (u, v) tuples of ints, taken from their array a chunk at a time."""
-    rows = edge_array(edges)
+def _edge_pairs(rows: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The (m, 2) edge rows as (u, v) tuples of ints, a chunk at a time."""
     for i in range(0, len(rows), _CHUNK_ITEMS):
         yield from zip(*rows[i : i + _CHUNK_ITEMS].T.tolist())
 
@@ -205,7 +212,7 @@ def emit_result(doc: ResultDoc, out: Optional[TextIO] = None) -> Optional[str]:
         raise ValueError(fault)
     # Each distinct value, told apart by its bits so that -0.0 and 0.0 stay apart, is formatted once.
     bits, at = np.unique(np.ascontiguousarray(doc.wedges, dtype=np.float64).view(np.int64), return_inverse=True)
-    texts = [repr(round_sig(x)) for x in bits.view(np.float64).tolist()]
+    texts = list(map(_sig_repr, bits.view(np.float64).tolist()))
     values = map(texts.__getitem__, at.ravel().tolist())
     rows = zip(values, values, values)
     records = (_WEDGE % row if row[2] != "inf" else _UNBOUNDED_WEDGE % row[:2] for row in rows)
@@ -249,11 +256,14 @@ def _edge(pair, where: str) -> tuple[int, int]:
     return pair[0], pair[1]
 
 
-def _edges(raw: list) -> list[tuple[int, int]]:
+def _edges(raw: list) -> np.ndarray:
     flat = _flat_pairs(raw)
-    if {int}.issuperset(map(type, flat)):
-        return list(zip(flat[::2], flat[1::2]))
-    return [_edge(pair, f"edges[{k}]") for k, pair in enumerate(raw)]  # names the first bad pair
+    if not {int}.issuperset(map(type, flat)):
+        flat = [end for k, pair in enumerate(raw) for end in _edge(pair, f"edges[{k}]")]  # names the first bad pair
+    try:
+        return np.array(flat, dtype=np.intp).reshape(-1, 2)
+    except OverflowError:  # an end past int64, held as an object for the range check to name
+        return np.array(flat, dtype=object).reshape(-1, 2)
 
 
 def parse_result(text: str) -> ResultDoc:

@@ -21,6 +21,9 @@
   test; the row gadgets must give their bits and decisions.
   ``wedge_columns`` turns ``Wedge`` objects into the library's wedge rows,
   and ``covers_plane`` runs the library's coverage test on such objects.
+* ``DisjointSets``, the per-edge union-find the library used before it
+  counted components by hooking and pointer jumping: the oracle of
+  ``graph.count_components``.
 """
 
 from __future__ import annotations
@@ -124,6 +127,30 @@ def dense_prim_mst(points: PointSet) -> SpanningTree:
         weight += points[u].distance_to(points[v])
     return SpanningTree(tuple(sorted(edges)), weight)
 
+
+
+class DisjointSets:
+    """Union-find over vertices 0..n-1 with path halving; ``count`` sets remain."""
+
+    def __init__(self, n: int):
+        self._parent = list(range(n))
+        self.count = n
+
+    def find(self, x: int) -> int:
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, u: int, v: int) -> bool:
+        """Merge the sets of u and v; False when they were already one set."""
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self._parent[ru] = rv
+        self.count -= 1
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from wedgespan.generators import (
 )
 from wedgespan.geom import Point, PointArray, Wedge, Direction, angular_spread, coordinates
 from wedgespan.graph import (
-    DisjointSets,
     Tour,
     euclidean_mst,
     induced_graph,
@@ -29,7 +28,13 @@ from wedgespan.graph import (
     tsp_tour,
 )
 
-from reference import aim_leftovers_scalar, orient_quadruplet_objects, orient_triplet_scalar, wedge_columns
+from reference import (
+    DisjointSets,
+    aim_leftovers_scalar,
+    orient_quadruplet_objects,
+    orient_triplet_scalar,
+    wedge_columns,
+)
 
 
 class TestPartitionTour:
@@ -138,7 +143,7 @@ class TestBuild120:
     def test_deterministic(self):
         pts = uniform_square(21, seed=77)
         a, b = build_tree(pts, 120), build_tree(pts, 120)
-        assert a.tree.edges == b.tree.edges
+        assert a.tree.edges.tolist() == b.tree.edges.tolist()
         assert [w.bisector.degrees for w in a.wedges] == [
             w.bisector.degrees for w in b.wedges
         ]
@@ -146,7 +151,7 @@ class TestBuild120:
     def test_deterministic_90(self):
         pts = uniform_square(19, seed=78)
         a, b = build_tree(pts, 90), build_tree(pts, 90)
-        assert a.tree.edges == b.tree.edges
+        assert a.tree.edges.tolist() == b.tree.edges.tolist()
         assert [w.bisector.degrees for w in a.wedges] == [
             w.bisector.degrees for w in b.wedges
         ]
@@ -280,6 +285,21 @@ class TestVerifier:
         for scale in (0.5, 2.0, 0.0):
             assert verify_alpha_tree(checked, replace(at, mst_weight=at.mst_weight * scale)) == genuine
 
+    @pytest.mark.parametrize("edges, bad", [
+        ([(0, 1), (1, 3)], (1, 3)),
+        ([(0, 1), (-1, 2)], (-1, 2)),
+        ([(0, 1), (2, 2)], (2, 2)),
+        ([(0, 1), (10**30, 2)], (10**30, 2)),
+    ], ids=["end-past-n", "negative-end", "self-loop", "end-past-int64"])
+    def test_edge_out_of_range_is_a_failure(self, edges, bad):
+        # The text cmd_verify prints for such an edge; the other checks read the other edges.
+        pts = collinear(3)
+        wedges = wedge_columns([Wedge(p, Direction(0), 180.0) for p in pts])
+        report = check_alpha_tree(pts, 180.0, edges, wedges, 2.0)
+        assert not report.passed and report.edge_count_ok and not report.connected
+        assert "edge ({},{}) is out of range or a self-loop".format(*bad) in report.failures
+        assert report.weight == 1.0
+
     def test_ratio_one_for_pair(self):
         pts = [Point(0, 0), Point(2, 1)]
         for alpha in (180, 120, 90):
@@ -365,7 +385,7 @@ def _per_group_tree(points, alpha):
         for a, b in zip(full, full[1:]):
             edges.append(_group_cross_edge(points, wedges, a, b))
     edges += aim_leftovers_scalar(points, wedges, leftovers, host, float(alpha))
-    return tree_from_edges(points, edges).edges, tuple(wedges)
+    return sorted(map(sorted, edges)), tuple(wedges)
 
 
 _SHAPES = [
@@ -388,7 +408,7 @@ class TestOneInducedPass:
         for seed in range(20):
             pts = gen(n, seed=seed)
             at = build_tree(pts, alpha)
-            assert (at.tree.edges, at.wedges) == _per_group_tree(pts, alpha), seed
+            assert (at.tree.edges.tolist(), at.wedges) == _per_group_tree(pts, alpha), seed
 
     def test_grid_quadruplets_in_shuffled_order(self):
         # Unit grids: the quadruplets' inner edges tie in weight, and the ids
@@ -399,10 +419,10 @@ class TestOneInducedPass:
             for _ in range(30):
                 pts = rng.sample(grid, len(grid))
                 at = build_tree(pts, 90)
-                assert (at.tree.edges, at.wedges) == _per_group_tree(pts, 90), pts
+                assert (at.tree.edges.tolist(), at.wedges) == _per_group_tree(pts, 90), pts
 
     @pytest.mark.parametrize("alpha", [90, 120])
     @pytest.mark.parametrize("name,pts", _SHAPES, ids=[f"{s}-{len(p)}" for s, p in _SHAPES])
     def test_tie_heavy_shapes(self, name, pts, alpha):
         at = build_tree(pts, alpha)
-        assert (at.tree.edges, at.wedges) == _per_group_tree(pts, alpha)
+        assert (at.tree.edges.tolist(), at.wedges) == _per_group_tree(pts, alpha)

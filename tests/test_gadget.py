@@ -28,9 +28,10 @@ from wedgespan.geom import (
     direction,
     points_coincide,
 )
-from wedgespan.graph import DisjointSets, induced_graph
+from wedgespan.graph import induced_graph
 
 from reference import (
+    DisjointSets,
     aim_leftovers_scalar,
     batch_triplets,
     covers_plane,

@@ -25,7 +25,6 @@ from wedgespan.geom import (
 )
 from wedgespan.graph import (
     CommGraph,
-    DisjointSets,
     SpanningTree,
     cross_edge,
     euclidean_mst,
@@ -46,7 +45,7 @@ from wedgespan.generators import (
 from wedgespan.oracle import brute_force_alpha_mst
 from wedgespan.spanner import greedy_components, orient_components
 
-from reference import batch_triplets, cross_edge_scalar, dense_prim_mst, wedge_columns
+from reference import DisjointSets, batch_triplets, cross_edge_scalar, dense_prim_mst, wedge_columns
 
 
 def graph_of(n, triples):
@@ -477,7 +476,7 @@ class TestEuclideanMST:
 
     def test_single_point(self):
         mst = euclidean_mst([Point(2, 3)])
-        assert mst.edges == () and mst.weight == 0.0
+        assert mst.edges.shape == (0, 2) and mst.weight == 0.0
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicatePointError):
@@ -503,7 +502,8 @@ class TestEuclideanMST:
 
 def assert_same_as_dense_prim(pts):
     got, ref = euclidean_mst(pts), dense_prim_mst(pts)
-    assert got.edges == ref.edges
+    assert got.edges.tolist() == ref.edges.tolist()
+    assert got.edges.dtype == np.intp and not got.edges.flags.writeable
     assert got.weight == ref.weight
     # euclidean_mst picks one of three routes by n and by ties; each must
     # give dense Prim's edges in its join order, which the weight's summation
@@ -514,9 +514,10 @@ def assert_same_as_dense_prim(pts):
     pairs = graph._near_pairs(xy)
     joins = [graph._grid_prim(xy, pairs), graph._boruvka_prim(xy, pairs)]
     joins += [graph._matrix_prim(xy)] if len(pts) <= 400 else []
-    for edges in joins:
-        if edges is not None:
-            assert tuple(sorted(edges)) == ref.edges
+    for ends in joins:
+        if ends is not None:
+            edges = np.reshape(ends, (-1, 2)).tolist()
+            assert sorted(map(sorted, edges)) == ref.edges.tolist()
             assert sum(pts[u].distance_to(pts[v]) for u, v in edges) == ref.weight
 
 
@@ -600,13 +601,13 @@ class TestEuclideanMSTMatchesDensePrim:
         assert graph._boruvka_prim(xy, graph._near_pairs(xy)) is not None
         assert folds
         got, ref = euclidean_mst(pts), dense_prim_mst(pts)
-        assert (got.edges, got.weight) == (ref.edges, ref.weight)
+        assert (got.edges.tolist(), got.weight) == (ref.edges.tolist(), ref.weight)
 
     def test_uniform_points_never_take_the_step_by_step_route(self, monkeypatch):
         pts = uniform_square(2000, seed=0)
         monkeypatch.setattr(graph, "_grid_prim", _refuse)
         got, ref = euclidean_mst(pts), dense_prim_mst(pts)
-        assert (got.edges, got.weight) == (ref.edges, ref.weight)
+        assert (got.edges.tolist(), got.weight) == (ref.edges.tolist(), ref.weight)
 
     def test_two_equal_pairs_take_the_tie_route(self):
         # Two pairs exactly 2**-10 apart among uniform points.
@@ -636,7 +637,7 @@ class TestEuclideanMSTMatchesDensePrim:
         u, v, d = np.array([0, 1, 0, 3]), np.array([1, 2, 2, 4]), np.array([1.0, 2.0, 3.0, 1.0])
         with pytest.raises(GuaranteeViolation, match="reach 3 of 5 points"):
             graph._prim_order(5, u, v, d)
-        assert graph._prim_order(3, u[:2], v[:2], d[:2]) == [(0, 1), (1, 2)]
+        assert graph._prim_order(3, u[:2], v[:2], d[:2]) == [0, 1, 1, 2]
 
     def test_memory_bound(self):
         # Dense Prim peaks near 0.9 MB here, a layout with per-pair Python
@@ -678,11 +679,13 @@ class TestEuclideanMSTOncePerPointArray:
         tree = euclidean_mst(a)
         assert euclidean_mst(a) is tree and emst_runs == [300]
         other = euclidean_mst(b)
-        assert other is not tree and other == tree and emst_runs == [300, 300]
+        assert other is not tree and emst_runs == [300, 300]
+        assert (other.edges.tolist(), other.weight) == (tree.edges.tolist(), tree.weight)
 
     def test_a_point_list_computes_on_every_call(self, emst_runs):
         pts = uniform_square(300, seed=1)
-        assert euclidean_mst(pts) == euclidean_mst(pts)
+        a, b = euclidean_mst(pts), euclidean_mst(pts)
+        assert a is not b and (a.edges.tolist(), a.weight) == (b.edges.tolist(), b.weight)
         assert emst_runs == [300, 300]
 
     @pytest.mark.parametrize("n", [32, 300])
@@ -699,7 +702,8 @@ class TestEuclideanMSTOncePerPointArray:
             euclidean_mst(points)
         assert points._mst is None
         monkeypatch.setattr(graph, name, counted)
-        assert euclidean_mst(points) == dense_prim_mst(list(points))
+        got, ref = euclidean_mst(points), dense_prim_mst(list(points))
+        assert (got.edges.tolist(), got.weight) == (ref.edges.tolist(), ref.weight)
         assert euclidean_mst(points) is points._mst and emst_runs == [n]
 
 
@@ -745,6 +749,82 @@ class TestTreeFromEdges:
         pts = [Point(0, 0), Point(1, 0), Point(0, 1)]
         with pytest.raises(ValueError):
             tree_from_edges(pts, [(0, 1)])
+
+
+def _union_find_tree(pts, edges):
+    """``tree_from_edges`` by the per-edge union-find: the sorted edges and
+    their weight summed in that order, or the ValueError text."""
+    n = len(pts)
+    norm = sorted([u, v] if u < v else [v, u] for u, v in edges)
+    if len(norm) != n - 1:
+        return f"spanning tree on {n} vertices needs {n - 1} edges, got {len(norm)}"
+    sets = DisjointSets(n)
+    weight = 0.0
+    for u, v in norm:
+        if not sets.union(u, v):
+            return f"edge ({u},{v}) creates a cycle"
+        weight += pts[u].distance_to(pts[v])
+    return norm, weight
+
+
+# Multigraphs on 1 to 60 vertices: isolated vertices, self-loops, repeated
+# and reversed edges.
+_MULTIGRAPHS = st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)))
+
+
+@st.composite
+def _spanning_trees(draw):
+    """A random tree on 1 to 40 vertices, in shuffled order and orientation,
+    with at times one edge moved to close a cycle."""
+    n = draw(st.integers(1, 40))
+    ids = draw(st.permutations(range(n)))
+    edges = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    edges = [e[::-1] if draw(st.booleans()) else e for e in draw(st.permutations(edges))]
+    if n > 2 and draw(st.booleans()):
+        edges[draw(st.integers(0, n - 2))] = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+    return n, edges
+
+
+class TestCountComponents:
+    """``count_components`` against the per-edge union-find it replaced."""
+
+    @given(_MULTIGRAPHS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_union_find(self, multigraph):
+        n, edges = multigraph
+        sets = DisjointSets(n)
+        merges = sum(sets.union(u, v) for u, v in edges)
+        u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        count = graph.count_components(n, u, v)
+        assert count == sets.count
+        assert (count == n - len(edges)) == (merges == len(edges))  # acyclic
+
+    @given(st.one_of(_spanning_trees(), _MULTIGRAPHS))
+    @settings(max_examples=400, deadline=None)
+    def test_tree_from_edges_matches_union_find(self, multigraph):
+        n, edges = multigraph
+        pts = uniform_square(n, seed=n)
+        want = _union_find_tree(pts, edges)
+        try:
+            tree = tree_from_edges(PointArray(coordinates(pts)), edges)
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert (tree.edges.tolist(), tree.weight) == want
+            assert tree.edges.dtype == np.intp and not tree.edges.flags.writeable
+
+    def test_path_in_bit_reversed_order_takes_log_n_rounds(self, monkeypatch):
+        # Along a path whose labels run in bit-reversed order, each round
+        # merges little more than neighbouring pairs (12 rounds); no order
+        # a random search tried at n = 64 and 256 took more than log2 n.
+        n = 4800
+        labels = np.array(sorted(range(n), key=lambda i: format(i, "013b")[::-1]))
+        rounds = []
+        roots = graph._roots
+        monkeypatch.setattr(graph, "_roots", lambda link: rounds.append(1) or roots(link))
+        assert graph.count_components(n, labels[:-1], labels[1:]) == 1
+        assert 0 < len(rounds) <= 2 * math.log2(n)
 
 
 class TestDisjointSets:

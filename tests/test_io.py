@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from wedgespan.io import (
     emit_instance,
     emit_result,
     emit_svg,
+    _sig_repr,
     parse_instance,
     parse_result,
+    round_sig,
 )
 
 from reference import edges_of, emit_instance_json, emit_result_json, points_of, wedges_of
@@ -127,7 +130,7 @@ class TestInstanceRoundTrip:
 def _result_doc():
     return ResultDoc(
         wedges=np.array([[0.123456789012345, 120.0, math.inf], [240.0, 120.0, 7.0]]),
-        edges=[(0, 1)],
+        edges=np.array([[0, 1]]),
         summary={
             "alpha": 120.0,
             "weight": 1.4142135623730951,
@@ -145,7 +148,7 @@ class TestResultRoundTrip:
         text = emit_result(_result_doc())
         doc = parse_result(text)
         assert doc.wedges.tolist() == [[0.123456789012, 120.0, math.inf], [240.0, 120.0, 7.0]]
-        assert doc.edges == [(0, 1)]
+        assert doc.edges.tolist() == [[0, 1]]
         assert emit_result(doc) == text
 
     @settings(max_examples=200, deadline=None)
@@ -161,7 +164,7 @@ class TestResultRoundTrip:
         st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=8),
     )
     def test_emit_parse_emit_is_identity(self, wedges, edges):
-        text = emit_result(ResultDoc(np.array(wedges).reshape(-1, 3), edges, {"alpha": 120.0}))
+        text = emit_result(ResultDoc(np.array(wedges).reshape(-1, 3), np.reshape(edges, (-1, 2)), {"alpha": 120.0}))
         assert emit_result(parse_result(text)) == text
 
     def test_radius_omitted_when_absent(self):
@@ -177,7 +180,7 @@ class TestResultRoundTrip:
         doc = parse_result(emit_result(_result_doc()))
         assert doc.wedges.dtype == np.float64 and doc.wedges.shape == (2, 3)
         assert doc.wedges[:, 2].tolist() == [math.inf, 7.0]
-        assert parse_result(emit_result(ResultDoc(np.empty((0, 3)), [], {}))).wedges.shape == (0, 3)
+        assert parse_result(emit_result(ResultDoc(np.empty((0, 3)), np.empty((0, 2), int), {}))).wedges.shape == (0, 3)
 
     def test_malformed_result(self):
         with pytest.raises(InstanceParseError):
@@ -192,15 +195,13 @@ class TestResultWriter:
     @given(
         st.lists(st.tuples(_FINITE, _FINITE, st.one_of(st.just(math.inf), _FINITE)), max_size=8),
         st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), max_size=8),
-        st.booleans(),
         st.dictionaries(st.text(max_size=6), _JSON, max_size=5),
         st.one_of(st.none(), st.dictionaries(st.text(max_size=6), _JSON, max_size=5)),
     )
-    def test_matches_json_dumps(self, wedges, edges, edge_array, summary, verification):
-        doc = ResultDoc(np.array(wedges).reshape(-1, 3), edges, summary, verification)
+    def test_matches_json_dumps(self, wedges, edges, summary, verification):
+        doc = ResultDoc(np.array(wedges).reshape(-1, 3), np.array(edges, dtype=np.int64).reshape(-1, 2), summary,
+                        verification)
         want = emit_result_json(doc)
-        if edge_array:
-            doc.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
         assert emit_result(doc) == want
         out = io.StringIO()
         assert emit_result(doc, out) is None
@@ -216,7 +217,7 @@ class TestResultWriter:
         st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=4),
     )
     def test_repeated_values_match_json_dumps(self, wedges, edges):
-        doc = ResultDoc(np.array(wedges).reshape(-1, 3), edges, {"alpha": 120.0})
+        doc = ResultDoc(np.array(wedges).reshape(-1, 3), np.reshape(edges, (-1, 2)), {"alpha": 120.0})
         want = emit_result_json(doc)
         assert emit_result(doc) == want
         out = io.StringIO()
@@ -251,6 +252,35 @@ class TestResultWriter:
         doc.wedges[row, column] = value
         with pytest.raises(ValueError, match=rf"^wedges\[{row}\]\.{key} is {value!r}; wedge values must be finite$"):
             emit_result(doc, io.StringIO())
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class TestSigRepr:
+    """``_sig_repr`` gives ``repr(round_sig(x))`` for every float."""
+
+    @settings(max_examples=3000, deadline=None)
+    @given(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e11, 1e12, 1e16, 1e17, 1e-4, 1e-5, 0.1, 120.0]),
+        st.integers(-(10**17), 10**17).map(float),
+        st.floats(1e11, 1e17), st.floats(-1e17, -1e11),
+        st.floats(1e-6, 1e-3), st.floats(-1e-3, -1e-6),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+        st.integers(0, 2**64 - 1).map(_bits_float),
+    ))
+    def test_equals_the_round_trip(self, x):
+        assert _sig_repr(x) == repr(round_sig(x))
+
+    def test_every_magnitude(self):
+        rng = np.random.default_rng(7)
+        xs = np.concatenate((
+            rng.uniform(-1, 1, 20000) * 10.0 ** rng.integers(-320, 309, 20000),
+            rng.integers(0, 2**63, 20000, dtype=np.int64).view(np.float64),
+        ))
+        for x in xs.tolist():
+            assert _sig_repr(x) == repr(round_sig(x)), x
 
 
 class TestStrictResultValues:
@@ -389,7 +419,7 @@ class TestColumnarParseMatchesReference:
     def test_result_edges(self, raw):
         text = json.dumps({"wedges": [], "edges": raw, "summary": {}})
         want = _outcome(lambda: edges_of(json.loads(text)["edges"]))
-        assert _outcome(lambda: parse_result(text).edges) == want
+        assert _outcome(lambda: parse_result(text).edges.tolist()) == want
 
     @settings(max_examples=300, deadline=None)
     @given(_with_bad(_WEDGE, _BAD_WEDGE))

@@ -63,7 +63,7 @@ class TestBruteForce:
 
     def test_single_point(self):
         tree = brute_force_alpha_mst([Point(0, 0)], 90.0)
-        assert tree.edges == () and tree.weight == 0.0
+        assert tree.edges.shape == (0, 2) and tree.weight == 0.0
 
     def test_multi_alpha_consistent(self):
         pts = uniform_square(6, seed=8)
